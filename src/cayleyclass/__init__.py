@@ -22,6 +22,7 @@ from .dicyclic_theory import (
     verify_theorem,
 )
 from .groups import (
+    AutomorphismGroup,
     ClosureLimitError,
     FiniteGroup,
     GeneratingSequence,
@@ -34,6 +35,7 @@ from .groups import (
     element_order,
     from_descriptor,
     from_permutations,
+    group_automorphisms,
     is_generating,
     is_minimal_generating,
     order_multiset,

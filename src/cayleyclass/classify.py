@@ -1,29 +1,41 @@
 """Enumerate generating sequences and partition them into equivalence
 classes under directed or undirected Cayley-graph isomorphism.
 
-Sequences are bucketed by order multiset first (a sound pre-filter:
-isomorphic Cayley graphs have equal label order multisets); inside a
-bucket each sequence is compared against the class representatives
-only, which suffices because equivalence is transitive.
+The classes rest on one fact: a basepoint-fixing, label-permuting
+isomorphism of connected Cayley graphs is a group automorphism.  So two
+sequences are directed-equivalent exactly when an automorphism maps the
+set of one onto the set of the other, and the directed classes are the
+Aut(G)-orbits of the generating k-sets; each holds k! * |orbit|
+sequences.  The k-sets are walked in lexicographic order.  A set not
+yet seen is tested for generation (and minimality), which automorphisms
+preserve, and its orbit is taken by breadth-first search under
+generators of Aut(G) and marked seen; so each orbit is tested once and
+its first set is the lexicographically least sequence of its class.
+
+In undirected mode a label s and its inverse give the same edges, so
+the orbits are taken under automorphisms and single-label inversion
+together.  That pre-collapse is sound but may not be complete: a
+colour-permuting isomorphism of undirected Cayley graphs need not come
+from an automorphism.  Orbit representatives with equal order
+multisets are therefore still compared pairwise with ``undirected_iso``.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import cayley, iso
 from .groups import (
     FiniteGroup,
     GeneratingSequence,
     OrderMultiset,
-    closure,
-    dicyclic_automorphism_maps,
-    dicyclic_parameter,
+    group_automorphisms,
+    is_generating,
+    is_minimal_generating,
     order_multiset,
 )
 
@@ -96,30 +108,14 @@ def enumerate_generating_sequences(
     """
     _check_guards(group, length, max_order)
     group.ensure_table()
-    generates = _generation_cache(group)
-    result = []
-    for tup in itertools.permutations(range(group.order), length):
-        if not generates(frozenset(tup)):
-            continue
-        if minimal_only and any(
-            generates(frozenset(tup[:i] + tup[i + 1 :])) for i in range(length)
-        ):
-            continue
-        result.append(GeneratingSequence(tup, group.descriptor))
-    return result
-
-
-def _generation_cache(group: FiniteGroup):
-    cache: dict[frozenset, bool] = {}
-
-    def generates(elements: frozenset) -> bool:
-        got = cache.get(elements)
-        if got is None:
-            got = len(closure(group, elements)) == group.order
-            cache[elements] = got
-        return got
-
-    return generates
+    qualifies = is_minimal_generating if minimal_only else is_generating
+    tuples = sorted(
+        tup
+        for subset in itertools.combinations(group.elements(), length)
+        if qualifies(group, subset)
+        for tup in itertools.permutations(subset)
+    )
+    return [GeneratingSequence(tup, group.descriptor) for tup in tuples]
 
 
 def classify(
@@ -130,71 +126,67 @@ def classify(
     *,
     max_order: int = DEFAULT_MAX_ORDER,
     jobs: int = 1,
-    use_automorphism_orbits: bool = False,
 ) -> ClassificationReport:
     """Partition generating sequences into equivalence classes.
 
     mode is "directed" (edge-labeled digraph isomorphism) or
-    "undirected" (direction-forgetting view).  The report is identical
-    for any jobs >= 1; use_automorphism_orbits pre-collapses sequences
-    along known dicyclic automorphisms (dicyclic groups only) without
-    changing the report.
+    "undirected" (direction-forgetting view).  jobs must be >= 1 and has
+    no effect; it is accepted so that callers passing it keep working.
     """
     if mode not in ("directed", "undirected"):
         raise ValueError(f"mode must be 'directed' or 'undirected', got {mode!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     start = time.perf_counter()
-    sequences = enumerate_generating_sequences(group, length, minimal_only, max_order)
+    _check_guards(group, length, max_order)
+    group.ensure_table()
+    qualifies = is_minimal_generating if minimal_only else is_generating
+    inverse = [group.inv(g) for g in group.elements()] if mode == "undirected" else None
+    maps = None
+    seen: set[tuple[int, ...]] = set()
+    orbits: list[tuple[tuple[int, ...], int]] = []
+    for subset in itertools.combinations(group.elements(), length):
+        if subset in seen:
+            continue
+        qualified = qualifies(group, subset)
+        if maps is None:
+            if not qualified:
+                continue
+            # only once some set qualifies: Aut(G) can be large where none does
+            maps = group_automorphisms(group).generators
+        # generation and minimality are Aut(G)-invariant: one test per orbit
+        orbit = _orbit(subset, maps, inverse)
+        seen.update(orbit)
+        if qualified:
+            orbits.append((subset, len(orbit)))
 
-    if use_automorphism_orbits:
-        if dicyclic_parameter(group) is None:
-            raise ValueError(
-                "automorphism-orbit collapse is implemented for dicyclic groups only"
+    per_set = math.factorial(length)
+    # records: [representative, order multiset, size, undirected view]
+    records: list[list] = []
+    for subset, count in orbits:
+        multiset = order_multiset(group, subset)
+        graph = None
+        if mode == "undirected":
+            graph = cayley.undirected_view(cayley.build(group, subset))
+            match = next(
+                (r for r in records
+                 if r[1] == multiset and iso.undirected_iso(graph, r[3]) is not None),
+                None,
             )
-        work = _collapse_orbits(group, sequences)
-    else:
-        work = [(seq, 1) for seq in sequences]
+            if match is not None:
+                match[2] += per_set * count
+                continue
+        records.append([subset, multiset, per_set * count, graph])
 
-    compare = iso.directed_iso if mode == "directed" else iso.undirected_iso
-
-    def graph_for(seq: GeneratingSequence):
-        g = cayley.build(group, seq)
-        return g if mode == "directed" else cayley.undirected_view(g)
-
-    executor = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    # buckets: order multiset -> list of [rep sequence, rep graph, size, first index]
-    buckets: dict[OrderMultiset, list[list]] = {}
-    try:
-        for index, (seq, weight) in enumerate(work):
-            graph = graph_for(seq)
-            ms = order_multiset(group, seq.elements)
-            bucket = buckets.setdefault(ms, [])
-            reps = [record[1] for record in bucket]
-            if executor is not None:
-                matches = list(executor.map(lambda r: compare(graph, r) is not None, reps))
-            else:
-                matches = [compare(graph, r) is not None for r in reps]
-            for record, hit in zip(bucket, matches):
-                if hit:
-                    record[2] += weight
-                    break
-            else:
-                bucket.append([seq, graph, weight, index])
-    finally:
-        if executor is not None:
-            executor.shutdown()
-
-    records = [record for bucket in buckets.values() for record in bucket]
-    records.sort(key=lambda r: ([-v for v in _ms_of(group, r[0])], r[3]))
+    records.sort(key=lambda r: ([-v for v in r[1].values], r[0]))
     classes = tuple(
         SequenceClass(
-            representative=record[0],
-            representative_names=tuple(group.names[g] for g in record[0].elements),
-            order_multiset=order_multiset(group, record[0].elements),
-            size=record[2],
+            representative=GeneratingSequence(rep, group.descriptor),
+            representative_names=tuple(group.names[g] for g in rep),
+            order_multiset=multiset,
+            size=size,
         )
-        for record in records
+        for rep, multiset, size, _ in records
     )
     return ClassificationReport(
         group=group.descriptor,
@@ -202,38 +194,30 @@ def classify(
         mode=mode,
         minimal_only=minimal_only,
         classes=classes,
-        total=len(sequences),
+        total=sum(c.size for c in classes),
         wall_time_seconds=time.perf_counter() - start,
     )
 
 
-def _ms_of(group: FiniteGroup, seq: GeneratingSequence) -> tuple[int, ...]:
-    return order_multiset(group, seq.elements).values
-
-
-def _collapse_orbits(
-    group: FiniteGroup, sequences: Sequence[GeneratingSequence]
-) -> list[tuple[GeneratingSequence, int]]:
-    """Group sequences into orbits under the known dicyclic automorphisms.
-
-    Sequences in one orbit are equivalent (an automorphism induces a
-    Cayley isomorphism), so classifying one representative per orbit
-    with the orbit size as weight yields the identical report: the
-    orbit representative is the lexicographically least member, which
-    is also the first seen in enumeration order.
-    """
-    maps = dicyclic_automorphism_maps(group)
-    remaining = {seq.elements: seq for seq in sequences}
-    work: list[tuple[GeneratingSequence, int]] = []
-    for seq in sequences:
-        if seq.elements not in remaining:
-            continue
-        orbit = {tuple(m[g] for g in seq.elements) for m in maps}
-        members = [t for t in orbit if t in remaining]
-        for t in members:
-            del remaining[t]
-        work.append((seq, len(members)))
-    return work
+def _orbit(subset, maps, inverse=None) -> set[tuple[int, ...]]:
+    """Sorted k-sets reachable from subset under the automorphism maps
+    and, when inverse is given, under inverting one element whose
+    inverse is not another element of the set."""
+    orbit = {subset}
+    stack = [subset]
+    while stack:
+        current = stack.pop()
+        images = [tuple(sorted(m[g] for g in current)) for m in maps]
+        if inverse is not None:
+            for i, g in enumerate(current):
+                h = inverse[g]
+                if h != g and h not in current:
+                    images.append(tuple(sorted(current[:i] + (h,) + current[i + 1 :])))
+        for image in images:
+            if image not in orbit:
+                orbit.add(image)
+                stack.append(image)
+    return orbit
 
 
 def classify_summary_equal(report: ClassificationReport, expected) -> bool:

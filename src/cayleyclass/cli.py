@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--minimal", action="store_true", help="minimal sequences only")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out", help="write the report to this file")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads (same output)")
+    p.add_argument("--jobs", type=int, default=1, help="accepted, must be >= 1; has no effect")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify-theorem", help="verify the dicyclic classification")

@@ -10,7 +10,6 @@ materialised lazily only for small groups under repeated queries.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -613,15 +612,14 @@ def element_order(group: FiniteGroup, g: int) -> int:
 
 def closure(group: FiniteGroup, elements: Iterable[int]) -> frozenset[int]:
     """Subgroup generated by the elements (breadth-first products)."""
-    gens = sorted(set(elements))
+    rows = [_left_row(group, s) for s in sorted(set(elements))]
     seen = {group.identity}
     frontier = [group.identity]
-    mul = group.mul
     while frontier:
         next_frontier = []
         for u in frontier:
-            for s in gens:
-                v = mul(u, s)
+            for row in rows:
+                v = row[u]
                 if v not in seen:
                     seen.add(v)
                     next_frontier.append(v)
@@ -649,31 +647,103 @@ def order_multiset(group: FiniteGroup, sequence: Iterable[int]) -> OrderMultiset
 
 
 # ---------------------------------------------------------------------------
-# dicyclic automorphisms (used for the optional orbit pre-collapse)
+# automorphisms
 
 
-def dicyclic_parameter(group: FiniteGroup) -> Optional[int]:
-    head, _, tail = group.descriptor.partition(":")
-    if head == "dicyclic" and tail.isdigit():
-        return int(tail)
-    return None
+@dataclass(frozen=True)
+class AutomorphismGroup:
+    """Aut(G) held by generators only.
+
+    Each generator is an element map: the tuple of images of the ids
+    0..order-1.  ``order`` is |Aut(G)|.
+    """
+
+    generators: tuple[tuple[int, ...], ...]
+    order: int
 
 
-def dicyclic_automorphism_maps(group: FiniteGroup) -> list[tuple[int, ...]]:
-    """Element maps of the automorphisms a -> a^t (t a unit mod 2n),
-    x -> a^m x of a dicyclic group, as permutations of element ids."""
-    n = dicyclic_parameter(group)
-    if n is None:
-        raise ValueError(f"not a dicyclic group: {group.descriptor}")
-    two_n = 2 * n
-    maps = []
-    for t in range(1, two_n):
-        if math.gcd(t, two_n) != 1:
+@dataclass(frozen=True)
+class _RowGraph:
+    """The fields of a Cayley graph that ``iso._propagate`` reads."""
+
+    vertex_count: int
+    succ: tuple[tuple[int, ...], ...]
+    basepoint: int = 0
+
+
+def _left_row(group: FiniteGroup, s: int) -> tuple[int, ...]:
+    """The row v -> s*v: the label-s edges of a Cayley graph."""
+    if group._table is not None:
+        return group._table[s]
+    return tuple(group.mul(s, v) for v in range(group.order))
+
+
+def _greedy_generators(group: FiniteGroup, orders: Sequence[int]) -> tuple[int, ...]:
+    """A generating tuple: repeatedly the highest-order element (lowest id
+    on ties) not yet in the subgroup generated so far."""
+    gens: list[int] = []
+    reached = closure(group, gens)
+    while len(reached) < group.order:
+        gens.append(max((g for g in group.elements() if g not in reached),
+                        key=orders.__getitem__))
+        reached = closure(group, gens)
+    return tuple(gens)
+
+
+def group_automorphisms(group: FiniteGroup) -> AutomorphismGroup:
+    """Generators and order of Aut(G).
+
+    An automorphism is fixed by the images t of a generating tuple s, so
+    Aut(G) acts regularly on those image tuples.  Candidates t keep the
+    orders of the s_i and of the products s_i*s_j, and are walked in
+    lexicographic order.  A candidate is an automorphism exactly when
+    forcing f(s_i*g) = t_i*f(g) from f(e) = e along the Cayley graph of
+    s gives a bijection, which ``iso._propagate`` decides with the
+    identity label map.  Candidates already reached from s by the maps
+    found so far are skipped, so each accepted map at least doubles the
+    subgroup they generate and only about log2|Aut(G)| maps are held.
+    """
+    # iso imports cayley, which imports this module
+    from .iso import _propagate
+
+    group.ensure_table()
+    orders = [element_order(group, g) for g in group.elements()]
+    base = _greedy_generators(group, orders)
+    source = _RowGraph(group.order, tuple(_left_row(group, s) for s in base))
+    identity_labels = tuple(range(len(base)))
+    product_orders = [[orders[group.mul(p, q)] for q in base] for p in base]
+    pools = [[g for g in group.elements() if orders[g] == orders[s]] for s in base]
+
+    def candidates(prefix: list[int]):
+        j = len(prefix)
+        if j == len(base):
+            yield tuple(prefix)
+            return
+        for t in pools[j]:
+            if all(t != prefix[i] and orders[group.mul(prefix[i], t)] == product_orders[i][j]
+                   for i in range(j)):
+                prefix.append(t)
+                yield from candidates(prefix)
+                prefix.pop()
+
+    maps: list[tuple[int, ...]] = []
+    reached = {base}
+    for image in candidates([]):
+        if image in reached:
             continue
-        for m in range(two_n):
-            image = [0] * (4 * n)
-            for i in range(two_n):
-                image[i] = (t * i) % two_n
-                image[two_n + i] = two_n + (t * i + m) % two_n
-            maps.append(tuple(image))
-    return maps
+        target = _RowGraph(group.order, tuple(_left_row(group, t) for t in image))
+        f = _propagate(source, target, identity_labels, 0)
+        if f is None:
+            continue
+        maps.append(f)
+        # grow the orbit of base: old points need only the new map
+        fresh = [p for p in {tuple(f[g] for g in q) for q in reached} if p not in reached]
+        reached.update(fresh)
+        while fresh:
+            point = fresh.pop()
+            for m in maps:
+                q = tuple(m[g] for g in point)
+                if q not in reached:
+                    reached.add(q)
+                    fresh.append(q)
+    return AutomorphismGroup(tuple(maps), len(reached))

@@ -59,6 +59,14 @@ def validate_witness(g1: Graph, g2: Graph, witness: IsoWitness) -> bool:
     return True
 
 
+def _checked(g1: Graph, g2: Graph, witness: IsoWitness, caller: str) -> IsoWitness:
+    """Return the witness after validating it edge by edge; an explicit
+    raise, so the check also runs under ``python -O``."""
+    if not validate_witness(g1, g2, witness):
+        raise AssertionError(f"{caller} produced an invalid witness")
+    return witness
+
+
 def _require_connected(graph: Graph, caller: str) -> None:
     if not is_connected(graph):
         raise ValueError(f"{caller} requires a connected graph: {graph.provenance}")
@@ -124,9 +132,7 @@ def directed_iso(g1: CayleyGraph, g2: CayleyGraph) -> Optional[IsoWitness]:
     for sigma in _label_bijections(g1, g2, order_compatible=True):
         f = _propagate(g1, g2, sigma, g2.basepoint)
         if f is not None:
-            witness = IsoWitness(f, tuple(sigma))
-            assert validate_witness(g1, g2, witness)
-            return witness
+            return _checked(g1, g2, IsoWitness(f, tuple(sigma)), "directed_iso")
     return None
 
 
@@ -148,9 +154,7 @@ def brute_force_iso(
         for start in range(g2.vertex_count):
             f = _propagate(g1, g2, sigma, start)
             if f is not None:
-                witness = IsoWitness(f, tuple(sigma))
-                assert validate_witness(g1, g2, witness)
-                return witness
+                return _checked(g1, g2, IsoWitness(f, tuple(sigma)), "brute_force_iso")
     return None
 
 
@@ -163,9 +167,7 @@ def automorphisms(graph: CayleyGraph) -> list[IsoWitness]:
     for start in range(graph.vertex_count):
         f = _propagate(graph, graph, identity_sigma, start)
         if f is not None:
-            witness = IsoWitness(f, identity_sigma)
-            assert validate_witness(graph, graph, witness)
-            found.append(witness)
+            found.append(_checked(graph, graph, IsoWitness(f, identity_sigma), "automorphisms"))
     return found
 
 

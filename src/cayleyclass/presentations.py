@@ -402,5 +402,6 @@ def verify_mutual_inverse(
     for name in presentation.generator_names:
         if _evaluate_with(ph, psi[name], phi_assignment) != ph.named_elements[name]:
             return False
-    assert group.order == ph.order, "mutually inverse morphisms forced equal orders"
+    if group.order != ph.order:
+        raise AssertionError("mutually inverse morphisms forced equal orders")
     return True

@@ -22,3 +22,20 @@ def builtin_groups(max_order, min_order=1):
     out += [cc.from_descriptor(d) for d in PRODUCT_DESCRIPTORS]
     out += [cc.from_descriptor(d) for d in PERM_DESCRIPTORS]
     return [g for g in out if min_order <= g.order <= max_order]
+
+
+def all_automorphisms(group):
+    """Every automorphism of the group as an element map, closed from the
+    generators that group_automorphisms returns (small groups only)."""
+    identity = tuple(group.elements())
+    found = {identity}
+    stack = [identity]
+    generators = cc.group_automorphisms(group).generators
+    while stack:
+        f = stack.pop()
+        for m in generators:
+            composed = tuple(m[f[g]] for g in group.elements())
+            if composed not in found:
+                found.add(composed)
+                stack.append(composed)
+    return sorted(found)

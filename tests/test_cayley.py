@@ -4,6 +4,7 @@ import pytest
 
 import cayleyclass as cc
 from cayleyclass import cayley, iso
+from conftest import all_automorphisms
 
 
 def elem(group, text):
@@ -75,14 +76,12 @@ def test_vertex_transitive_regularity():
 
 
 def test_group_automorphism_induces_cayley_isomorphism():
-    from cayleyclass.groups import dicyclic_automorphism_maps
-
     for n in range(2, 7):
         group = cc.dicyclic(n)
         seq_texts = ["a,x", "a*x,x"]
         if n % 2 == 1:
             seq_texts += ["a^2*x,x", "a^2,x"]
-        for m in dicyclic_automorphism_maps(group):
+        for m in all_automorphisms(group):
             for text in seq_texts:
                 seq = cc.parse_sequence(group, text)
                 mapped = tuple(m[g] for g in seq.elements)

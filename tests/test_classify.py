@@ -6,6 +6,8 @@ import pytest
 import cayleyclass as cc
 from cayleyclass.classify import classify, classify_summary_equal, enumerate_generating_sequences
 from cayleyclass.groups import OrderMultiset
+from conftest import all_automorphisms, builtin_groups
+from pairwise_oracle import pairwise_classify
 
 
 def ms(*values):
@@ -104,16 +106,37 @@ def test_jobs_and_orbit_collapse_do_not_change_reports():
     G = cc.dicyclic(3)
     base = classify(G, 2, "directed", minimal_only=True)
     assert classify(G, 2, "directed", minimal_only=True, jobs=3).to_json() == base.to_json()
-    fast = classify(G, 2, "directed", minimal_only=True, use_automorphism_orbits=True)
-    assert fast.to_json() == base.to_json()
+    assert base.to_json() == pairwise_classify(G, 2, "directed", minimal_only=True).to_json()
     undirected = classify(G, 2, "undirected", minimal_only=True)
-    fast_u = classify(G, 2, "undirected", minimal_only=True, use_automorphism_orbits=True)
-    assert fast_u.to_json() == undirected.to_json()
+    assert undirected.to_json() == pairwise_classify(G, 2, "undirected", minimal_only=True).to_json()
 
 
-def test_orbit_collapse_restricted_to_dicyclic():
-    with pytest.raises(ValueError):
-        classify(cc.cyclic(6), 2, use_automorphism_orbits=True)
+@pytest.mark.parametrize("group", builtin_groups(24), ids=lambda g: g.descriptor)
+def test_classify_matches_pairwise_oracle(group):
+    lengths = (1, 2, 3) if group.order <= 16 else (1, 2)
+    for length in lengths:
+        for mode in ("directed", "undirected"):
+            for minimal_only in (False, True):
+                got = classify(group, length, mode, minimal_only).to_json()
+                assert got == pairwise_classify(group, length, mode, minimal_only).to_json(), (
+                    length, mode, minimal_only)
+
+
+@pytest.mark.parametrize("group", builtin_groups(24), ids=lambda g: g.descriptor)
+def test_directed_class_count_is_burnside_count(group):
+    # Cauchy-Frobenius: orbits of Aut(G) on the generating k-sets number
+    # (1/|Aut|) * sum over automorphisms of the sets each one fixes
+    auts = all_automorphisms(group)
+    lengths = (1, 2, 3) if group.order <= 16 else (1, 2)
+    for length in lengths:
+        for minimal_only in (False, True):
+            qualifies = cc.is_minimal_generating if minimal_only else cc.is_generating
+            sets = [frozenset(c) for c in itertools.combinations(group.elements(), length)
+                    if qualifies(group, c)]
+            fixed = sum(1 for m in auts for s in sets if frozenset(m[g] for g in s) == s)
+            assert fixed % len(auts) == 0
+            report = classify(group, length, "directed", minimal_only)
+            assert len(report.classes) == fixed // len(auts), (length, minimal_only)
 
 
 def test_classify_rejects_bad_mode_and_jobs():
@@ -158,3 +181,13 @@ def test_classify_summary_equal():
     assert classify_summary_equal(report, report)
     empty1 = classify(cc.dicyclic(4), 3, "directed", minimal_only=True)
     assert classify_summary_equal(empty1, [])
+
+
+def test_dicyclic_128_at_the_order_guard():
+    # order 512 is the default guard; the pairwise path took minutes here
+    report = classify(cc.dicyclic(128), 2, "directed", minimal_only=True)
+    assert [(c.order_multiset, c.size) for c in report.classes] == [
+        (ms(256, 4), 65536),
+        (ms(4, 4), 32768),
+    ]
+    assert report.total == 6 * 128 * 128

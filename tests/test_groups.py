@@ -5,7 +5,7 @@ import pytest
 import cayleyclass as cc
 from cayleyclass import groups
 from cayleyclass.words import ParseError
-from conftest import builtin_groups
+from conftest import all_automorphisms, builtin_groups
 
 
 def elem(group, text):
@@ -73,13 +73,44 @@ def test_dicyclic_parameter_guard():
 
 def test_dicyclic_automorphism_maps_are_automorphisms():
     G = cc.dicyclic(3)
-    maps = groups.dicyclic_automorphism_maps(G)
+    maps = all_automorphisms(G)
     assert len(maps) == 6 * 2  # 2n * phi(2n) with n=3
     for m in maps:
         assert sorted(m) == list(G.elements())
         for p in G.elements():
             for q in G.elements():
                 assert m[G.mul(p, q)] == G.mul(m[p], m[q])
+
+
+def _phi(n):
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+def test_automorphism_group_orders():
+    cases = [(cc.dicyclic(2), 24)]
+    cases += [(cc.dicyclic(n), 2 * n * _phi(2 * n)) for n in range(3, 13)]
+    cases += [(cc.dihedral(n), n * _phi(n)) for n in range(3, 25)]
+    cases += [(cc.cyclic(n), _phi(n)) for n in range(1, 49)]
+    cases += [
+        (cc.from_permutations(4, ["(1,2)", "(1,2,3,4)"]), 24),
+        (cc.from_permutations(5, ["(1,2)", "(1,2,3,4,5)"]), 120),
+        (cc.from_permutations(5, ["(1,2,3)", "(1,2,3,4,5)"]), 120),
+    ]
+    for group, expected in cases:
+        assert cc.group_automorphisms(group).order == expected, group.descriptor
+
+
+@pytest.mark.parametrize("group", builtin_groups(16), ids=lambda g: g.descriptor)
+def test_automorphism_generators_close_to_the_group_order(group):
+    auts = cc.group_automorphisms(group)
+    assert len(all_automorphisms(group)) == auts.order
+    # each held map at least doubles the subgroup: at most log2 |Aut| maps
+    assert 2 ** len(auts.generators) <= auts.order
+    for m in auts.generators:
+        assert sorted(m) == list(group.elements())
+        for p in group.elements():
+            for q in group.elements():
+                assert m[group.mul(p, q)] == group.mul(m[p], m[q])
 
 
 # ---------------------------------------------------------------------------

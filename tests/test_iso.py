@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 import cayleyclass as cc
@@ -194,3 +200,26 @@ def test_witness_json():
     assert sorted(data) == ["label_map", "vertex_map"]
     assert data["label_map"] == [["a", "a^5"], ["x", "a^2*x"]]
     assert sorted(data["vertex_map"]) == list(range(12))
+
+
+def test_witness_check_survives_python_O():
+    # the witness check is an explicit raise, not an assert that -O strips
+    code = textwrap.dedent("""
+        import sys
+        import cayleyclass as cc
+        from cayleyclass import iso
+
+        iso.validate_witness = lambda *args: False
+        G = cc.dicyclic(3)
+        graph = cc.build(G, cc.parse_sequence(G, "a,x"))
+        try:
+            iso.directed_iso(graph, graph)
+        except AssertionError as exc:
+            print(f"optimize={sys.flags.optimize} raised: {exc}")
+    """)
+    src = str(Path(cc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                            env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "optimize=1 raised: directed_iso produced an invalid witness"
