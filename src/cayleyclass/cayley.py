@@ -5,7 +5,8 @@ every group element g and every distinct label s in the sequence
 (labels are the underlying set of the sequence, in first-occurrence
 order).  Each label's edge set is a permutation of the vertices, so a
 label subgraph is a disjoint union of directed cycles whose common
-length is the label's element order.
+length is the label's element order.  The rows are ``groups.left_row``,
+shared with the group's table when it has one.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .groups import FiniteGroup, GeneratingSequence, element_order
+from .groups import FiniteGroup, GeneratingSequence, element_order, left_row
 
 _EDGE_STYLES = ("solid", "dashed", "dotted", "bold")
 
@@ -25,7 +26,6 @@ class CayleyGraph:
     label_names: tuple[str, ...]
     label_orders: tuple[int, ...]
     succ: tuple[tuple[int, ...], ...]
-    pred: tuple[tuple[int, ...], ...]
     vertex_names: tuple[str, ...]
     basepoint: int
     provenance: str
@@ -38,7 +38,8 @@ class UndirectedLabeledGraph:
     For an order-2 label the directed pair g <-> s*g collapses to one
     undirected edge; for higher-order labels every directed edge yields
     one undirected edge.  Edges are canonical (min, max, label-index)
-    triples; loops (label e) are retained as loops.
+    triples; loops (label e) are retained as loops.  ``pred`` inverts
+    each ``succ`` row: pred[k][v] = s_k^-1 * v.
     """
 
     vertex_count: int
@@ -68,20 +69,12 @@ def build(group: FiniteGroup, sequence: Union[GeneratingSequence, Iterable[int]]
             raise ValueError(f"element id {s} out of range for {group.descriptor}")
         if s not in labels:
             labels.append(s)
-    mul = group.mul
-    succ = tuple(
-        tuple(mul(s, v) for v in range(group.order)) for s in labels
-    )
-    pred = tuple(
-        tuple(mul(group.inv(s), v) for v in range(group.order)) for s in labels
-    )
     return CayleyGraph(
         vertex_count=group.order,
         labels=tuple(labels),
         label_names=tuple(group.names[s] for s in labels),
         label_orders=tuple(element_order(group, s) for s in labels),
-        succ=succ,
-        pred=pred,
+        succ=tuple(left_row(group, s) for s in labels),
         vertex_names=group.names,
         basepoint=group.identity,
         provenance=f"{group.descriptor};{','.join(group.names[s] for s in elements)}",
@@ -118,16 +111,20 @@ def undirected_view(graph: CayleyGraph) -> UndirectedLabeledGraph:
     two directed edges of an order-2 label become one undirected edge.
     """
     edges = set()
+    pred = []
     for k, row in enumerate(graph.succ):
+        inverse = [0] * graph.vertex_count
         for v, w in enumerate(row):
             edges.add((v, w, k) if v <= w else (w, v, k))
+            inverse[w] = v
+        pred.append(tuple(inverse))
     return UndirectedLabeledGraph(
         vertex_count=graph.vertex_count,
         labels=graph.labels,
         label_names=graph.label_names,
         label_orders=graph.label_orders,
         succ=graph.succ,
-        pred=graph.pred,
+        pred=tuple(pred),
         edges=tuple(sorted(edges)),
         vertex_names=graph.vertex_names,
         basepoint=graph.basepoint,

@@ -8,9 +8,10 @@ set of one onto the set of the other, and the directed classes are the
 Aut(G)-orbits of the generating k-sets; each holds k! * |orbit|
 sequences.  The k-sets are walked in lexicographic order.  A set not
 yet seen is tested for generation (and minimality), which automorphisms
-preserve, and its orbit is taken by breadth-first search under
+preserve, and its orbit (``groups.set_orbit``) is taken under
 generators of Aut(G) and marked seen; so each orbit is tested once and
 its first set is the lexicographically least sequence of its class.
+Seen sets are kept, so the C(order, k) walked are bounded by MAX_SETS.
 
 In undirected mode a label s and its inverse give the same edges, so
 the orbits are taken under automorphisms and single-label inversion
@@ -37,9 +38,11 @@ from .groups import (
     is_generating,
     is_minimal_generating,
     order_multiset,
+    set_orbit,
 )
 
 MAX_LENGTH = 4
+MAX_SETS = 1_000_000
 DEFAULT_MAX_ORDER = 512
 
 
@@ -91,6 +94,10 @@ def _check_guards(group: FiniteGroup, length: int, max_order: int) -> None:
             f"group order {group.order} exceeds the classification guard "
             f"({max_order}); raise max_order to override"
         )
+    if math.comb(group.order, length) > MAX_SETS:
+        raise ValueError(
+            f"C({group.order}, {length}) element sets exceed the classification guard ({MAX_SETS})"
+        )
 
 
 def enumerate_generating_sequences(
@@ -125,18 +132,14 @@ def classify(
     minimal_only: bool = False,
     *,
     max_order: int = DEFAULT_MAX_ORDER,
-    jobs: int = 1,
 ) -> ClassificationReport:
     """Partition generating sequences into equivalence classes.
 
     mode is "directed" (edge-labeled digraph isomorphism) or
-    "undirected" (direction-forgetting view).  jobs must be >= 1 and has
-    no effect; it is accepted so that callers passing it keep working.
+    "undirected" (direction-forgetting view).
     """
     if mode not in ("directed", "undirected"):
         raise ValueError(f"mode must be 'directed' or 'undirected', got {mode!r}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     start = time.perf_counter()
     _check_guards(group, length, max_order)
     group.ensure_table()
@@ -155,7 +158,7 @@ def classify(
             # only once some set qualifies: Aut(G) can be large where none does
             maps = group_automorphisms(group).generators
         # generation and minimality are Aut(G)-invariant: one test per orbit
-        orbit = _orbit(subset, maps, inverse)
+        orbit = set_orbit(subset, maps, inverse)
         seen.update(orbit)
         if qualified:
             orbits.append((subset, len(orbit)))
@@ -197,27 +200,6 @@ def classify(
         total=sum(c.size for c in classes),
         wall_time_seconds=time.perf_counter() - start,
     )
-
-
-def _orbit(subset, maps, inverse=None) -> set[tuple[int, ...]]:
-    """Sorted k-sets reachable from subset under the automorphism maps
-    and, when inverse is given, under inverting one element whose
-    inverse is not another element of the set."""
-    orbit = {subset}
-    stack = [subset]
-    while stack:
-        current = stack.pop()
-        images = [tuple(sorted(m[g] for g in current)) for m in maps]
-        if inverse is not None:
-            for i, g in enumerate(current):
-                h = inverse[g]
-                if h != g and h not in current:
-                    images.append(tuple(sorted(current[:i] + (h,) + current[i + 1 :])))
-        for image in images:
-            if image not in orbit:
-                orbit.add(image)
-                stack.append(image)
-    return orbit
 
 
 def classify_summary_equal(report: ClassificationReport, expected) -> bool:

@@ -42,6 +42,11 @@ def _max_order() -> int:
         raise ValueError(f"{MAX_ORDER_ENV} must be an integer, got {raw!r}")
 
 
+def _check_jobs(args) -> None:
+    if args.jobs < 1:  # --jobs has no effect; it is kept so existing invocations work
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+
+
 def _report_table(data: dict) -> str:
     lines = [
         f"group: {data['group']}",
@@ -57,6 +62,7 @@ def _report_table(data: dict) -> str:
 
 
 def cmd_classify(args) -> int:
+    _check_jobs(args)
     group = groups.from_descriptor(args.group)
     report = run_classify(
         group,
@@ -64,7 +70,6 @@ def cmd_classify(args) -> int:
         args.mode,
         minimal_only=args.minimal,
         max_order=_max_order(),
-        jobs=args.jobs,
     )
     data = report.to_json_dict()
     text = report.to_json() if args.format == "json" else _report_table(data)
@@ -79,6 +84,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify_theorem(args) -> int:
+    _check_jobs(args)
     try:
         low, _, high = args.n_range.partition("..")
         n_min = int(low)
@@ -90,7 +96,7 @@ def cmd_verify_theorem(args) -> int:
             f"n-range must satisfy {VERIFY_MIN_N} <= min <= max <= {VERIFY_MAX_N}"
         )
     results = [
-        dicyclic_theory.verify_theorem(n, max_n=VERIFY_MAX_N, jobs=args.jobs)
+        dicyclic_theory.verify_theorem(n, max_n=VERIFY_MAX_N)
         for n in range(n_min, n_max + 1)
     ]
     if args.format == "json":
@@ -191,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-range", required=True, help="range of n, e.g. 2..8")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out", help="write results to this file")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted, must be >= 1; has no effect")
     p.set_defaults(func=cmd_verify_theorem)
 
     p = sub.add_parser("export-dot", help="export a Cayley graph as DOT")

@@ -9,13 +9,13 @@ x^2=a^n, x^(-1)ax=a^(-1)>; elements a^k*x all have order 4.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
-from . import cayley, iso
-from .classify import ClassificationReport, classify
-from .groups import OrderMultiset, dicyclic, parse_sequence
+from .classify import ClassificationReport, classify, classify_summary_equal
+from .groups import OrderMultiset, dicyclic, forced_map, left_row, parse_sequence
 from .presentations import (
     Presentation,
     parse_presentation,
@@ -185,37 +185,37 @@ class TheoremVerification:
         }
 
 
-def verify_theorem(n: int, *, max_n: int = DEFAULT_MAX_N, jobs: int = 1) -> TheoremVerification:
+def verify_theorem(n: int, *, max_n: int = DEFAULT_MAX_N) -> TheoremVerification:
     """Machine-check the two/four-class theorem for one n.
 
     Classifies the minimal length-2 generating sequences, compares
     count and multiset profile against the prediction, places every
     predicted representative in a distinct observed class, and runs the
     morphism verification for each applicable presentation variant.
+    A representative's class is the first one an automorphism maps it
+    into, or -1.
     """
     if not 2 <= n <= max_n:
         raise ValueError(f"n must be in 2..{max_n}, got {n}")
     group = dicyclic(n)
     prediction = predicted_classification(n)
-    report = classify(group, 2, "directed", minimal_only=True, jobs=jobs)
+    report = classify(group, 2, "directed", minimal_only=True)
+    profile_ok = classify_summary_equal(report, prediction.multisets)
 
-    profile_ok = len(report.classes) == prediction.class_count and sorted(
-        c.order_multiset.values for c in report.classes
-    ) == sorted(ms.values for ms in prediction.multisets)
+    def class_of(seq) -> int:
+        # an automorphism maps seq onto a class representative, in some
+        # order, exactly when the map forced from f(e) = e along their
+        # Cayley-graph rows is a bijection
+        rows = [left_row(group, g) for g in seq]
+        for idx, c in enumerate(report.classes):
+            for image in itertools.permutations(c.representative.elements):
+                target = [left_row(group, g) for g in image]
+                if forced_map(group.order, rows, target, range(len(seq)), 0, 0) is not None:
+                    return idx
+        return -1
 
-    class_graphs = [
-        cayley.build(group, c.representative.elements) for c in report.classes
-    ]
-    rep_classes = []
-    for text in prediction.representatives:
-        seq = parse_sequence(group, text)
-        graph = cayley.build(group, seq)
-        found = -1
-        for idx, class_graph in enumerate(class_graphs):
-            if iso.directed_iso(graph, class_graph) is not None:
-                found = idx
-                break
-        rep_classes.append(found)
+    rep_classes = [class_of(parse_sequence(group, text).elements)
+                   for text in prediction.representatives]
     distinct = -1 not in rep_classes and len(set(rep_classes)) == len(rep_classes)
 
     morphisms = {v: check_morphism_variant(n, v) for v in applicable_variants(n)}

@@ -612,7 +612,7 @@ def element_order(group: FiniteGroup, g: int) -> int:
 
 def closure(group: FiniteGroup, elements: Iterable[int]) -> frozenset[int]:
     """Subgroup generated by the elements (breadth-first products)."""
-    rows = [_left_row(group, s) for s in sorted(set(elements))]
+    rows = [left_row(group, s) for s in sorted(set(elements))]
     seen = {group.identity}
     frontier = [group.identity]
     while frontier:
@@ -647,7 +647,71 @@ def order_multiset(group: FiniteGroup, sequence: Iterable[int]) -> OrderMultiset
 
 
 # ---------------------------------------------------------------------------
-# automorphisms
+# Cayley rows, forced maps, set orbits and automorphisms
+
+
+def left_row(group: FiniteGroup, s: int) -> tuple[int, ...]:
+    """The row v -> s*v: the label-s edges of a Cayley graph.  With a
+    table this is the table's own row, not a copy."""
+    if group._table is not None:
+        return group._table[s]
+    return tuple(group.mul(s, v) for v in range(group.order))
+
+
+def forced_map(count: int, rows1, rows2, sigma, base: int, start: int) -> Optional[tuple[int, ...]]:
+    """Force a vertex map from f(base) = start along the rows.
+
+    A map sending row k of rows1 to row sigma[k] of rows2 satisfies
+    f(rows1[k][g]) = rows2[sigma[k]][f(g)], so the image of base fixes
+    it; a conflict, a collision or a vertex unreachable from base proves
+    there is none.  Every edge is checked once.
+    """
+    f = [-1] * count
+    used = [False] * count
+    f[base] = start
+    used[start] = True
+    queue = [base]
+    head = 0
+    while head < len(queue):
+        v = queue[head]
+        head += 1
+        fv = f[v]
+        for k in range(len(sigma)):
+            w = rows1[k][v]
+            target = rows2[sigma[k]][fv]
+            fw = f[w]
+            if fw == -1:
+                if used[target]:
+                    return None
+                f[w] = target
+                used[target] = True
+                queue.append(w)
+            elif fw != target:
+                return None
+    if head != count:
+        return None
+    return tuple(f)
+
+
+def set_orbit(subset, maps, inverse=None) -> set[tuple[int, ...]]:
+    """Sorted k-sets reachable from subset under the automorphism maps
+    and, when inverse is given, under inverting one element whose
+    inverse is not another element of the set."""
+    orbit = {subset}
+    stack = [subset]
+    while stack:
+        current = stack.pop()
+        images = [tuple(sorted(m[g] for g in current)) for m in maps]
+        if inverse is not None:
+            for i, g in enumerate(current):
+                h = inverse[g]
+                if h != g and h not in current:
+                    images.append(tuple(sorted(current[:i] + (h,) + current[i + 1 :])))
+        for image in images:
+            if image not in orbit:
+                orbit.add(image)
+                stack.append(image)
+    return orbit
 
 
 @dataclass(frozen=True)
@@ -660,22 +724,6 @@ class AutomorphismGroup:
 
     generators: tuple[tuple[int, ...], ...]
     order: int
-
-
-@dataclass(frozen=True)
-class _RowGraph:
-    """The fields of a Cayley graph that ``iso._propagate`` reads."""
-
-    vertex_count: int
-    succ: tuple[tuple[int, ...], ...]
-    basepoint: int = 0
-
-
-def _left_row(group: FiniteGroup, s: int) -> tuple[int, ...]:
-    """The row v -> s*v: the label-s edges of a Cayley graph."""
-    if group._table is not None:
-        return group._table[s]
-    return tuple(group.mul(s, v) for v in range(group.order))
 
 
 def _greedy_generators(group: FiniteGroup, orders: Sequence[int]) -> tuple[int, ...]:
@@ -698,18 +746,15 @@ def group_automorphisms(group: FiniteGroup) -> AutomorphismGroup:
     orders of the s_i and of the products s_i*s_j, and are walked in
     lexicographic order.  A candidate is an automorphism exactly when
     forcing f(s_i*g) = t_i*f(g) from f(e) = e along the Cayley graph of
-    s gives a bijection, which ``iso._propagate`` decides with the
+    s gives a bijection, which ``forced_map`` decides with the
     identity label map.  Candidates already reached from s by the maps
     found so far are skipped, so each accepted map at least doubles the
     subgroup they generate and only about log2|Aut(G)| maps are held.
     """
-    # iso imports cayley, which imports this module
-    from .iso import _propagate
-
     group.ensure_table()
     orders = [element_order(group, g) for g in group.elements()]
     base = _greedy_generators(group, orders)
-    source = _RowGraph(group.order, tuple(_left_row(group, s) for s in base))
+    source = [left_row(group, s) for s in base]
     identity_labels = tuple(range(len(base)))
     product_orders = [[orders[group.mul(p, q)] for q in base] for p in base]
     pools = [[g for g in group.elements() if orders[g] == orders[s]] for s in base]
@@ -731,8 +776,8 @@ def group_automorphisms(group: FiniteGroup) -> AutomorphismGroup:
     for image in candidates([]):
         if image in reached:
             continue
-        target = _RowGraph(group.order, tuple(_left_row(group, t) for t in image))
-        f = _propagate(source, target, identity_labels, 0)
+        target = [left_row(group, t) for t in image]
+        f = forced_map(group.order, source, target, identity_labels, 0, 0)
         if f is None:
             continue
         maps.append(f)

@@ -7,8 +7,8 @@ connected Cayley graphs are vertex-transitive with trivial stabilizer
 (right multiplications are label-preserving automorphisms), so any
 isomorphism composes with an automorphism of the target into one fixing
 the basepoint, and a basepoint-fixing isomorphism is forced edge by
-edge.  That normalization is the correctness crux; the brute-force
-oracle below does not rely on it.
+edge (``groups.forced_map``).  That normalization is the correctness
+crux; the brute-force oracle below does not rely on it.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .cayley import CayleyGraph, UndirectedLabeledGraph, is_connected
+from .groups import forced_map
 
 BRUTE_FORCE_LIMIT = 16
 
@@ -83,43 +84,6 @@ def _label_bijections(g1: Graph, g2: Graph, order_compatible: bool):
         yield perm
 
 
-def _propagate(g1: Graph, g2: Graph, sigma, start: int) -> Optional[tuple[int, ...]]:
-    """Force a vertex map from f(basepoint)=start along out-edges.
-
-    Any isomorphism with label map sigma satisfies f(s*g) = sigma(s)*f(g),
-    so it is determined by the basepoint image; a conflict or collision
-    proves no such isomorphism exists.  Every edge is checked once.
-    """
-    n = g1.vertex_count
-    f = [-1] * n
-    used = [False] * n
-    f[g1.basepoint] = start
-    used[start] = True
-    queue = [g1.basepoint]
-    head = 0
-    succ1, succ2 = g1.succ, g2.succ
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        fv = f[v]
-        for k in range(len(sigma)):
-            w = succ1[k][v]
-            target = succ2[sigma[k]][fv]
-            fw = f[w]
-            if fw == -1:
-                if used[target]:
-                    return None
-                f[w] = target
-                used[target] = True
-                queue.append(w)
-            elif fw != target:
-                return None
-    if head != n:
-        # unreachable vertices: disconnected input, caller should have checked
-        return None
-    return tuple(f)
-
-
 def directed_iso(g1: CayleyGraph, g2: CayleyGraph) -> Optional[IsoWitness]:
     """First witness (in deterministic sigma order) or None.
 
@@ -130,7 +94,7 @@ def directed_iso(g1: CayleyGraph, g2: CayleyGraph) -> Optional[IsoWitness]:
     if g1.vertex_count != g2.vertex_count or len(g1.labels) != len(g2.labels):
         return None
     for sigma in _label_bijections(g1, g2, order_compatible=True):
-        f = _propagate(g1, g2, sigma, g2.basepoint)
+        f = forced_map(g1.vertex_count, g1.succ, g2.succ, sigma, g1.basepoint, g2.basepoint)
         if f is not None:
             return _checked(g1, g2, IsoWitness(f, tuple(sigma)), "directed_iso")
     return None
@@ -152,7 +116,7 @@ def brute_force_iso(
     _require_connected(g2, "brute_force_iso")
     for sigma in _label_bijections(g1, g2, order_compatible=False):
         for start in range(g2.vertex_count):
-            f = _propagate(g1, g2, sigma, start)
+            f = forced_map(g1.vertex_count, g1.succ, g2.succ, sigma, g1.basepoint, start)
             if f is not None:
                 return _checked(g1, g2, IsoWitness(f, tuple(sigma)), "brute_force_iso")
     return None
@@ -165,7 +129,8 @@ def automorphisms(graph: CayleyGraph) -> list[IsoWitness]:
     identity_sigma = tuple(range(len(graph.labels)))
     found = []
     for start in range(graph.vertex_count):
-        f = _propagate(graph, graph, identity_sigma, start)
+        f = forced_map(graph.vertex_count, graph.succ, graph.succ, identity_sigma,
+                       graph.basepoint, start)
         if f is not None:
             found.append(_checked(graph, graph, IsoWitness(f, identity_sigma), "automorphisms"))
     return found

@@ -12,7 +12,13 @@ import itertools
 
 from cayleyclass import cayley, iso
 from cayleyclass.classify import ClassificationReport, SequenceClass
-from cayleyclass.groups import GeneratingSequence, is_generating, is_minimal_generating, order_multiset
+from cayleyclass.groups import (
+    GeneratingSequence,
+    is_generating,
+    is_minimal_generating,
+    order_multiset,
+    parse_sequence,
+)
 
 
 def pairwise_classify(group, length, mode="directed", minimal_only=False):
@@ -54,3 +60,19 @@ def pairwise_classify(group, length, mode="directed", minimal_only=False):
         total=len(sequences),
         wall_time_seconds=0.0,
     )
+
+
+def pairwise_representative_classes(group, report, texts):
+    """Index of the report class whose representative ``directed_iso``
+    matches each sequence, or -1: the placement that the forced-map
+    lookup of ``verify_theorem`` must reproduce."""
+    class_graphs = [cayley.build(group, c.representative.elements) for c in report.classes]
+    placed = []
+    for text in texts:
+        graph = cayley.build(group, parse_sequence(group, text))
+        placed.append(next(
+            (idx for idx, class_graph in enumerate(class_graphs)
+             if iso.directed_iso(graph, class_graph) is not None),
+            -1,
+        ))
+    return tuple(placed)

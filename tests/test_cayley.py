@@ -4,7 +4,7 @@ import pytest
 
 import cayleyclass as cc
 from cayleyclass import cayley, iso
-from conftest import all_automorphisms
+from conftest import all_automorphisms, builtin_groups
 
 
 def elem(group, text):
@@ -104,6 +104,25 @@ def test_undirected_view_edge_counts():
     u = cc.undirected_view(cc.build(C, (C.identity,)))
     assert len(u.edges) == 3
     assert all(v == w for v, w, _ in u.edges)
+
+
+def test_undirected_pred_inverts_succ():
+    for group in builtin_groups(24):
+        graph = cc.build(group, tuple(group.elements()))
+        pred = cc.undirected_view(graph).pred
+        for k, s in enumerate(graph.labels):
+            assert pred[k] == tuple(group.mul(group.inv(s), v) for v in group.elements())
+
+
+def test_build_rows_do_not_depend_on_the_table():
+    for group in builtin_groups(24):
+        before = cc.build(group, tuple(group.elements())).succ
+        group.ensure_table()
+        after = cc.build(group, tuple(group.elements())).succ
+        assert after == before
+        # with a table, graphs share its rows instead of copying them
+        again = cc.build(group, tuple(group.elements())).succ
+        assert all(row is other for row, other in zip(after, again))
 
 
 def test_single_vertex_graph():

@@ -1,10 +1,17 @@
 import itertools
 import json
+import math
+import time
 
 import pytest
 
 import cayleyclass as cc
-from cayleyclass.classify import classify, classify_summary_equal, enumerate_generating_sequences
+from cayleyclass.classify import (
+    MAX_SETS,
+    classify,
+    classify_summary_equal,
+    enumerate_generating_sequences,
+)
 from cayleyclass.groups import OrderMultiset
 from conftest import all_automorphisms, builtin_groups
 from pairwise_oracle import pairwise_classify
@@ -105,7 +112,6 @@ def test_classify_reports_pair_reversal_in_same_class():
 def test_jobs_and_orbit_collapse_do_not_change_reports():
     G = cc.dicyclic(3)
     base = classify(G, 2, "directed", minimal_only=True)
-    assert classify(G, 2, "directed", minimal_only=True, jobs=3).to_json() == base.to_json()
     assert base.to_json() == pairwise_classify(G, 2, "directed", minimal_only=True).to_json()
     undirected = classify(G, 2, "undirected", minimal_only=True)
     assert undirected.to_json() == pairwise_classify(G, 2, "undirected", minimal_only=True).to_json()
@@ -142,8 +148,19 @@ def test_directed_class_count_is_burnside_count(group):
 def test_classify_rejects_bad_mode_and_jobs():
     with pytest.raises(ValueError):
         classify(cc.cyclic(6), 2, "sideways")
-    with pytest.raises(ValueError):
-        classify(cc.cyclic(6), 2, jobs=0)
+
+
+def test_set_budget_guard_refuses_before_any_work():
+    # C(512, 3) = 22,238,720 and C(512, 4) sets exceed MAX_SETS; C(512, 2) does not
+    G = cc.dicyclic(128)
+    assert math.comb(G.order, 2) <= MAX_SETS < math.comb(G.order, 3)
+    for length in (3, 4):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="guard"):
+            classify(G, length)
+        with pytest.raises(ValueError, match="guard"):
+            enumerate_generating_sequences(G, length)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_burnside_length_three():

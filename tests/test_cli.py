@@ -70,6 +70,20 @@ def test_classify_env_guard(capsys, monkeypatch):
     assert code == 0
 
 
+def test_classify_set_budget_guard(capsys):
+    for length in ("3", "4"):
+        code, _, err = run(capsys, "classify", "--group", "dicyclic:128", "--length", length)
+        assert code == 2 and "guard" in err
+
+
+def test_jobs_below_one_is_a_usage_error(capsys):
+    code, _, err = run(
+        capsys, "classify", "--group", "dicyclic:3", "--length", "2", "--jobs", "0")
+    assert code == 2 and "--jobs" in err
+    code, _, err = run(capsys, "verify-theorem", "--n-range", "3..3", "--jobs", "0")
+    assert code == 2 and "--jobs" in err
+
+
 def test_classify_deterministic_files(tmp_path, capsys):
     paths = [tmp_path / f"r{i}.json" for i in range(3)]
     for path, jobs in zip(paths, ("1", "1", "4")):

@@ -3,6 +3,7 @@ import pytest
 import cayleyclass as cc
 from cayleyclass import dicyclic_theory as theory
 from cayleyclass.groups import OrderMultiset
+from pairwise_oracle import pairwise_representative_classes
 
 
 def ms(*values):
@@ -134,6 +135,14 @@ def test_verify_theorem_n2_reports_the_single_class():
     data = result.to_json_dict()
     assert data["pass"] is False
     assert data["observed"]["class_count"] == 1
+
+
+def test_representative_classes_match_pairwise_placement():
+    for n in range(2, 9):
+        result = theory.verify_theorem(n)
+        expected = pairwise_representative_classes(
+            cc.dicyclic(n), result.report, result.predicted.representatives)
+        assert result.representative_classes == expected, n
 
 
 def test_verify_theorem_guards():
