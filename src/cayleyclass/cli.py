@@ -42,6 +42,17 @@ def _max_order() -> int:
         raise ValueError(f"{MAX_ORDER_ENV} must be an integer, got {raw!r}")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _check_jobs(args) -> None:
     if args.jobs < 1:  # --jobs has no effect; it is kept so existing invocations work
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
@@ -210,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-presentation", help="enumerate a presentation's order")
     p.add_argument("presentation", help="e.g. \"<u,v | u^2=v^2, u^4>\"")
-    p.add_argument("--max-cosets", type=int, default=None)
-    p.add_argument("--expect", type=int, default=None, help="expected group order")
+    p.add_argument("--max-cosets", type=_positive_int, default=None)
+    p.add_argument("--expect", type=_positive_int, default=None, help="expected group order")
     p.set_defaults(func=cmd_check_presentation)
 
     p = sub.add_parser("check-morphisms", help="verify a dicyclic morphism pair")

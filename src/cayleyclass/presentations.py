@@ -4,7 +4,9 @@ trivial subgroup, and homomorphism / mutual-inverse verification.
 The enumeration is the HLT (relator-tracing) strategy with immediate
 coincidence processing via union-find on cosets; scan order is
 deterministic (cosets ascending, relators in declaration order), so a
-given presentation always yields the same table.
+given presentation always yields the same table.  An involution (a
+generator with a g^2 or g^-2 relator) has one column for g and g^-1.
+``max_cosets`` counts every coset defined, including merged ones.
 """
 
 from __future__ import annotations
@@ -134,10 +136,15 @@ def pi_presentation(n: int, variant: int) -> Presentation:
 
 
 class _Enumeration:
-    """HLT coset enumeration state over the trivial subgroup."""
+    """HLT coset enumeration state over the trivial subgroup.
 
-    def __init__(self, ngens: int, max_cosets: int):
-        self.ncols = 2 * ngens  # column 2i is generator i, 2i+1 its inverse
+    ``inv[col]`` is the column of the inverse letter of column ``col``;
+    an involution's one column is its own inverse.
+    """
+
+    def __init__(self, inv: list[int], max_cosets: int):
+        self.inv = inv
+        self.ncols = len(inv)
         self.max_cosets = max_cosets
         self.table: list[list[Optional[int]]] = [[None] * self.ncols]
         self.p = [0]  # union-find, p[i] <= i
@@ -157,7 +164,7 @@ class _Enumeration:
         self.table.append([None] * self.ncols)
         self.p.append(beta)
         self.table[alpha][col] = beta
-        self.table[beta][col ^ 1] = alpha
+        self.table[beta][self.inv[col]] = alpha
 
     def _merge(self, a: int, b: int, queue: list[int]) -> None:
         a, b = self.rep(a), self.rep(b)
@@ -168,30 +175,33 @@ class _Enumeration:
         queue.append(hi)
 
     def coincidence(self, a: int, b: int) -> None:
+        table, inv = self.table, self.inv
         queue: list[int] = []
         self._merge(a, b, queue)
         head = 0
         while head < len(queue):
             gamma = queue[head]
             head += 1
-            row = self.table[gamma]
+            row = table[gamma]
             for col in range(self.ncols):
                 delta = row[col]
                 if delta is None:
                     continue
                 # detach the mirror entry, then re-route through representatives
-                self.table[delta][col ^ 1] = None
+                back = inv[col]
+                table[delta][back] = None
                 mu, nu = self.rep(gamma), self.rep(delta)
-                existing = self.table[mu][col]
+                existing = table[mu][col]
                 if existing is not None:
                     self._merge(nu, existing, queue)
-                elif self.table[nu][col ^ 1] is not None:
-                    self._merge(mu, self.table[nu][col ^ 1], queue)
+                elif table[nu][back] is not None:
+                    self._merge(mu, table[nu][back], queue)
                 else:
-                    self.table[mu][col] = nu
-                    self.table[nu][col ^ 1] = mu
+                    table[mu][col] = nu
+                    table[nu][back] = mu
 
     def scan_and_fill(self, alpha: int, word_cols: Sequence[int]) -> None:
+        inv = self.inv
         f, i = alpha, 0
         b, j = alpha, len(word_cols) - 1
         while True:
@@ -203,8 +213,8 @@ class _Enumeration:
                 if f != b:
                     self.coincidence(f, b)
                 return
-            while j >= i and table[b][word_cols[j] ^ 1] is not None:
-                b = table[b][word_cols[j] ^ 1]
+            while j >= i and table[b][inv[word_cols[j]]] is not None:
+                b = table[b][inv[word_cols[j]]]
                 j -= 1
             if j < i:
                 self.coincidence(f, b)
@@ -212,13 +222,22 @@ class _Enumeration:
             if j == i:
                 # deduction closes the scan
                 table[f][word_cols[i]] = b
-                table[b][word_cols[i] ^ 1] = f
+                table[b][inv[word_cols[i]]] = f
                 return
             self.define(f, word_cols[i])
 
 
-def _relator_columns(relator: Word) -> list[int]:
+def _relator_letters(relator: Word) -> list[int]:
+    """Letter indices of a relator: 2g for generator g, 2g+1 for its inverse."""
     return [2 * g if s > 0 else 2 * g + 1 for g, s in relator.letters()]
+
+
+def _involution(relator: Word) -> Optional[int]:
+    """The generator g if the relator cyclically reduces to g^2 or g^-2."""
+    letters = words.cyclically_reduce(relator.letters())
+    if len(letters) == 2 and letters[0] == letters[1]:
+        return letters[0][0]
+    return None
 
 
 def todd_coxeter(
@@ -230,10 +249,20 @@ def todd_coxeter(
 
     Elements are the live cosets of the trivial subgroup; element names
     are shortest positive words from the identity coset, so generator
-    images are available by name.  Raises CosetLimitExceeded if the
-    table grows past max_cosets (default 16x the expected order when
-    given, else 65536) -- a retryable signal, not a failure.
+    images are available by name.  A generator with a relator that
+    cyclically reduces to g^2 or g^-2 gets one table column for g and
+    g^-1, and that relator is only traced on the closed table.  Element
+    indices follow the order in which the live cosets were defined, so
+    they depend on the table's columns: an involution's shared column
+    numbers the elements differently from a two-column enumeration.
+    Names and the action of each generator on them do not depend on
+    it; the identity is always element 0.  Raises
+    CosetLimitExceeded once max_cosets cosets have been defined, live
+    or not (default 16x the expected order when given, else 65536) --
+    a retryable signal, not a failure.
     """
+    if expected_order is not None and expected_order < 1:
+        raise ValueError(f"expected_order must be >= 1, got {expected_order}")
     if max_cosets is None:
         max_cosets = (
             EXPECTED_ORDER_FACTOR * expected_order if expected_order else DEFAULT_MAX_COSETS
@@ -241,12 +270,29 @@ def todd_coxeter(
     if max_cosets < 1:
         raise ValueError(f"max_cosets must be >= 1, got {max_cosets}")
     ngens = len(presentation.generator_names)
-    relator_cols = [_relator_columns(r) for r in presentation.relators if r.syllables]
-    enum = _Enumeration(ngens, max_cosets)
+    relators = [r for r in presentation.relators if r.syllables]
+    squares = [_involution(r) for r in relators]
+    letter_col: list[int] = []  # letter index -> enumeration column
+    inv: list[int] = []
+    for g in range(ngens):
+        col = len(inv)
+        if g in squares:
+            letter_col += [col, col]
+            inv.append(col)
+        else:
+            letter_col += [col, col + 1]
+            inv += [col + 1, col]
+    relator_letters = [_relator_letters(r) for r in relators]
+    scan_cols = [
+        [letter_col[x] for x in letters]
+        for letters, square in zip(relator_letters, squares)
+        if square is None  # a g^2 relator holds by construction
+    ]
+    enum = _Enumeration(inv, max_cosets)
     alpha = 0
     while alpha < len(enum.table):
         if enum.p[alpha] == alpha:
-            for cols in relator_cols:
+            for cols in scan_cols:
                 enum.scan_and_fill(alpha, cols)
                 if enum.p[alpha] != alpha:
                     break
@@ -256,71 +302,83 @@ def todd_coxeter(
                         enum.define(alpha, col)
         alpha += 1
 
-    live = [k for k in range(len(enum.table)) if enum.p[k] == k]
-    renumber = {old: new for new, old in enumerate(live)}
-    ncols = enum.ncols
-    table = [
-        [renumber[enum.rep(enum.table[old][col])] for col in range(ncols)] for old in live
-    ]
+    live: list[int] = []
+    renumber: list[int] = []  # a dead coset takes its representative's number
+    for k, parent in enumerate(enum.p):
+        if parent == k:
+            renumber.append(len(live))
+            live.append(k)
+        else:
+            renumber.append(renumber[parent])
     order = len(live)
-    # closed-table sanity: well-defined inverses and relators tracing home
-    for c in range(order):
-        for col in range(ncols):
-            if table[table[c][col]][col ^ 1] != c:
-                raise RuntimeError("coset table is not closed under inverses")
-    for cols in relator_cols:
-        for c in range(order):
-            cursor = c
-            for col in cols:
-                cursor = table[cursor][col]
-            if cursor != c:
-                raise RuntimeError("closed coset table fails a relator trace")
+    columns = [
+        list(map(renumber.__getitem__, column))
+        for column in zip(*(enum.table[k] for k in live))
+    ]
+    del enum  # free the row table before the column-wise checks build their lists
+    # column-major closed table by letter index; an involution's two
+    # letters share one list
+    table = [columns[col] for col in letter_col]
+    # closed-table sanity: well-defined inverses and every relator tracing home
+    identity = list(range(order))
+    for col, column in enumerate(columns):
+        if list(map(columns[inv[col]].__getitem__, column)) != identity:
+            raise RuntimeError("coset table is not closed under inverses")
+    for letters in relator_letters:
+        cursor = table[letters[0]]
+        for x in letters[1:]:
+            cursor = list(map(table[x].__getitem__, cursor))
+        if cursor != identity:
+            raise RuntimeError("closed coset table fails a relator trace")
 
-    # breadth-first words over positive generator columns name the cosets
-    parent_word: list[Optional[tuple[int, ...]]] = [None] * order
-    parent_word[0] = ()
+    # breadth-first words over positive generator columns name the cosets;
+    # a name extends its parent's, spelled as words.syllables_text spells
+    # the whole word: the last syllable's exponent grows by one, or a new
+    # syllable follows; cut[c] is where c's last syllable starts
+    gen_names = presentation.generator_names
+    coset_words: list[Optional[tuple[int, ...]]] = [None] * order
+    coset_words[0] = ()
+    names = [words.IDENTITY_NAME] * order
+    exps = [0] * order
+    cut = [0] * order
     queue = [0]
-    head = 0
-    while head < len(queue):
-        c = queue[head]
-        head += 1
+    for c in queue:
+        word = coset_words[c]
+        last = word[-1] if word else -1
         for g in range(ngens):
-            d = table[c][2 * g]
-            if parent_word[d] is None:
-                parent_word[d] = parent_word[c] + (g,)
+            d = table[2 * g][c]
+            if coset_words[d] is None:
+                coset_words[d] = word + (g,)
+                if g == last:
+                    head, e = names[c][: cut[c]], exps[c] + 1
+                else:
+                    head, e = (names[c] + words.SYLLABLE_SEPARATOR if c else ""), 1
+                cut[d], exps[d] = len(head), e
+                names[d] = head + words.power_text(gen_names[g], e)
                 queue.append(d)
-    if any(w is None for w in parent_word):
+    if len(queue) != order:
         raise RuntimeError("coset table is not transitive on live cosets")
-    coset_words: list[tuple[int, ...]] = parent_word  # type: ignore[assignment]
 
     def mul(a: int, b: int) -> int:
         cursor = a
-        for g in coset_words[b]:
-            cursor = table[cursor][2 * g]
+        for g in coset_words[b]:  # type: ignore[union-attr]
+            cursor = table[2 * g][cursor]
         return cursor
 
-    def inv(a: int) -> int:
+    def inv_element(a: int) -> int:
         cursor = 0
-        for g in reversed(coset_words[a]):
-            cursor = table[cursor][2 * g + 1]
+        for g in reversed(coset_words[a]):  # type: ignore[arg-type]
+            cursor = table[2 * g + 1][cursor]
         return cursor
 
-    names = [
-        words.syllables_text(
-            words.letters_to_syllables([(g, 1) for g in w]), presentation.generator_names
-        )
-        for w in coset_words
-    ]
-    generators = [
-        (name, table[0][2 * g]) for g, name in enumerate(presentation.generator_names)
-    ]
+    generators = [(name, table[2 * g][0]) for g, name in enumerate(gen_names)]
     seen: dict[str, int] = {}
     for name, g in generators:
         seen.setdefault(name, g)
     return FiniteGroup(
         order,
         mul,
-        inv,
+        inv_element,
         names,
         f"coset:{presentation.text()}",
         list(seen.items()),

@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Callable, Mapping, Sequence
 
 IDENTITY_NAME = "e"
+SYLLABLE_SEPARATOR = "*"
 
 _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _NAME_CHARS = _NAME_START | set("0123456789")
@@ -310,13 +311,15 @@ def syllables_to_letters(syllables: Sequence[tuple[int, int]]) -> list[tuple[int
     return letters
 
 
+def power_text(name: str, exp: int) -> str:
+    """One syllable: ``name`` for exponent 1, else ``name^exp``."""
+    return name if exp == 1 else f"{name}^{exp}"
+
+
 def syllables_text(syllables: Sequence[tuple[int, int]], names: Sequence[str]) -> str:
     if not syllables:
         return IDENTITY_NAME
-    parts = []
-    for g, exp in syllables:
-        parts.append(names[g] if exp == 1 else f"{names[g]}^{exp}")
-    return "*".join(parts)
+    return SYLLABLE_SEPARATOR.join(power_text(names[g], exp) for g, exp in syllables)
 
 
 def split_top_level(text: str, sep: str, offset: int = 0) -> list[tuple[str, int]]:

@@ -14,6 +14,16 @@ PERM_DESCRIPTORS = (
 )
 
 
+def coxeter_sn(n, square="{}^2"):
+    """Coxeter presentation of S_n on s1..s(n-1), the involution relators
+    spelled by ``square``."""
+    gens = [f"s{i}" for i in range(1, n)]
+    rels = [square.format(s) for s in gens]
+    rels += [f"({gens[i]}*{gens[i + 1]})^3" for i in range(len(gens) - 1)]
+    rels += [f"({gens[i]}*{gens[j]})^2" for i in range(len(gens)) for j in range(i + 2, len(gens))]
+    return f"<{','.join(gens)} | {', '.join(rels)}>"
+
+
 def builtin_groups(max_order, min_order=1):
     """The built-in families instantiated up to a given order."""
     out = [cc.cyclic(n) for n in range(1, max_order + 1)]

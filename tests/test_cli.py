@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from cayleyclass.cli import main
+from conftest import coxeter_sn
 
 
 def run(capsys, *argv):
@@ -204,6 +205,23 @@ def test_check_presentation_exceeded(capsys):
     code, out, _ = run(capsys, "check-presentation", "<u,v|>", "--max-cosets", "50")
     assert code == 1
     assert "EXCEEDED" in out
+
+
+def test_check_presentation_counts_below_one_are_usage_errors(capsys):
+    for option in ("--expect", "--max-cosets"):
+        for bad in ("0", "-2", "x"):
+            with pytest.raises(SystemExit) as exc:
+                main(["check-presentation", "<g|g^5>", option, bad])
+            _, err = capsys.readouterr()
+            assert exc.value.code == 2 and f"argument {option}:" in err, (option, bad)
+
+
+def test_check_presentation_coxeter_s6_within_small_cap(capsys):
+    code, out, _ = run(
+        capsys, "check-presentation", coxeter_sn(6), "--max-cosets", "1000", "--expect", "720"
+    )
+    assert code == 0
+    assert "order 720" in out and "PASS" in out
 
 
 def test_check_presentation_syntax_error(capsys):

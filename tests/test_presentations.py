@@ -2,8 +2,11 @@ import pytest
 
 import cayleyclass as cc
 from cayleyclass import presentations
+from cayleyclass.dicyclic_theory import applicable_variants, classical_presentation
 from cayleyclass.presentations import CosetLimitExceeded, parse_presentation, todd_coxeter
 from cayleyclass.words import ParseError
+from conftest import coxeter_sn
+from coset_oracle import oracle_enumerate
 
 
 def test_parse_basic():
@@ -129,6 +132,53 @@ def test_classical_presentations_match_concrete_orders():
     for n in range(3, 9):
         P = parse_presentation(f"<a,x | a^{n}, x^2, x^-1*a*x=a^-1>")
         assert todd_coxeter(P).order == 2 * n
+
+
+def oracle_cases():
+    cases = [parse_presentation(coxeter_sn(n)) for n in range(4, 8)]
+    cases += [cc.pi_presentation(n, v) for n in range(2, 13) for v in applicable_variants(n)]
+    cases += [classical_presentation(n) for n in range(2, 13)]
+    cases += [
+        parse_presentation(text)
+        for text in (
+            "<a,b | a^2, b^3, (a*b)^7, (a^-1*b^-1*a*b)^4>",  # PSL(2,7)
+            "<a,x | a^512, x^2=a^256, x^-1*a*x=a^-1>",
+            "<g | g^-2, g^3>",
+            "<a | a^2, a^2>",
+            "<a,b | a^2, b^2, a=b>",
+            "<a,b | a^-2, b^3, (a*b)^2>",
+            "<g | g^2=g>",
+        )
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("presentation", oracle_cases(), ids=lambda p: p.descriptor)
+def test_enumeration_matches_two_column_oracle(presentation):
+    names, action = oracle_enumerate(presentation)
+    group = todd_coxeter(presentation)
+    assert group.order == len(names)
+    assert sorted(group.names) == sorted(names)
+    by_name = {name: x for x, name in enumerate(group.names)}
+    for gen, images in action.items():
+        g = group.named_elements[gen]
+        for c, name in enumerate(names):
+            assert group.names[group.mul(by_name[name], g)] == names[images[c]], (name, gen)
+
+
+@pytest.mark.parametrize("square", ["{}^2", "{}^-2", "{}^2=e"])
+def test_involutions_share_a_column(square):
+    # the two-column enumeration defines 12,145 cosets for S7
+    P = parse_presentation(coxeter_sn(7, square))
+    assert todd_coxeter(P, max_cosets=8000).order == 5040
+
+
+def test_expected_order_below_one_is_refused():
+    P = parse_presentation("<g | g^5>")
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match="expected_order"):
+            todd_coxeter(P, expected_order=bad)
+    assert todd_coxeter(P, expected_order=1, max_cosets=10).order == 5
 
 
 # ---------------------------------------------------------------------------
