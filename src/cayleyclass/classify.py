@@ -6,19 +6,34 @@ isomorphism of connected Cayley graphs is a group automorphism.  So two
 sequences are directed-equivalent exactly when an automorphism maps the
 set of one onto the set of the other, and the directed classes are the
 Aut(G)-orbits of the generating k-sets; each holds k! * |orbit|
-sequences.  The k-sets are walked in lexicographic order.  A set not
-yet seen is tested for generation (and minimality), which automorphisms
-preserve, and its orbit (``groups.set_orbit``) is taken under
-generators of Aut(G) and marked seen; so each orbit is tested once and
-its first set is the lexicographically least sequence of its class.
-Seen sets are kept, so the C(order, k) walked are bounded by MAX_SETS.
+sequences.  The k-sets are walked in lexicographic order, grouped by
+their least element, the lead.  A set not yet seen is tested for
+generation (and minimality), which automorphisms preserve.  Aut(G) is
+computed, by generators, only when the first set qualifies: a group
+where none does (the elementary abelian (C2)^5 at length 4, say) may
+have far too many automorphisms to hold.  The orbit
+(``groups.set_orbit``) of a qualifying set is marked seen, so each
+qualifying orbit gets one test and one orbit and its first set is the
+lexicographically least sequence of its class; a set that does not
+qualify is tested on its own and nothing is kept of it.
+
+From the first qualifying set on, the walk skips every lead that is not
+the least element of its own orbit on G (``groups.orbit_minima``), the
+first step of a minimal-image search (S. Linton, "Finding the smallest
+image of a set", ISSAC 2004): if an automorphism sent the lead m of a
+lexicographically least set S below m, it would send S below S.  So
+``seen`` holds only sets of qualifying orbits, and MAX_SETS still
+bounds the C(order, k) sets that the walk may visit.
 
 In undirected mode a label s and its inverse give the same edges, so
 the orbits are taken under automorphisms and single-label inversion
-together.  That pre-collapse is sound but may not be complete: a
-colour-permuting isomorphism of undirected Cayley graphs need not come
-from an automorphism.  Orbit representatives with equal order
-multisets are therefore still compared pairwise with ``undirected_iso``.
+together, and so are the lead orbits on G: a lead m with a smaller
+image t = f(m)^-1 gives way to the set that f maps S to, with f(m)
+inverted (or to that set itself, when it holds t).  That pre-collapse
+is sound but may not be complete: a colour-permuting isomorphism of
+undirected Cayley graphs need not come from an automorphism.  Orbit
+representatives with equal order multisets are therefore still
+compared pairwise with ``undirected_iso``.
 """
 
 from __future__ import annotations
@@ -38,6 +53,7 @@ from .groups import (
     is_generating,
     is_minimal_generating,
     order_multiset,
+    orbit_minima,
     set_orbit,
 )
 
@@ -145,22 +161,24 @@ def classify(
     group.ensure_table()
     qualifies = is_minimal_generating if minimal_only else is_generating
     inverse = [group.inv(g) for g in group.elements()] if mode == "undirected" else None
-    maps = None
+    maps = least = None
     seen: set[tuple[int, ...]] = set()
     orbits: list[tuple[tuple[int, ...], int]] = []
-    for subset in itertools.combinations(group.elements(), length):
-        if subset in seen:
-            continue
-        qualified = qualifies(group, subset)
-        if maps is None:
-            if not qualified:
+    for lead in group.elements():
+        if least is not None and least[lead] != lead:
+            continue  # no lexicographically least orbit member starts here
+        for rest in itertools.combinations(range(lead + 1, group.order), length - 1):
+            subset = (lead,) + rest
+            if subset in seen or not qualifies(group, subset):
                 continue
-            # only once some set qualifies: Aut(G) can be large where none does
-            maps = group_automorphisms(group).generators
-        # generation and minimality are Aut(G)-invariant: one test per orbit
-        orbit = set_orbit(subset, maps, inverse)
-        seen.update(orbit)
-        if qualified:
+            if maps is None:
+                # only once some set qualifies: Aut(G) can be large where none does
+                maps = group_automorphisms(group).generators
+                least = orbit_minima(group.order, maps, inverse)
+            # generation and minimality are Aut(G)-invariant: the rest of
+            # the orbit is seen and never tested
+            orbit = set_orbit(subset, maps, inverse)
+            seen.update(orbit)
             orbits.append((subset, len(orbit)))
 
     per_set = math.factorial(length)

@@ -37,9 +37,12 @@ def _max_order() -> int:
     if raw is None:
         return DEFAULT_MAX_ORDER
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise ValueError(f"{MAX_ORDER_ENV} must be an integer, got {raw!r}")
+    if value < 1:
+        raise ValueError(f"{MAX_ORDER_ENV} must be >= 1, got {value}")
+    return value
 
 
 def _positive_int(text: str) -> int:

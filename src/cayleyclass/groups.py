@@ -4,7 +4,14 @@ Every group exposes elements as ids ``0 .. order-1`` with id 0 the
 identity; the per-family normal forms (dicyclic exponent pairs,
 permutation images, product tuples) are mapped to ids at construction.
 Multiplication is closed-form index arithmetic; a full table is
-materialised lazily only for small groups under repeated queries.
+materialised lazily, only for groups up to TABLE_LIMIT elements, by
+``FiniteGroup.ensure_table``.  It builds the table column by column
+from right multiplication by the generators, so the family's
+multiplication runs order * |generators| times, not order^2.
+
+The module also holds what follows Cayley edges and automorphisms:
+``left_row``, ``forced_map``, ``group_automorphisms`` and the orbits of
+elements (``orbit_minima``) and of k-sets (``set_orbit``) under them.
 """
 
 from __future__ import annotations
@@ -102,12 +109,33 @@ class FiniteGroup:
         return got
 
     def ensure_table(self) -> None:
-        """Materialise multiplication/inverse tables (small groups only)."""
+        """Materialise multiplication/inverse tables (small groups only).
+
+        The columns are built breadth-first from the identity along right
+        multiplication by each generator g: column p*g is column p mapped
+        through R_g = (v -> v*g), since a*(p*g) = (a*p)*g.  So the family's
+        ``mul`` runs order * |generators| times, not order^2.  Raises
+        ValueError when the generators do not reach every element.
+        """
         if self._table is not None or self.order > TABLE_LIMIT:
             return
-        mul = self._mul_fn
-        self._table = [tuple(mul(a, b) for b in range(self.order)) for a in range(self.order)]
-        self._inv_table = tuple(self._inv_fn(a) for a in range(self.order))
+        mul, order = self._mul_fn, self.order
+        steps = [[mul(v, g) for v in range(order)] for _, g in self.generators]
+        columns: list[Optional[tuple[int, ...]]] = [None] * order
+        columns[0] = tuple(range(order))
+        queue = [0]
+        for p in queue:
+            for step in steps:
+                q = step[p]
+                if columns[q] is None:
+                    columns[q] = tuple(map(step.__getitem__, columns[p]))
+                    queue.append(q)
+        if len(queue) != order:
+            raise ValueError(
+                f"the generators of {self.descriptor} reach {len(queue)} of {order} elements"
+            )
+        self._table = list(zip(*columns))
+        self._inv_table = tuple(self._inv_fn(a) for a in range(order))
 
     def validate(self, seed: int = 0) -> None:
         """Check the group axioms; raises ValueError on any violation.
@@ -647,7 +675,7 @@ def order_multiset(group: FiniteGroup, sequence: Iterable[int]) -> OrderMultiset
 
 
 # ---------------------------------------------------------------------------
-# Cayley rows, forced maps, set orbits and automorphisms
+# Cayley rows, forced maps, orbits and automorphisms
 
 
 def left_row(group: FiniteGroup, s: int) -> tuple[int, ...]:
@@ -691,6 +719,18 @@ def forced_map(count: int, rows1, rows2, sigma, base: int, start: int) -> Option
     if head != count:
         return None
     return tuple(f)
+
+
+def orbit_minima(count: int, maps, inverse=None) -> list[int]:
+    """The least element of the orbit of each id 0..count-1 under the
+    automorphism maps and, when inverse is given, inversion: the orbits
+    of the 1-sets under ``set_orbit``."""
+    least = [-1] * count
+    for g in range(count):
+        if least[g] == -1:  # every smaller id is placed: g leads its orbit
+            for (h,) in set_orbit((g,), maps, inverse):
+                least[h] = g
+    return least
 
 
 def set_orbit(subset, maps, inverse=None) -> set[tuple[int, ...]]:

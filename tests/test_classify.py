@@ -1,9 +1,11 @@
+import importlib
 import itertools
 import json
 import math
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cayleyclass as cc
 from cayleyclass.classify import (
@@ -12,9 +14,12 @@ from cayleyclass.classify import (
     classify_summary_equal,
     enumerate_generating_sequences,
 )
-from cayleyclass.groups import OrderMultiset
+from cayleyclass.groups import OrderMultiset, set_orbit
 from conftest import all_automorphisms, builtin_groups
 from pairwise_oracle import pairwise_classify
+
+# the package re-exports the function classify under the module's name
+classify_module = importlib.import_module("cayleyclass.classify")
 
 
 def ms(*values):
@@ -128,6 +133,30 @@ def test_classify_matches_pairwise_oracle(group):
                     length, mode, minimal_only)
 
 
+@st.composite
+def permutation_groups(draw):
+    """A group on at most 5 points from 1-3 random permutations.  The
+    generator order numbers the elements, so it moves the orbit minima
+    that the walk's leads are checked against."""
+    degree = draw(st.integers(1, 5))
+    gens = draw(st.lists(st.permutations(range(1, degree + 1)), min_size=1, max_size=3))
+    return cc.from_permutations(degree, gens)
+
+
+# The oracle compares every ordered sequence: on S5 at length 2 it takes
+# 5 s directed and over a minute undirected, so S5 stops at length 1.
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_classify_matches_pairwise_oracle_on_random_permutation_groups(data):
+    group = data.draw(permutation_groups(), label="group")
+    lengths = (1, 2, 3) if group.order <= 24 else (1, 2) if group.order <= 60 else (1,)
+    length = data.draw(st.sampled_from(lengths), label="length")
+    mode = data.draw(st.sampled_from(("directed", "undirected")), label="mode")
+    minimal_only = data.draw(st.booleans(), label="minimal_only")
+    got = classify(group, length, mode, minimal_only).to_json()
+    assert got == pairwise_classify(group, length, mode, minimal_only).to_json()
+
+
 @pytest.mark.parametrize("group", builtin_groups(24), ids=lambda g: g.descriptor)
 def test_directed_class_count_is_burnside_count(group):
     # Cauchy-Frobenius: orbits of Aut(G) on the generating k-sets number
@@ -143,6 +172,37 @@ def test_directed_class_count_is_burnside_count(group):
             assert fixed % len(auts) == 0
             report = classify(group, length, "directed", minimal_only)
             assert len(report.classes) == fixed // len(auts), (length, minimal_only)
+
+
+def test_automorphisms_wait_for_a_qualifying_set(monkeypatch):
+    # Aut((C2)^5) = GL(5, 2) has about 10^7 elements; no 4-set generates
+    def refuse(group):
+        raise AssertionError("Aut(G) computed although no set qualifies")
+
+    monkeypatch.setattr(classify_module, "group_automorphisms", refuse)
+    G = cc.from_descriptor("product:cyclic:2," * 4 + "cyclic:2")
+    assert G.order == 32
+    for mode in ("directed", "undirected"):
+        report = classify(G, 4, mode)
+        assert report.classes == () and report.total == 0
+
+
+def test_orbits_are_taken_of_qualifying_sets_only(monkeypatch):
+    calls = []
+
+    def counted(subset, maps, inverse=None):
+        calls.append(subset)
+        return set_orbit(subset, maps, inverse)
+
+    monkeypatch.setattr(classify_module, "set_orbit", counted)
+    S4 = cc.from_descriptor("perm:4:(1,2);(1,2,3,4)")
+    for group, length, minimal_only in [
+        (cc.dicyclic(8), 2, True), (S4, 3, False), (S4, 3, True),
+    ]:
+        calls.clear()
+        report = classify(group, length, "directed", minimal_only)
+        assert report.classes
+        assert sorted(calls) == sorted(c.representative.elements for c in report.classes)
 
 
 def test_classify_rejects_bad_mode_and_jobs():

@@ -71,6 +71,14 @@ def test_classify_env_guard(capsys, monkeypatch):
     assert code == 0
 
 
+def test_classify_env_guard_below_one_is_a_usage_error(capsys, monkeypatch):
+    for raw in ("0", "-5"):
+        monkeypatch.setenv("CAYLEY_CLASSIFY_MAX_ORDER", raw)
+        code, out, err = run(capsys, "classify", "--group", "dicyclic:3", "--length", "2")
+        assert code == 2 and out == ""
+        assert err == f"error: CAYLEY_CLASSIFY_MAX_ORDER must be >= 1, got {int(raw)}\n"
+
+
 def test_classify_set_budget_guard(capsys):
     for length in ("3", "4"):
         code, _, err = run(capsys, "classify", "--group", "dicyclic:128", "--length", length)

@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 import cayleyclass as cc
 from cayleyclass import groups
+from cayleyclass.presentations import parse_presentation, todd_coxeter
 from cayleyclass.words import ParseError
 from conftest import all_automorphisms, builtin_groups
 
@@ -29,6 +35,53 @@ def test_axioms_medium_exhaustive():
 
 def test_axioms_sampled_above_200():
     cc.cyclic(250).validate()
+
+
+# ---------------------------------------------------------------------------
+# multiplication tables
+
+PSL27 = "<a,b | a^2, b^3, (a*b)^7, (a^-1*b^-1*a*b)^4>"
+
+
+@pytest.mark.parametrize(
+    "group",
+    builtin_groups(64) + [todd_coxeter(parse_presentation(PSL27), expected_order=168)],
+    ids=lambda g: g.descriptor,
+)
+def test_table_matches_the_family_multiplication(group):
+    order = group.order
+    expected = [tuple(group._mul_fn(a, b) for b in range(order)) for a in range(order)]
+    expected_inv = tuple(group._inv_fn(a) for a in range(order))
+    group.ensure_table()
+    assert group._table == expected
+    assert group._inv_table == expected_inv
+
+
+def test_table_refuses_generators_that_do_not_generate():
+    # an explicit raise, not an assert that -O strips; the group stays usable
+    code = textwrap.dedent("""
+        import sys
+        import cayleyclass as cc
+
+        group = cc.FiniteGroup(  # cyclic of order 4, handed only g^2
+            4, lambda a, b: (a + b) % 4, lambda a: (-a) % 4, ["e", "g", "g^2", "g^3"],
+            "cyclic:4 by g^2", [("g^2", 2)],
+        )
+        try:
+            group.ensure_table()
+        except ValueError as exc:
+            print(f"optimize={sys.flags.optimize} raised: {exc}")
+        print(group._table is None, group.mul(1, 2))
+    """)
+    src = str(Path(cc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                            env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "optimize=1 raised: the generators of cyclic:4 by g^2 reach 2 of 4 elements",
+        "True 3",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +164,17 @@ def test_automorphism_generators_close_to_the_group_order(group):
         for p in group.elements():
             for q in group.elements():
                 assert m[group.mul(p, q)] == group.mul(m[p], m[q])
+
+
+@pytest.mark.parametrize("group", builtin_groups(16), ids=lambda g: g.descriptor)
+def test_orbit_minima_match_every_automorphism(group):
+    auts = all_automorphisms(group)
+    maps = cc.group_automorphisms(group).generators
+    inverse = [group.inv(g) for g in group.elements()]
+    assert groups.orbit_minima(group.order, maps) == [
+        min(m[g] for m in auts) for g in group.elements()]
+    assert groups.orbit_minima(group.order, maps, inverse) == [
+        min(min(m[g], inverse[m[g]]) for m in auts) for g in group.elements()]
 
 
 # ---------------------------------------------------------------------------
