@@ -224,7 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-presentation", help="enumerate a presentation's order")
     p.add_argument("presentation", help="e.g. \"<u,v | u^2=v^2, u^4>\"")
-    p.add_argument("--max-cosets", type=_positive_int, default=None)
+    p.add_argument(
+        "--max-cosets",
+        type=_positive_int,
+        default=None,
+        help="cap on the cosets defined, live or not (default: "
+        f"{presentations.EXPECTED_ORDER_FACTOR} x --expect when given, "
+        f"else {presentations.DEFAULT_MAX_COSETS:,})",
+    )
     p.add_argument("--expect", type=_positive_int, default=None, help="expected group order")
     p.set_defaults(func=cmd_check_presentation)
 

@@ -6,7 +6,15 @@ coincidence processing via union-find on cosets; scan order is
 deterministic (cosets ascending, relators in declaration order), so a
 given presentation always yields the same table.  An involution (a
 generator with a g^2 or g^-2 relator) has one column for g and g^-1.
-``max_cosets`` counts every coset defined, including merged ones.
+A relator is not scanned at a coset one step away from a smaller live
+coset when that step is a letter by which a one-letter rotation of the
+relator or its inverse is again the relator or its inverse (both
+letters of (s*t)^m over involutions, a and a^-1 in a^m): the smaller
+coset was scanned completely, so the relator already holds on a defined
+path and the scan would change nothing.  For the Coxeter presentation
+of S8 that leaves 193,968 of 846,720 scans, with the same cosets
+defined.  ``max_cosets`` counts every coset defined, including merged
+ones.
 """
 
 from __future__ import annotations
@@ -201,11 +209,10 @@ class _Enumeration:
                     table[nu][back] = mu
 
     def scan_and_fill(self, alpha: int, word_cols: Sequence[int]) -> None:
-        inv = self.inv
+        table, inv = self.table, self.inv
         f, i = alpha, 0
         b, j = alpha, len(word_cols) - 1
         while True:
-            table = self.table
             while i <= j and table[f][word_cols[i]] is not None:
                 f = table[f][word_cols[i]]
                 i += 1
@@ -227,17 +234,70 @@ class _Enumeration:
             self.define(f, word_cols[i])
 
 
-def _relator_letters(relator: Word) -> list[int]:
-    """Letter indices of a relator: 2g for generator g, 2g+1 for its inverse."""
-    return [2 * g if s > 0 else 2 * g + 1 for g, s in relator.letters()]
+def _letter_indices(letters: Sequence[tuple[int, int]]) -> list[int]:
+    """Letter indices of a word: 2g for generator g, 2g+1 for its inverse."""
+    return [2 * g if s > 0 else 2 * g + 1 for g, s in letters]
 
 
-def _involution(relator: Word) -> Optional[int]:
-    """The generator g if the relator cyclically reduces to g^2 or g^-2."""
-    letters = words.cyclically_reduce(relator.letters())
-    if len(letters) == 2 and letters[0] == letters[1]:
-        return letters[0][0]
+def _involution(letters: Sequence[tuple[int, int]]) -> Optional[int]:
+    """The generator g if the word cyclically reduces to g^2 or g^-2."""
+    reduced = words.cyclically_reduce(letters)
+    if len(reduced) == 2 and reduced[0] == reduced[1]:
+        return reduced[0][0]
     return None
+
+
+def _symmetry_columns(cols: Sequence[int], inv: Sequence[int]) -> set[int]:
+    """Columns x such that the relator w (as columns) holds at a coset
+    whenever it holds at the coset one x-step away.
+
+    w = c_0..c_{L-1} holds at a coset iff its rotation c_1..c_{L-1}c_0
+    holds one c_0-step on, and iff c_{L-1}c_0..c_{L-2} holds one
+    inverse-c_{L-1}-step on; w holds wherever w^-1 does.  So c_0
+    qualifies when that rotation is w or w^-1, and so does the inverse
+    of c_{L-1} for the other rotation: both letters of (s*t)^m over
+    involution columns, a and a^-1 in a^m.
+    """
+    n = len(cols)
+    if cols.count(cols[0]) == n:  # every rotation of w is w
+        return {cols[0], inv[cols[0]]}
+    # otherwise a rotation can only be w^-1, which starts with inv(c_{L-1})
+    head = inv[cols[-1]]
+    if head != cols[1] and head != cols[-1]:
+        return set()
+    cols = list(cols)
+    inverse = [inv[c] for c in reversed(cols)]
+    found = set()
+    if cols[1:] + cols[:1] == inverse:
+        found.add(cols[0])
+    if cols[-1:] + cols[:-1] == inverse:
+        found.add(head)
+    return found
+
+
+def _relator_trace(table: Sequence[list[int]], letters: Sequence[int]) -> list[int]:
+    """The map c -> c*w of a closed column-major table, for the relator w
+    given by letter indices (``table[x][c]`` is c times letter x).
+
+    w = u^m with u its shortest root is traced as u once, and that map
+    is raised to the m-th power by squaring: a^512 takes 9 column maps
+    instead of 511.
+    """
+    # the least rotation that maps a word onto itself is its root's length
+    spelled = "".join(map(chr, letters))
+    root = (spelled + spelled).find(spelled, 1)
+    cursor = table[letters[0]]
+    for x in letters[1:root]:
+        cursor = list(map(table[x].__getitem__, cursor))
+    power = None
+    m = len(letters) // root
+    while True:
+        if m & 1:
+            power = cursor if power is None else list(map(cursor.__getitem__, power))
+        m >>= 1
+        if not m:
+            return power
+        cursor = list(map(cursor.__getitem__, cursor))
 
 
 def todd_coxeter(
@@ -251,12 +311,17 @@ def todd_coxeter(
     are shortest positive words from the identity coset, so generator
     images are available by name.  A generator with a relator that
     cyclically reduces to g^2 or g^-2 gets one table column for g and
-    g^-1, and that relator is only traced on the closed table.  Element
-    indices follow the order in which the live cosets were defined, so
-    they depend on the table's columns: an involution's shared column
-    numbers the elements differently from a two-column enumeration.
-    Names and the action of each generator on them do not depend on
-    it; the identity is always element 0.  Raises
+    g^-1, and that relator is only traced on the closed table.  Scans
+    that a relator's own symmetry already closes are skipped (see the
+    module docstring); they would define and deduce nothing, so the
+    table and the point where max_cosets trips are those of scanning
+    every relator at every coset.  The closed table is checked against
+    every relator, each traced as a power of its shortest root.
+    Element indices follow the order in which the live cosets were
+    defined, so they depend on the table's columns: an involution's
+    shared column numbers the elements differently from a two-column
+    enumeration.  Names and the action of each generator on them do not
+    depend on it; the identity is always element 0.  Raises
     CosetLimitExceeded once max_cosets cosets have been defined, live
     or not (default 16x the expected order when given, else 65536) --
     a retryable signal, not a failure.
@@ -270,8 +335,8 @@ def todd_coxeter(
     if max_cosets < 1:
         raise ValueError(f"max_cosets must be >= 1, got {max_cosets}")
     ngens = len(presentation.generator_names)
-    relators = [r for r in presentation.relators if r.syllables]
-    squares = [_involution(r) for r in relators]
+    relators = [r.letters() for r in presentation.relators if r.syllables]
+    squares = [_involution(letters) for letters in relators]
     letter_col: list[int] = []  # letter index -> enumeration column
     inv: list[int] = []
     for g in range(ngens):
@@ -282,29 +347,57 @@ def todd_coxeter(
         else:
             letter_col += [col, col + 1]
             inv += [col + 1, col]
-    relator_letters = [_relator_letters(r) for r in relators]
+    relator_letters = [_letter_indices(letters) for letters in relators]
     scan_cols = [
         [letter_col[x] for x in letters]
         for letters, square in zip(relator_letters, squares)
         if square is None  # a g^2 relator holds by construction
     ]
+    # covers[col]: the relators (indices into scan_cols) that hold at a
+    # coset as soon as they hold at the coset one col-step away
+    covers: dict[int, set[int]] = {}
+    for r, cols in enumerate(scan_cols):
+        for col in _symmetry_columns(cols, inv):
+            covers.setdefault(col, set()).add(r)
+    covering = [(col, 1 << k) for k, col in enumerate(covers)]
+    # a coset's key has the bit of each covering column that steps down
+    # to a smaller coset; keys below 256 are cached ints, so the loop
+    # allocates nothing per coset
+    pending: dict[int, list[list[int]]] = {}  # key -> relators to scan
     enum = _Enumeration(inv, max_cosets)
+    table, p = enum.table, enum.p
+    scan, define = enum.scan_and_fill, enum.define
     alpha = 0
-    while alpha < len(enum.table):
-        if enum.p[alpha] == alpha:
-            for cols in scan_cols:
-                enum.scan_and_fill(alpha, cols)
-                if enum.p[alpha] != alpha:
+    while alpha < len(table):
+        if p[alpha] == alpha:
+            # a relator covered by a step to a smaller coset (live, as every
+            # entry of a live row is), which was scanned completely, holds
+            # at alpha on a defined path: skip it
+            row = table[alpha]
+            key = 0
+            for col, bit in covering:
+                delta = row[col]
+                if delta is not None and delta < alpha:
+                    key |= bit
+            todo = pending.get(key)
+            if todo is None:
+                skip = set().union(*(covers[col] for col, bit in covering if key & bit))
+                todo = pending[key] = [
+                    cols for r, cols in enumerate(scan_cols) if r not in skip
+                ]
+            for cols in todo:
+                scan(alpha, cols)
+                if p[alpha] != alpha:
                     break
-            if enum.p[alpha] == alpha:
+            else:
                 for col in range(enum.ncols):
-                    if enum.table[alpha][col] is None:
-                        enum.define(alpha, col)
+                    if row[col] is None:
+                        define(alpha, col)
         alpha += 1
 
     live: list[int] = []
     renumber: list[int] = []  # a dead coset takes its representative's number
-    for k, parent in enumerate(enum.p):
+    for k, parent in enumerate(p):
         if parent == k:
             renumber.append(len(live))
             live.append(k)
@@ -313,9 +406,10 @@ def todd_coxeter(
     order = len(live)
     columns = [
         list(map(renumber.__getitem__, column))
-        for column in zip(*(enum.table[k] for k in live))
+        for column in zip(*(table[k] for k in live))
     ]
-    del enum  # free the row table before the column-wise checks build their lists
+    # free the enumeration before the column-wise checks build their lists
+    del enum, table, p, scan, define, row, live, renumber
     # column-major closed table by letter index; an involution's two
     # letters share one list
     table = [columns[col] for col in letter_col]
@@ -325,10 +419,7 @@ def todd_coxeter(
         if list(map(columns[inv[col]].__getitem__, column)) != identity:
             raise RuntimeError("coset table is not closed under inverses")
     for letters in relator_letters:
-        cursor = table[letters[0]]
-        for x in letters[1:]:
-            cursor = list(map(table[x].__getitem__, cursor))
-        if cursor != identity:
+        if _relator_trace(table, letters) != identity:
             raise RuntimeError("closed coset table fails a relator trace")
 
     # breadth-first words over positive generator columns name the cosets;

@@ -1,9 +1,14 @@
-"""Reference coset enumeration for tests: the plain two-column HLT loop.
+"""Reference coset enumerations for tests: plain HLT loops that skip
+no scan at any live coset.
 
-Every generator gets a column for itself and one for its inverse
-(column 2i and 2i+1), every relator is scanned at every coset, and the
-closed table is a dict-renumbered list of rows.  Elements are named by
-breadth-first words over the generator columns, spelled with
+``oracle_enumerate`` is the two-column loop: every generator gets a
+column for itself and one for its inverse (column 2i and 2i+1).  With
+``share_involutions`` it is the one-column loop: a generator with a
+relator that cyclically reduces to g^2 or g^-2 has one column for g and
+g^-1, and that relator is not scanned, so it defines the same cosets as
+``todd_coxeter``, which skips only scans that cannot change the table.
+The closed table is a dict-renumbered list of rows.  Elements are named
+by breadth-first words over the generator columns, spelled with
 ``words.syllables_text``.  It shares no code with ``todd_coxeter``
 beyond the presentation types and the word helpers.
 """
@@ -13,10 +18,12 @@ from cayleyclass.presentations import CosetLimitExceeded
 
 
 class _Enumeration:
-    """HLT coset enumeration state over the trivial subgroup."""
+    """HLT coset enumeration state over the trivial subgroup; ``inv[col]``
+    is the column of the inverse letter."""
 
-    def __init__(self, ngens, max_cosets):
-        self.ncols = 2 * ngens  # column 2i is generator i, 2i+1 its inverse
+    def __init__(self, inv, max_cosets):
+        self.inv = inv
+        self.ncols = len(inv)
         self.max_cosets = max_cosets
         self.table = [[None] * self.ncols]
         self.p = [0]  # union-find, p[i] <= i
@@ -36,7 +43,7 @@ class _Enumeration:
         self.table.append([None] * self.ncols)
         self.p.append(beta)
         self.table[alpha][col] = beta
-        self.table[beta][col ^ 1] = alpha
+        self.table[beta][self.inv[col]] = alpha
 
     def _merge(self, a, b, queue):
         a, b = self.rep(a), self.rep(b)
@@ -58,16 +65,17 @@ class _Enumeration:
                 delta = row[col]
                 if delta is None:
                     continue
-                self.table[delta][col ^ 1] = None
+                back = self.inv[col]
+                self.table[delta][back] = None
                 mu, nu = self.rep(gamma), self.rep(delta)
                 existing = self.table[mu][col]
                 if existing is not None:
                     self._merge(nu, existing, queue)
-                elif self.table[nu][col ^ 1] is not None:
-                    self._merge(mu, self.table[nu][col ^ 1], queue)
+                elif self.table[nu][back] is not None:
+                    self._merge(mu, self.table[nu][back], queue)
                 else:
                     self.table[mu][col] = nu
-                    self.table[nu][col ^ 1] = mu
+                    self.table[nu][back] = mu
 
     def scan_and_fill(self, alpha, word_cols):
         f, i = alpha, 0
@@ -81,34 +89,51 @@ class _Enumeration:
                 if f != b:
                     self.coincidence(f, b)
                 return
-            while j >= i and table[b][word_cols[j] ^ 1] is not None:
-                b = table[b][word_cols[j] ^ 1]
+            while j >= i and table[b][self.inv[word_cols[j]]] is not None:
+                b = table[b][self.inv[word_cols[j]]]
                 j -= 1
             if j < i:
                 self.coincidence(f, b)
                 return
             if j == i:
                 table[f][word_cols[i]] = b
-                table[b][word_cols[i] ^ 1] = f
+                table[b][self.inv[word_cols[i]]] = f
                 return
             self.define(f, word_cols[i])
 
 
-def oracle_enumerate(presentation, max_cosets=65536):
+def _square_of(relator):
+    """The generator g if the relator cyclically reduces to g^2 or g^-2."""
+    letters = words.cyclically_reduce(relator.letters())
+    if len(letters) == 2 and letters[0] == letters[1]:
+        return letters[0][0]
+    return None
+
+
+def oracle_enumerate(presentation, max_cosets=65536, share_involutions=False):
     """(names, action) of the presentation's group: ``names`` lists the
     element names by closed-table row, ``action`` maps each generator
     name to the row list of x*g."""
-    ngens = len(presentation.generator_names)
+    relators = [r for r in presentation.relators if r.syllables]
+    squares = [_square_of(r) if share_involutions else None for r in relators]
+    letter_col, inv = [], []  # letter 2g is generator g, 2g+1 its inverse
+    for g in range(len(presentation.generator_names)):
+        col = len(inv)
+        if g in squares:
+            letter_col += [col, col]
+            inv.append(col)
+        else:
+            letter_col += [col, col + 1]
+            inv += [col + 1, col]
     relator_cols = [
-        [2 * g if s > 0 else 2 * g + 1 for g, s in r.letters()]
-        for r in presentation.relators
-        if r.syllables
+        [letter_col[2 * g if s > 0 else 2 * g + 1] for g, s in r.letters()] for r in relators
     ]
-    enum = _Enumeration(ngens, max_cosets)
+    scanned = [cols for cols, square in zip(relator_cols, squares) if square is None]
+    enum = _Enumeration(inv, max_cosets)
     alpha = 0
     while alpha < len(enum.table):
         if enum.p[alpha] == alpha:
-            for cols in relator_cols:
+            for cols in scanned:
                 enum.scan_and_fill(alpha, cols)
                 if enum.p[alpha] != alpha:
                     break
@@ -127,7 +152,7 @@ def oracle_enumerate(presentation, max_cosets=65536):
     order = len(live)
     for c in range(order):
         for col in range(enum.ncols):
-            if table[table[c][col]][col ^ 1] != c:
+            if table[table[c][col]][inv[col]] != c:
                 raise RuntimeError("oracle table is not closed under inverses")
     for cols in relator_cols:
         for c in range(order):
@@ -137,12 +162,13 @@ def oracle_enumerate(presentation, max_cosets=65536):
             if cursor != c:
                 raise RuntimeError("oracle table fails a relator trace")
 
+    ngens = len(presentation.generator_names)
     coset_words = [None] * order
     coset_words[0] = ()
     queue = [0]
     for c in queue:
         for g in range(ngens):
-            d = table[c][2 * g]
+            d = table[c][letter_col[2 * g]]
             if coset_words[d] is None:
                 coset_words[d] = coset_words[c] + (g,)
                 queue.append(d)
@@ -155,7 +181,7 @@ def oracle_enumerate(presentation, max_cosets=65536):
         for w in coset_words
     ]
     action = {
-        name: [table[c][2 * g] for c in range(order)]
+        name: [table[c][letter_col[2 * g]] for c in range(order)]
         for g, name in enumerate(presentation.generator_names)
     }
     return names, action

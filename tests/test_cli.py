@@ -224,6 +224,16 @@ def test_check_presentation_counts_below_one_are_usage_errors(capsys):
             assert exc.value.code == 2 and f"argument {option}:" in err, (option, bad)
 
 
+def test_check_presentation_help_explains_max_cosets(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check-presentation", "--help"])
+    out, _ = capsys.readouterr()
+    text = " ".join(out.split())
+    assert exc.value.code == 0
+    assert "--max-cosets MAX_COSETS cap on the cosets defined, live or not" in text
+    assert "(default: 16 x --expect when given, else 65,536)" in text
+
+
 def test_check_presentation_coxeter_s6_within_small_cap(capsys):
     code, out, _ = run(
         capsys, "check-presentation", coxeter_sn(6), "--max-cosets", "1000", "--expect", "720"

@@ -1,4 +1,8 @@
+import functools
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cayleyclass as cc
 from cayleyclass import presentations
@@ -6,6 +10,7 @@ from cayleyclass.dicyclic_theory import applicable_variants, classical_presentat
 from cayleyclass.presentations import CosetLimitExceeded, parse_presentation, todd_coxeter
 from cayleyclass.words import ParseError
 from conftest import coxeter_sn
+import coset_oracle
 from coset_oracle import oracle_enumerate
 
 
@@ -164,6 +169,127 @@ def test_enumeration_matches_two_column_oracle(presentation):
         g = group.named_elements[gen]
         for c, name in enumerate(names):
             assert group.names[group.mul(by_name[name], g)] == names[images[c]], (name, gen)
+
+
+def assert_matches_one_column_oracle(presentation, max_cosets=65536):
+    # skipped scans define nothing, so the cosets, their numbers, the
+    # names and the coset cap are those of the loop that skips no scan
+    try:
+        names, action = oracle_enumerate(presentation, max_cosets, share_involutions=True)
+    except CosetLimitExceeded:
+        with pytest.raises(CosetLimitExceeded):
+            todd_coxeter(presentation, max_cosets=max_cosets)
+        return
+    group = todd_coxeter(presentation, max_cosets=max_cosets)
+    assert list(group.names) == names
+    assert list(group.generators) == [(name, images[0]) for name, images in action.items()]
+
+
+@pytest.mark.parametrize("presentation", oracle_cases(), ids=lambda p: p.descriptor)
+def test_enumeration_matches_one_column_oracle(presentation):
+    assert_matches_one_column_oracle(presentation)
+
+
+@st.composite
+def small_presentations(draw):
+    """Presentations on 1-3 generators from powers, squares, powers of
+    two-letter products and commutator powers; each generator gets a
+    power or a square first, so that many of them are finite."""
+    names = "abc"[: draw(st.integers(1, 3))]
+    gen = st.sampled_from(names)
+    sign = st.sampled_from(("", "^-1"))
+    power = st.builds("{}{}".format, st.sampled_from(("", "-")), st.integers(2, 9))
+    own = [draw(st.one_of(st.builds(f"{g}^{{}}".format, power), st.just(f"{g}^2"))) for g in names]
+    relator = st.one_of(
+        st.builds("{}^{}".format, gen, power),
+        st.builds("{}^2".format, gen),
+        st.builds("({}{}*{}{})^{}".format, gen, sign, gen, sign, st.integers(2, 7)),
+        st.builds("({0}^-1*{1}^-1*{0}*{1})^{2}".format, gen, gen, st.integers(1, 4)),
+    )
+    relators = own + draw(st.lists(relator, max_size=3))
+    return parse_presentation(f"<{','.join(names)} | {', '.join(relators)}>")
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(small_presentations())
+def test_enumeration_matches_one_column_oracle_on_random_presentations(presentation):
+    assert_matches_one_column_oracle(presentation, max_cosets=2000)
+
+
+def counted_scans(monkeypatch, module):
+    """The cosets at which module's enumeration scans, one per scan."""
+    scans = []
+    scan_and_fill = module._Enumeration.scan_and_fill
+    monkeypatch.setattr(
+        module._Enumeration,
+        "scan_and_fill",
+        lambda enum, alpha, cols: scans.append(alpha) or scan_and_fill(enum, alpha, cols),
+    )
+    return scans
+
+
+def test_symmetric_relators_skip_most_scans(monkeypatch):
+    scans = counted_scans(monkeypatch, presentations)
+    oracle_scans = counted_scans(monkeypatch, coset_oracle)
+    P = parse_presentation(coxeter_sn(7))
+    assert todd_coxeter(P).order == 5040
+    oracle_enumerate(P, share_involutions=True)
+    # 17,088 of the one-column loop's 75,600 scans are left
+    assert 4 * len(scans) < len(oracle_scans)
+
+
+@pytest.mark.parametrize(
+    "cols, inv, expected",
+    [
+        ([0, 1] * 3, [0, 1], {0, 1}),  # (s*t)^3 over involution columns
+        ([0] * 512, [1, 0], {0, 1}),  # a^512: a and a^-1
+        ([0, 2, 0, 1] * 4, [0, 2, 1], {0}),  # (a^-1*b^-1*a*b)^4 with a^2
+        ([1, 3, 0, 2] * 4, [1, 0, 3, 2], set()),  # the same, a no involution
+        ([3, 0, 2, 0], [1, 0, 3, 2], set()),  # x^-1*a*x*a
+        ([0, 2] * 3, [1, 0, 3, 2], set()),  # (a*b)^3
+    ],
+)
+def test_symmetry_columns(cols, inv, expected):
+    assert presentations._symmetry_columns(cols, inv) == expected
+
+
+def test_symmetry_columns_match_rotations():
+    rng = random.Random(7)
+    found = 0
+    for _ in range(2000):
+        # columns 0 and 1 are an involution's and a generator's own, 2 its inverse
+        inv = [0, 2, 1]
+        root = [rng.randrange(3) for _ in range(rng.randint(1, 3))]
+        cols = root * rng.randint(1, 4)
+        inverse = [inv[c] for c in reversed(cols)]
+        expected = set()
+        if cols[1:] + cols[:1] in (cols, inverse):
+            expected.add(cols[0])
+        if cols[-1:] + cols[:-1] in (cols, inverse):
+            expected.add(inv[cols[-1]])
+        assert presentations._symmetry_columns(cols, inv) == expected, cols
+        found += bool(expected)
+    assert found > 200
+
+
+def test_relator_trace_matches_letter_by_letter():
+    rng = random.Random(2024)
+    nontrivial = 0
+    for _ in range(200):
+        degree = rng.randint(1, 12)
+        table = []
+        for _ in range(2):
+            perm = rng.sample(range(degree), degree)
+            table += [perm, sorted(range(degree), key=perm.__getitem__)]
+        # a drawn word, or a power of one: a word like x*y*x has period 2
+        # and is no power
+        root = [rng.randrange(4) for _ in range(rng.randint(1, 6))]
+        letters = root * rng.choice((1, rng.randint(2, 40)))
+        expected = [functools.reduce(lambda c, x: table[x][c], letters, c) for c in range(degree)]
+        got = presentations._relator_trace(table, letters)
+        assert got == expected, letters
+        nontrivial += got != list(range(degree))
+    assert nontrivial > 100  # most traces are not the identity
 
 
 @pytest.mark.parametrize("square", ["{}^2", "{}^-2", "{}^2=e"])
