@@ -5,37 +5,38 @@ The classes rest on one fact: a basepoint-fixing, label-permuting
 isomorphism of connected Cayley graphs is a group automorphism.  So two
 sequences are directed-equivalent exactly when an automorphism maps the
 set of one onto the set of the other, and the directed classes are the
-Aut(G)-orbits of the generating k-sets; each holds k! * |orbit|
-sequences.  The k-sets are walked in lexicographic order, grouped by
-their least element, the lead.  A set not yet seen is tested for
-generation (and minimality), which automorphisms preserve.  Aut(G) is
-computed, by generators, only when the first set qualifies: a group
-where none does (the elementary abelian (C2)^5 at length 4, say) may
-have far too many automorphisms to hold.  The orbit
-(``groups.set_orbit``) of a qualifying set is marked seen, so each
-qualifying orbit gets one test and one orbit and its first set is the
-lexicographically least sequence of its class; a set that does not
-qualify is tested on its own and nothing is kept of it.
+Aut(G)-orbits of the generating k-sets.  Each class is represented by
+its lexicographically least set.
 
-From the first qualifying set on, the walk skips every lead that is not
-the least element of its own orbit on G (``groups.orbit_minima``), the
-first step of a minimal-image search (S. Linton, "Finding the smallest
-image of a set", ISSAC 2004): if an automorphism sent the lead m of a
-lexicographically least set S below m, it would send S below S.  So
-``seen`` holds only sets of qualifying orbits, and MAX_SETS still
-bounds the C(order, k) sets that the walk may visit.
+The k-sets are walked in lexicographic order down a tree of pointwise
+stabilizers of Aut(G) (``groups.StabilizerTree``, after C. Sims, 1970,
+and S. Linton, "Finding the smallest image of a set", ISSAC 2004): a
+set is a leaf when each element is the least of its orbit under the
+automorphisms that fix the elements before it, and every least set of
+an orbit is a leaf.  A leaf is kept when it is its own least image,
+computed down the same tree, and then tested for generation (and
+minimality), which automorphisms preserve; so each orbit gets one test.
+Aut(G) moves generating tuples freely, so a class holds |Aut(G)|
+sequences for each Aut(G)-orbit among the k! orderings of its set, and
+the orderings that share the least image of the set number |set
+stabilizer|.
 
-In undirected mode a label s and its inverse give the same edges, so
-the orbits are taken under automorphisms and single-label inversion
-together, and so are the lead orbits on G: a lead m with a smaller
-image t = f(m)^-1 gives way to the set that f maps S to, with f(m)
-inverted (or to that set itself, when it holds t).  That pre-collapse
-is sound but may not be complete: a colour-permuting isomorphism of
-undirected Cayley graphs need not come from an automorphism.  Orbit
-representatives with equal order multisets are therefore still
-compared pairwise with ``undirected_iso``.
+Aut(G) is computed, by generators, only once some k-set generates: a
+group where none does (the elementary abelian (C2)^5 at length 4, say)
+may have far too many automorphisms to hold.  Until then the walk is
+the plain combinations walk, each set tested on its own; the first
+generating set is the least of its orbit and the tree walk starts
+there.  MAX_SETS bounds the C(order, k) sets that the walk may visit.
+
+In undirected mode a label s and its inverse give the same edges.  The
+same walk gives the directed classes; each is joined, by union-find, to
+the class of its set with one element inverted (where that inverse is
+not another element of the set), and the joined class keeps the least
+representative.  That merge is sound but may not be complete: a
+colour-permuting isomorphism of undirected Cayley graphs need not come
+from an automorphism.  Representatives with equal order multisets are
+therefore still compared pairwise with ``undirected_iso``.
 """
-
 from __future__ import annotations
 
 import itertools
@@ -49,12 +50,11 @@ from .groups import (
     FiniteGroup,
     GeneratingSequence,
     OrderMultiset,
+    StabilizerTree,
     group_automorphisms,
     is_generating,
     is_minimal_generating,
     order_multiset,
-    orbit_minima,
-    set_orbit,
 )
 
 MAX_LENGTH = 4
@@ -160,28 +160,31 @@ def classify(
     _check_guards(group, length, max_order)
     group.ensure_table()
     qualifies = is_minimal_generating if minimal_only else is_generating
-    inverse = [group.inv(g) for g in group.elements()] if mode == "undirected" else None
-    maps = least = None
-    seen: set[tuple[int, ...]] = set()
-    orbits: list[tuple[tuple[int, ...], int]] = []
-    for lead in group.elements():
-        if least is not None and least[lead] != lead:
-            continue  # no lexicographically least orbit member starts here
-        for rest in itertools.combinations(range(lead + 1, group.order), length - 1):
-            subset = (lead,) + rest
-            if subset in seen or not qualifies(group, subset):
-                continue
-            if maps is None:
-                # only once some set qualifies: Aut(G) can be large where none does
-                maps = group_automorphisms(group).generators
-                least = orbit_minima(group.order, maps, inverse)
-            # generation and minimality are Aut(G)-invariant: the rest of
-            # the orbit is seen and never tested
-            orbit = set_orbit(subset, maps, inverse)
-            seen.update(orbit)
-            orbits.append((subset, len(orbit)))
-
+    # the walk starts as the plain combinations walk: Aut(G) is computed
+    # only once some set generates, since it can be large where none does
+    first = next(
+        (s for s in itertools.combinations(group.elements(), length) if is_generating(group, s)),
+        None,
+    )
+    # orbits: [least set of a directed class, sequences in the class]
+    orbits: list[list] = []
     per_set = math.factorial(length)
+    if first is not None:
+        auts = group_automorphisms(group)
+        tree = StabilizerTree(auts, group.order)
+        # no set before first generates, so no least set of a qualifying
+        # orbit comes before it; generation and minimality are
+        # Aut(G)-invariant, so only least sets are tested
+        for subset in tree.leaves(length, first):
+            found = tree.least_image(subset, bound=subset)
+            if found is not None and qualifies(group, subset):
+                # Aut(G) moves generating tuples freely: the class holds
+                # |Aut(G)| sequences per Aut(G)-orbit among the k!
+                # orderings, and found[1] orderings share each orbit
+                orbits.append([subset, auts.order * per_set // found[1]])
+        if mode == "undirected":
+            orbits = _join_inverted(group, tree, orbits)
+
     # records: [representative, order multiset, size, undirected view]
     records: list[list] = []
     for subset, count in orbits:
@@ -195,9 +198,9 @@ def classify(
                 None,
             )
             if match is not None:
-                match[2] += per_set * count
+                match[2] += count
                 continue
-        records.append([subset, multiset, per_set * count, graph])
+        records.append([subset, multiset, count, graph])
 
     records.sort(key=lambda r: ([-v for v in r[1].values], r[0]))
     classes = tuple(
@@ -218,6 +221,42 @@ def classify(
         total=sum(c.size for c in classes),
         wall_time_seconds=time.perf_counter() - start,
     )
+
+
+def _join_inverted(group: FiniteGroup, tree: StabilizerTree, orbits: list[list]) -> list[list]:
+    """Join the directed classes whose sets differ by inverting one
+    element whose inverse is not another element of the set.
+
+    An automorphism maps inverses to inverses, so inverting s_i in any
+    set of a class lands in the class of the least image of the
+    representative with s_i inverted.  Each union keeps the class with
+    the lesser representative, and the joined class keeps it and the
+    summed size, so the orbits under Aut(G) and single-label inversion
+    come out in the order of their least sets.
+    """
+    index = {subset: k for k, (subset, _) in enumerate(orbits)}
+    parent = list(range(len(orbits)))
+
+    def find(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = k = parent[parent[k]]
+        return k
+
+    for k, (subset, _) in enumerate(orbits):
+        for i, g in enumerate(subset):
+            h = group.inv(g)
+            if h != g and h not in subset:
+                image, _ = tree.least_image(subset[:i] + (h,) + subset[i + 1:])
+                a, b = find(k), find(index[image])
+                parent[max(a, b)] = min(a, b)
+    joined: dict[int, list] = {}
+    for k, (subset, count) in enumerate(orbits):
+        root = find(k)
+        if root in joined:
+            joined[root][1] += count
+        else:
+            joined[root] = [subset, count]
+    return list(joined.values())
 
 
 def classify_summary_equal(report: ClassificationReport, expected) -> bool:

@@ -10,8 +10,13 @@ from right multiplication by the generators, so the family's
 multiplication runs order * |generators| times, not order^2.
 
 The module also holds what follows Cayley edges and automorphisms:
-``left_row``, ``forced_map``, ``group_automorphisms`` and the orbits of
-elements (``orbit_minima``) and of k-sets (``set_orbit``) under them.
+``left_row``, ``forced_map``, ``group_automorphisms`` and
+``StabilizerTree``, the pointwise stabilizers of Aut(G) down prefixes of
+elements.  Each node holds its orbit minima, a Schreier vector that
+carries a point to its minimum, and generators; a child keeps only the
+Schreier generators that enlarge the group, known by their images of a
+generating tuple, on which Aut(G) acts regularly.  The tree's leaves
+and least set images drive ``classify``.
 """
 
 from __future__ import annotations
@@ -721,49 +726,35 @@ def forced_map(count: int, rows1, rows2, sigma, base: int, start: int) -> Option
     return tuple(f)
 
 
-def orbit_minima(count: int, maps, inverse=None) -> list[int]:
-    """The least element of the orbit of each id 0..count-1 under the
-    automorphism maps and, when inverse is given, inversion: the orbits
-    of the 1-sets under ``set_orbit``."""
-    least = [-1] * count
-    for g in range(count):
-        if least[g] == -1:  # every smaller id is placed: g leads its orbit
-            for (h,) in set_orbit((g,), maps, inverse):
-                least[h] = g
-    return least
-
-
-def set_orbit(subset, maps, inverse=None) -> set[tuple[int, ...]]:
-    """Sorted k-sets reachable from subset under the automorphism maps
-    and, when inverse is given, under inverting one element whose
-    inverse is not another element of the set."""
-    orbit = {subset}
-    stack = [subset]
-    while stack:
-        current = stack.pop()
-        images = [tuple(sorted(m[g] for g in current)) for m in maps]
-        if inverse is not None:
-            for i, g in enumerate(current):
-                h = inverse[g]
-                if h != g and h not in current:
-                    images.append(tuple(sorted(current[:i] + (h,) + current[i + 1 :])))
-        for image in images:
-            if image not in orbit:
-                orbit.add(image)
-                stack.append(image)
-    return orbit
-
-
 @dataclass(frozen=True)
 class AutomorphismGroup:
     """Aut(G) held by generators only.
 
     Each generator is an element map: the tuple of images of the ids
-    0..order-1.  ``order`` is |Aut(G)|.
+    0..order-1.  ``order`` is |Aut(G)|.  ``base`` is a generating tuple
+    of G: an automorphism is fixed by the images of base, so Aut(G) acts
+    regularly on them.
     """
 
     generators: tuple[tuple[int, ...], ...]
     order: int
+    base: tuple[int, ...]
+
+
+def _grow_orbit(reached: set, maps: list, new: Sequence[int]) -> None:
+    """Add the element map new to maps and close reached, an orbit of
+    base-image tuples under the old maps, under all of them: old points
+    need only the new map."""
+    maps.append(new)
+    fresh = [p for p in {tuple(new[g] for g in q) for q in reached} if p not in reached]
+    reached.update(fresh)
+    while fresh:
+        point = fresh.pop()
+        for m in maps:
+            q = tuple(m[g] for g in point)
+            if q not in reached:
+                reached.add(q)
+                fresh.append(q)
 
 
 def _greedy_generators(group: FiniteGroup, orders: Sequence[int]) -> tuple[int, ...]:
@@ -818,17 +809,182 @@ def group_automorphisms(group: FiniteGroup) -> AutomorphismGroup:
             continue
         target = [left_row(group, t) for t in image]
         f = forced_map(group.order, source, target, identity_labels, 0, 0)
-        if f is None:
-            continue
-        maps.append(f)
-        # grow the orbit of base: old points need only the new map
-        fresh = [p for p in {tuple(f[g] for g in q) for q in reached} if p not in reached]
-        reached.update(fresh)
-        while fresh:
-            point = fresh.pop()
-            for m in maps:
-                q = tuple(m[g] for g in point)
-                if q not in reached:
-                    reached.add(q)
-                    fresh.append(q)
-    return AutomorphismGroup(tuple(maps), len(reached))
+        if f is not None:
+            _grow_orbit(reached, maps, f)
+    return AutomorphismGroup(tuple(maps), len(reached), base)
+
+
+class StabilizerNode:
+    """The pointwise stabilizer H of a prefix of points, held by element
+    maps, in a group that acts regularly on the images of ``base``.
+
+    ``least[p]`` is the least point of p's H-orbit.  Each orbit is
+    walked breadth-first from its minimum, and ``edge[p]`` names the
+    generator whose map reached p (-1 at a minimum): a Schreier vector,
+    which ``carry`` follows back to move p to its minimum.  ``order`` is
+    |H|.  The stabilizers of one more point are built on first use
+    (``child``).
+    """
+
+    __slots__ = ("gens", "order", "base", "least", "edge", "_inverses", "_orbits", "_children")
+
+    def __init__(self, degree: int, gens: Sequence[Sequence[int]], order: int,
+                 base: tuple[int, ...]):
+        self.gens = tuple(gens)
+        self.order = order
+        self.base = base
+        # a permutation's inverse lists the points sorted by their images
+        self._inverses = [sorted(range(degree), key=m.__getitem__) for m in self.gens]
+        self._children: dict[int, StabilizerNode] = {}
+        least = [-1] * degree
+        edge = [-1] * degree
+        self._orbits: dict[int, list[int]] = {}  # minimum -> orbit, breadth-first
+        for p in range(degree):
+            if least[p] != -1:
+                continue
+            least[p] = p
+            orbit = [p]
+            for q in orbit:
+                for i, m in enumerate(self.gens):
+                    t = m[q]
+                    if least[t] == -1:
+                        least[t] = p
+                        edge[t] = i
+                        orbit.append(t)
+            self._orbits[p] = orbit
+        self.least = least
+        self.edge = edge
+
+    def carry(self, p: int, values: Iterable[int]) -> list[int]:
+        """values under an element of H that maps p to least[p]: the
+        inverses of the generators on p's Schreier path, last one first."""
+        values = list(values)
+        edge, inverses = self.edge, self._inverses
+        while edge[p] != -1:
+            h = inverses[edge[p]]
+            p = h[p]
+            values = [h[v] for v in values]
+        return values
+
+    def _lift(self, p: int, values: Iterable[int]) -> list[int]:
+        """values under the transversal element t_p of H (t_p maps p's
+        orbit minimum to p); ``carry`` applies its inverse."""
+        path = []
+        while self.edge[p] != -1:
+            path.append(self.edge[p])
+            p = self._inverses[self.edge[p]][p]
+        values = list(values)
+        for i in reversed(path):
+            m = self.gens[i]
+            values = [m[v] for v in values]
+        return values
+
+    def child(self, r: int) -> "StabilizerNode":
+        """The stabilizer of r in H, for r an orbit minimum.
+
+        By Schreier's lemma it is generated by s = t_{m(p)}^-1 * m * t_p
+        over the generators m and the points p of r's orbit.  An element
+        is known by its images of base, so s is kept only when s(base)
+        lies outside the orbit of base under the generators kept so far,
+        and the walk stops once that orbit has |H| / |orbit of r| points.
+        The stabilizer of a fixed point is H itself.
+        """
+        found = self._children.get(r)
+        if found is not None:
+            return found
+        orbit = self._orbits[r]
+        if len(orbit) == 1:
+            return self  # not kept among the children: no reference cycle
+        order = self.order // len(orbit)
+        base, edge = self.base, self.edge
+        lifted = {r: base}  # t_p(base), built down the breadth-first tree
+        for q in orbit[1:]:
+            m = self.gens[edge[q]]
+            lifted[q] = tuple(m[v] for v in lifted[self._inverses[edge[q]][q]])
+        kept: list[tuple[int, ...]] = []
+        reached = {base}
+        for p in orbit:
+            if len(reached) == order:
+                break
+            for m in self.gens:
+                q = m[p]
+                if tuple(self.carry(q, [m[v] for v in lifted[p]])) in reached:
+                    continue
+                lifted_map = self._lift(p, range(len(self.least)))
+                _grow_orbit(reached, kept, tuple(self.carry(q, [m[v] for v in lifted_map])))
+                if len(reached) == order:
+                    break
+        node = self._children[r] = StabilizerNode(len(self.least), kept, order, base)
+        return node
+
+
+class StabilizerTree:
+    """Pointwise stabilizers of Aut(G) down prefixes of elements: the
+    node of a prefix fixes every element of it, and its children fix one
+    more, each an orbit minimum of the node.
+
+    A sorted k-set whose j-th element is the least of its orbit under
+    the stabilizer of the first j-1, at every j, is a leaf.  Every
+    lexicographically least set of an Aut(G)-orbit is one: an element
+    fixing the first j-1 and moving the j-th lower would move the whole
+    set lower.  The least image of a set is found down the same nodes
+    (S. Linton, "Finding the smallest image of a set", ISSAC 2004).
+    """
+
+    def __init__(self, auts: AutomorphismGroup, degree: int):
+        self.root = StabilizerNode(degree, auts.generators, auts.order, auts.base)
+
+    def leaves(self, length: int, start: tuple[int, ...]):
+        """The leaves of the given length from start on, in
+        lexicographic order."""
+        degree = len(self.root.least)
+
+        def walk(node, prefix, first, on_start):
+            j = len(prefix)
+            low = start[j] if on_start else first
+            least = node.least
+            high = degree - (length - j - 1)
+            if j + 1 == length:
+                for m in range(low, high):
+                    if least[m] == m:
+                        yield prefix + (m,)
+                return
+            for m in range(low, high):
+                if least[m] == m:
+                    yield from walk(node.child(m), prefix + (m,), m + 1,
+                                    on_start and m == start[j])
+
+        return walk(self.root, (), 0, True)
+
+    def least_image(self, points: Sequence[int], bound: Optional[Sequence[int]] = None):
+        """The lexicographically least sorted image of the set points,
+        with the number of orderings of points whose least tuple image
+        it is; None as soon as that image falls below bound.
+
+        The least tuple image of an ordering takes at each step the least
+        point of the next entry's orbit under the stabilizer of the image
+        so far, moving the rest along.  The least over orderings is
+        sorted (its entries may be reordered), so it is the least set
+        image.  The orderings are followed together, keeping at each step
+        only those whose next entry reaches the least point.  For a
+        generating set, which the group moves freely, the count is the
+        order of its set stabilizer.
+        """
+        states = [tuple(points)]
+        node = self.root
+        image: list[int] = []
+        for j in range(len(points)):
+            least = node.least
+            best = min(least[x] for rest in states for x in rest)
+            if bound is not None and best < bound[j]:
+                return None
+            following = []
+            for rest in states:
+                for i, x in enumerate(rest):
+                    if least[x] == best:
+                        following.append(tuple(node.carry(x, rest[:i] + rest[i + 1:])))
+            states = following
+            image.append(best)
+            if j + 1 < len(points):
+                node = node.child(best)
+        return tuple(image), len(states)

@@ -311,12 +311,14 @@ def todd_coxeter(
     are shortest positive words from the identity coset, so generator
     images are available by name.  A generator with a relator that
     cyclically reduces to g^2 or g^-2 gets one table column for g and
-    g^-1, and that relator is only traced on the closed table.  Scans
+    g^-1, and that relator is neither scanned nor traced.  Scans
     that a relator's own symmetry already closes are skipped (see the
     module docstring); they would define and deduce nothing, so the
     table and the point where max_cosets trips are those of scanning
-    every relator at every coset.  The closed table is checked against
-    every relator, each traced as a power of its shortest root.
+    every relator at every coset.  The closed table's columns are
+    checked to be mutually inverse, which for an involution's shared
+    column is g^2 = e, and every other relator is traced, as a power of
+    its shortest root.
     Element indices follow the order in which the live cosets were
     defined, so they depend on the table's columns: an involution's
     shared column numbers the elements differently from a two-column
@@ -418,8 +420,10 @@ def todd_coxeter(
     for col, column in enumerate(columns):
         if list(map(columns[inv[col]].__getitem__, column)) != identity:
             raise RuntimeError("coset table is not closed under inverses")
-    for letters in relator_letters:
-        if _relator_trace(table, letters) != identity:
+    for letters, square in zip(relator_letters, squares):
+        # a g^2 relator, up to conjugation, holds once g's shared column
+        # passed the inverse check, which maps it through itself
+        if square is None and _relator_trace(table, letters) != identity:
             raise RuntimeError("closed coset table fails a relator trace")
 
     # breadth-first words over positive generator columns name the cosets;

@@ -14,7 +14,8 @@ from cayleyclass.classify import (
     classify_summary_equal,
     enumerate_generating_sequences,
 )
-from cayleyclass.groups import OrderMultiset, set_orbit
+from cayleyclass import groups
+from cayleyclass.groups import OrderMultiset
 from conftest import all_automorphisms, builtin_groups
 from pairwise_oracle import pairwise_classify
 
@@ -187,22 +188,66 @@ def test_automorphisms_wait_for_a_qualifying_set(monkeypatch):
         assert report.classes == () and report.total == 0
 
 
-def test_orbits_are_taken_of_qualifying_sets_only(monkeypatch):
+def walked_sets(group, length):
+    """The sets that classify visits, by brute force over every
+    automorphism: the combinations up to the first generating set, then
+    the leaves of the stabilizer tree, sets whose every element is the
+    least of its orbit under the automorphisms fixing the elements
+    before it."""
+    auts = all_automorphisms(group)
+    sets = list(itertools.combinations(group.elements(), length))
+    first = next(i for i, s in enumerate(sets) if cc.is_generating(group, s))
+
+    def is_leaf(subset):
+        return all(
+            min(m[subset[j]] for m in auts if all(m[p] == p for p in subset[:j])) == subset[j]
+            for j in range(length)
+        )
+
+    return first + sum(1 for s in sets[first:] if is_leaf(s))
+
+
+def test_generation_tests_stay_within_the_tree_leaves(monkeypatch):
     calls = []
+    is_generating = groups.is_generating
 
-    def counted(subset, maps, inverse=None):
-        calls.append(subset)
-        return set_orbit(subset, maps, inverse)
+    def counted(group, sequence):
+        calls.append(sequence)
+        return is_generating(group, sequence)
 
-    monkeypatch.setattr(classify_module, "set_orbit", counted)
+    # is_minimal_generating calls the groups module's is_generating
+    monkeypatch.setattr(groups, "is_generating", counted)
+    monkeypatch.setattr(classify_module, "is_generating", counted)
     S4 = cc.from_descriptor("perm:4:(1,2);(1,2,3,4)")
-    for group, length, minimal_only in [
-        (cc.dicyclic(8), 2, True), (S4, 3, False), (S4, 3, True),
-    ]:
-        calls.clear()
-        report = classify(group, length, "directed", minimal_only)
-        assert report.classes
-        assert sorted(calls) == sorted(c.representative.elements for c in report.classes)
+    for group, length in [(cc.dicyclic(8), 2), (S4, 3)]:
+        leaves = walked_sets(group, length)
+        for minimal_only in (False, True):
+            calls.clear()
+            report = classify(group, length, "directed", minimal_only)
+            assert report.classes
+            # a leaf costs at most one test, and 1 + k for minimality
+            bound = (1 + length) * leaves if minimal_only else leaves
+            assert len(calls) <= bound, (group.descriptor, minimal_only, len(calls), leaves)
+
+
+# S5 is Aut(A5): both groups have 120 automorphisms
+@pytest.mark.parametrize("descriptor", ["perm:5:(1,2);(1,2,3,4,5)", "perm:5:(1,2,3);(1,2,3,4,5)"])
+def test_order_120_directed_classes_against_burnside_and_enumeration(descriptor):
+    group = cc.from_descriptor(descriptor)
+    auts = all_automorphisms(group)
+    assert len(auts) == 120
+    for minimal_only in (False, True):
+        qualifies = cc.is_minimal_generating if minimal_only else cc.is_generating
+        sets = [s for s in itertools.combinations(group.elements(), 2) if qualifies(group, s)]
+        # a fixed set {g, h} is fixed pointwise or swapped by the map
+        fixed = sum(
+            1 for m in auts for g, h in sets
+            if (m[g] == g and m[h] == h) or (m[g] == h and m[h] == g)
+        )
+        report = classify(group, 2, "directed", minimal_only)
+        assert len(report.classes) * len(auts) == fixed, minimal_only
+        sequences = enumerate_generating_sequences(group, 2, minimal_only)
+        assert sum(c.size for c in report.classes) == len(sequences) == report.total
 
 
 def test_classify_rejects_bad_mode_and_jobs():

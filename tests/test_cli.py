@@ -1,6 +1,9 @@
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -297,3 +300,25 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "order 5" in proc.stdout
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_sh_blocks():
+    return re.findall(r"^```sh\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+
+
+def test_readme_shell_examples_parse():
+    blocks = readme_sh_blocks()
+    assert len(blocks) >= 2
+    for block in blocks:
+        proc = subprocess.run(["bash", "-n"], input=block, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_classify_example_runs(capsys):
+    (line,) = [line for line in "".join(readme_sh_blocks()).splitlines()
+               if line.startswith("cayleyclass classify --group 'perm:")]
+    code, out, err = run(capsys, *shlex.split(line)[1:])
+    assert code == 0 and json.loads(out)["group"] == "perm:4:(1,2);(1,2,3,4)"

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 import os
 import subprocess
@@ -12,6 +14,7 @@ from cayleyclass import groups
 from cayleyclass.presentations import parse_presentation, todd_coxeter
 from cayleyclass.words import ParseError
 from conftest import all_automorphisms, builtin_groups
+from orbit_oracle import orbit_minima, set_orbit
 
 
 def elem(group, text):
@@ -157,6 +160,8 @@ def test_automorphism_group_orders():
 def test_automorphism_generators_close_to_the_group_order(group):
     auts = cc.group_automorphisms(group)
     assert len(all_automorphisms(group)) == auts.order
+    # an automorphism is fixed by its images of base
+    assert cc.is_generating(group, auts.base)
     # each held map at least doubles the subgroup: at most log2 |Aut| maps
     assert 2 ** len(auts.generators) <= auts.order
     for m in auts.generators:
@@ -171,10 +176,71 @@ def test_orbit_minima_match_every_automorphism(group):
     auts = all_automorphisms(group)
     maps = cc.group_automorphisms(group).generators
     inverse = [group.inv(g) for g in group.elements()]
-    assert groups.orbit_minima(group.order, maps) == [
+    assert orbit_minima(group.order, maps) == [
         min(m[g] for m in auts) for g in group.elements()]
-    assert groups.orbit_minima(group.order, maps, inverse) == [
+    assert orbit_minima(group.order, maps, inverse) == [
         min(min(m[g], inverse[m[g]]) for m in auts) for g in group.elements()]
+
+
+def node_at(tree, prefix):
+    return functools.reduce(lambda node, r: node.child(r), prefix, tree.root)
+
+
+def tree_prefixes(tree, degree):
+    """The prefixes of length at most 2 down the tree: each entry an
+    orbit minimum of its parent's node, in any order."""
+    ones = [(r,) for r in range(degree) if tree.root.least[r] == r]
+    twos = [(r, s) for (r,) in ones for s in range(degree)
+            if s != r and tree.root.child(r).least[s] == s]
+    return [()] + ones + twos
+
+
+@pytest.mark.parametrize("group", builtin_groups(16), ids=lambda g: g.descriptor)
+def test_stabilizer_nodes_match_every_automorphism(group):
+    auts = all_automorphisms(group)
+    tree = groups.StabilizerTree(cc.group_automorphisms(group), group.order)
+    for prefix in tree_prefixes(tree, group.order):
+        fixing = [m for m in auts if all(m[p] == p for p in prefix)]
+        node = node_at(tree, prefix)
+        assert node.order == len(fixing), prefix
+        assert node.least == [min(m[g] for m in fixing) for g in group.elements()], prefix
+        # the Schreier vector carries each point to its minimum by an
+        # automorphism that fixes the prefix
+        for g in group.elements():
+            carried = tuple(node.carry(g, group.elements()))
+            assert carried[g] == node.least[g] and carried in fixing, (prefix, g)
+
+
+@pytest.mark.parametrize("group", builtin_groups(16), ids=lambda g: g.descriptor)
+def test_least_images_match_set_orbits(group):
+    auts = cc.group_automorphisms(group)
+    tree = groups.StabilizerTree(auts, group.order)
+    for length in (1, 2, 3):
+        for subset in itertools.islice(itertools.combinations(group.elements(), length), 0, None, 7):
+            orbit = set_orbit(subset, auts.generators)
+            image, orderings = tree.least_image(subset)
+            assert image == min(orbit), subset
+            if cc.is_generating(group, subset):
+                # Aut(G) moves generating tuples freely: the orderings
+                # that share the least image number |set stabilizer|
+                assert orderings * len(orbit) == auts.order, subset
+            found = tree.least_image(subset, bound=subset)
+            assert found == ((image, orderings) if image == subset else None), subset
+
+
+def test_stabilizer_tree_leaves_are_the_walk_of_increasing_minima():
+    S4 = cc.from_descriptor("perm:4:(1,2);(1,2,3,4)")
+    tree = groups.StabilizerTree(cc.group_automorphisms(S4), S4.order)
+    expected = [
+        s for s in itertools.combinations(S4.elements(), 3)
+        if all(node_at(tree, s[:j]).least[s[j]] == s[j] for j in range(3))
+    ]
+    leaves = list(tree.leaves(3, expected[0]))
+    assert leaves == expected
+    # every least set of an orbit is a leaf
+    assert {min(set_orbit(s, cc.group_automorphisms(S4).generators))
+            for s in itertools.combinations(S4.elements(), 3)} <= set(leaves)
+    assert list(tree.leaves(3, expected[5])) == expected[5:]
 
 
 # ---------------------------------------------------------------------------

@@ -299,6 +299,23 @@ def test_involutions_share_a_column(square):
     assert todd_coxeter(P, max_cosets=8000).order == 5040
 
 
+def test_shared_column_that_is_no_involution_is_refused(monkeypatch):
+    # s^2 gives s one shared column (column 0), and no scan touches it;
+    # an enumeration handed a closed table where that column is a 3-cycle
+    # (and t is trivial) must still be refused, by the inverse check,
+    # since the s^2 relator is not traced
+    class ThreeCycle(presentations._Enumeration):
+        def __init__(self, inv, max_cosets):
+            super().__init__(inv, max_cosets)
+            self.table = [[(c + 1) % 3] + [c] * (self.ncols - 1) for c in range(3)]
+            self.p = [0, 1, 2]
+
+    monkeypatch.setattr(presentations, "_Enumeration", ThreeCycle)
+    for text in ("<s | s^2>", "<s | s^-2>", "<s,t | t*s^2*t^-1, t>"):
+        with pytest.raises(RuntimeError, match="inverses"):
+            todd_coxeter(parse_presentation(text))
+
+
 def test_expected_order_below_one_is_refused():
     P = parse_presentation("<g | g^5>")
     for bad in (0, -2):
