@@ -28,14 +28,18 @@ the plain combinations walk, each set tested on its own; the first
 generating set is the least of its orbit and the tree walk starts
 there.  MAX_SETS bounds the C(order, k) sets that the walk may visit.
 
-In undirected mode a label s and its inverse give the same edges.  The
-same walk gives the directed classes; each is joined, by union-find, to
-the class of its set with one element inverted (where that inverse is
-not another element of the set), and the joined class keeps the least
-representative.  That merge is sound but may not be complete: a
+In undirected mode a label s and its inverse give the same edges, and
+the same walk settles each class at its leaf.  An automorphism maps
+inverses to inverses, so the sets that label inversion joins to a
+leaf's orbit are the Aut(G)-orbits of the sets made by inverting one or
+more of its labels (those whose inverse is neither the label itself nor
+another element of the set).  A kept leaf takes the least image of each
+of them, with the leaf as bound: if one is less, a lesser set leads the
+joined class and the leaf is skipped; otherwise the distinct images give
+the orbits and the size.  That join is sound but may not be complete: a
 colour-permuting isomorphism of undirected Cayley graphs need not come
-from an automorphism.  Representatives with equal order multisets are
-therefore still compared pairwise with ``undirected_iso``.
+from an automorphism.  So each new class is still compared with
+``undirected_iso`` against the earlier ones of equal order multiset.
 """
 from __future__ import annotations
 
@@ -166,8 +170,8 @@ def classify(
         (s for s in itertools.combinations(group.elements(), length) if is_generating(group, s)),
         None,
     )
-    # orbits: [least set of a directed class, sequences in the class]
-    orbits: list[list] = []
+    # records: [representative, order multiset, size, undirected view]
+    records: list[list] = []
     per_set = math.factorial(length)
     if first is not None:
         auts = group_automorphisms(group)
@@ -177,30 +181,30 @@ def classify(
         # Aut(G)-invariant, so only least sets are tested
         for subset in tree.leaves(length, first):
             found = tree.least_image(subset, bound=subset)
-            if found is not None and qualifies(group, subset):
-                # Aut(G) moves generating tuples freely: the class holds
-                # |Aut(G)| sequences per Aut(G)-orbit among the k!
-                # orderings, and found[1] orderings share each orbit
-                orbits.append([subset, auts.order * per_set // found[1]])
-        if mode == "undirected":
-            orbits = _join_inverted(group, tree, orbits)
-
-    # records: [representative, order multiset, size, undirected view]
-    records: list[list] = []
-    for subset, count in orbits:
-        multiset = order_multiset(group, subset)
-        graph = None
-        if mode == "undirected":
-            graph = cayley.undirected_view(cayley.build(group, subset))
-            match = next(
-                (r for r in records
-                 if r[1] == multiset and iso.undirected_iso(graph, r[3]) is not None),
-                None,
-            )
-            if match is not None:
-                match[2] += count
+            if found is None or not qualifies(group, subset):
                 continue
-        records.append([subset, multiset, count, graph])
+            counts = [found[1]]
+            graph = None
+            if mode == "undirected":
+                counts = _inverted_orbits(group, tree, subset, found[1])
+                if counts is None:
+                    continue
+                graph = cayley.undirected_view(cayley.build(group, subset))
+            # Aut(G) moves generating tuples freely: a class holds
+            # |Aut(G)| sequences per Aut(G)-orbit among the k! orderings
+            # of each of its sets, and `count` orderings share an orbit
+            size = sum(auts.order * per_set // count for count in counts)
+            multiset = order_multiset(group, subset)
+            if graph is not None:
+                match = next(
+                    (r for r in records
+                     if r[1] == multiset and iso.undirected_iso(graph, r[3]) is not None),
+                    None,
+                )
+                if match is not None:
+                    match[2] += size
+                    continue
+            records.append([subset, multiset, size, graph])
 
     records.sort(key=lambda r: ([-v for v in r[1].values], r[0]))
     classes = tuple(
@@ -223,40 +227,25 @@ def classify(
     )
 
 
-def _join_inverted(group: FiniteGroup, tree: StabilizerTree, orbits: list[list]) -> list[list]:
-    """Join the directed classes whose sets differ by inverting one
-    element whose inverse is not another element of the set.
+def _inverted_orbits(group: FiniteGroup, tree: StabilizerTree, subset: tuple[int, ...],
+                     count: int):
+    """The orderings counts of ``least_image``, one per Aut(G)-orbit
+    that label inversion joins to the orbit of subset (whose own count
+    is given), or None when one of those orbits has a lesser least set.
 
-    An automorphism maps inverses to inverses, so inverting s_i in any
-    set of a class lands in the class of the least image of the
-    representative with s_i inverted.  Each union keeps the class with
-    the lesser representative, and the joined class keeps it and the
-    summed size, so the orbits under Aut(G) and single-label inversion
-    come out in the order of their least sets.
+    A k-set has at most 2^k - 1 sets made by inverting labels whose
+    inverse is neither the label itself nor another element of the set.
     """
-    index = {subset: k for k, (subset, _) in enumerate(orbits)}
-    parent = list(range(len(orbits)))
-
-    def find(k: int) -> int:
-        while parent[k] != k:
-            parent[k] = k = parent[parent[k]]
-        return k
-
-    for k, (subset, _) in enumerate(orbits):
-        for i, g in enumerate(subset):
-            h = group.inv(g)
-            if h != g and h not in subset:
-                image, _ = tree.least_image(subset[:i] + (h,) + subset[i + 1:])
-                a, b = find(k), find(index[image])
-                parent[max(a, b)] = min(a, b)
-    joined: dict[int, list] = {}
-    for k, (subset, count) in enumerate(orbits):
-        root = find(k)
-        if root in joined:
-            joined[root][1] += count
-        else:
-            joined[root] = [subset, count]
-    return list(joined.values())
+    labels = [i for i, g in enumerate(subset) if group.inv(g) != g and group.inv(g) not in subset]
+    images = {subset: count}
+    for r in range(1, len(labels) + 1):
+        for chosen in itertools.combinations(labels, r):
+            flipped = tuple(group.inv(g) if i in chosen else g for i, g in enumerate(subset))
+            found = tree.least_image(flipped, bound=subset)
+            if found is None:
+                return None
+            images[found[0]] = found[1]
+    return list(images.values())
 
 
 def classify_summary_equal(report: ClassificationReport, expected) -> bool:

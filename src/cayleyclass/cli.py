@@ -17,11 +17,10 @@ from typing import Optional
 
 from . import cayley, dicyclic_theory, groups, presentations
 from .classify import DEFAULT_MAX_ORDER, classify as run_classify
+from .dicyclic_theory import MAX_N, MIN_N
 from .words import ParseError
 
 MAX_ORDER_ENV = "CAYLEY_CLASSIFY_MAX_ORDER"
-VERIFY_MIN_N = 2
-VERIFY_MAX_N = 12
 
 
 def _write_out(path: Optional[str], text: str) -> None:
@@ -99,20 +98,16 @@ def cmd_classify(args) -> int:
 
 def cmd_verify_theorem(args) -> int:
     _check_jobs(args)
+    # "A..B", or "A" alone for A..A; "A.." and "..B" are refused
+    low, dots, high = args.n_range.partition("..")
     try:
-        low, _, high = args.n_range.partition("..")
         n_min = int(low)
-        n_max = int(high) if high else n_min
+        n_max = int(high if dots else low)
     except ValueError:
         raise ValueError(f"invalid n-range {args.n_range!r}, expected A..B")
-    if not (VERIFY_MIN_N <= n_min <= n_max <= VERIFY_MAX_N):
-        raise ValueError(
-            f"n-range must satisfy {VERIFY_MIN_N} <= min <= max <= {VERIFY_MAX_N}"
-        )
-    results = [
-        dicyclic_theory.verify_theorem(n, max_n=VERIFY_MAX_N)
-        for n in range(n_min, n_max + 1)
-    ]
+    if not (MIN_N <= n_min <= n_max <= MAX_N):
+        raise ValueError(f"n-range must satisfy {MIN_N} <= min <= max <= {MAX_N}")
+    results = [dicyclic_theory.verify_theorem(n) for n in range(n_min, n_max + 1)]
     if args.format == "json":
         text = json.dumps([r.to_json_dict() for r in results], indent=2) + "\n"
         _write_out(args.out, text)

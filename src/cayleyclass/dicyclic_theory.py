@@ -24,7 +24,9 @@ from .presentations import (
     verify_mutual_inverse,
 )
 
-DEFAULT_MAX_N = 8
+# the n that verify_theorem (and so `verify-theorem --n-range`) accepts
+MIN_N = 2
+MAX_N = 12
 
 
 def classical_presentation(n: int) -> Presentation:
@@ -134,11 +136,11 @@ def applicable_variants(n: int) -> list[int]:
     return [1] if n % 2 == 0 else [0, 1, n]
 
 
-def check_morphism_variant(n: int, variant: int, max_cosets: Optional[int] = None) -> bool:
+def check_morphism_variant(n: int, variant: int) -> bool:
     """Enumerate the variant's presentation, check its order is 4n, and
     verify the mutually inverse morphism pair."""
     presentation = pi_presentation(n, variant)
-    realized = todd_coxeter(presentation, max_cosets=max_cosets, expected_order=4 * n)
+    realized = todd_coxeter(presentation, expected_order=4 * n)
     if realized.order != 4 * n:
         return False
     pair = morphism_pair(n, variant)
@@ -185,7 +187,7 @@ class TheoremVerification:
         }
 
 
-def verify_theorem(n: int, *, max_n: int = DEFAULT_MAX_N) -> TheoremVerification:
+def verify_theorem(n: int) -> TheoremVerification:
     """Machine-check the two/four-class theorem for one n.
 
     Classifies the minimal length-2 generating sequences, compares
@@ -195,8 +197,8 @@ def verify_theorem(n: int, *, max_n: int = DEFAULT_MAX_N) -> TheoremVerification
     A representative's class is the first one an automorphism maps it
     into, or -1.
     """
-    if not 2 <= n <= max_n:
-        raise ValueError(f"n must be in 2..{max_n}, got {n}")
+    if not MIN_N <= n <= MAX_N:
+        raise ValueError(f"n must be in {MIN_N}..{MAX_N}, got {n}")
     group = dicyclic(n)
     prediction = predicted_classification(n)
     report = classify(group, 2, "directed", minimal_only=True)

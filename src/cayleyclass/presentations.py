@@ -521,7 +521,6 @@ def verify_mutual_inverse(
     *,
     group_presentation: Optional[Presentation] = None,
     realized: Optional[FiniteGroup] = None,
-    max_cosets: Optional[int] = None,
 ) -> bool:
     """Certify that phi: G -> <P> and psi: <P> -> G are mutually inverse.
 
@@ -533,9 +532,7 @@ def verify_mutual_inverse(
     given) in the realized group.  On success the two orders are
     asserted equal.
     """
-    ph = realized or todd_coxeter(
-        presentation, max_cosets=max_cosets, expected_order=group.order
-    )
+    ph = realized or todd_coxeter(presentation, expected_order=group.order)
     psi_assignment = {name: _evaluate_with(group, psi[name], group.named_elements)
                       for name in presentation.generator_names}
     if not check_homomorphism(presentation, group, psi_assignment):

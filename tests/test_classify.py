@@ -134,6 +134,16 @@ def test_classify_matches_pairwise_oracle(group):
                     length, mode, minimal_only)
 
 
+# Length 4 is where a k-set has up to 15 sets made by inverting labels,
+# so undirected classes join more than two directed ones.
+@pytest.mark.parametrize("descriptor", ["perm:4:(1,2,3);(2,4,3)", "cyclic:8"])
+@pytest.mark.parametrize("minimal_only", [False, True])
+def test_length_four_undirected_classes_match_pairwise_oracle(descriptor, minimal_only):
+    group = cc.from_descriptor(descriptor)
+    got = classify(group, 4, "undirected", minimal_only).to_json()
+    assert got == pairwise_classify(group, 4, "undirected", minimal_only).to_json()
+
+
 @st.composite
 def permutation_groups(draw):
     """A group on at most 5 points from 1-3 random permutations.  The

@@ -144,6 +144,15 @@ def test_verify_theorem_range_guard(capsys):
         assert code == 2, bad
 
 
+def test_verify_theorem_open_range_is_a_usage_error(capsys):
+    # "3..3" and "3" alone name n=3; a range with an empty bound is refused
+    for bad in ("3..", "..3"):
+        code, out, err = run(capsys, "verify-theorem", "--n-range", bad)
+        assert (code, out) == (2, ""), bad
+        assert err == f"error: invalid n-range '{bad}', expected A..B\n"
+    assert run(capsys, "verify-theorem", "--n-range", "3") == (0, "n=3: 4 classes PASS\n", "")
+
+
 # ---------------------------------------------------------------------------
 # export-dot
 

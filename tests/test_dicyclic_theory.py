@@ -149,8 +149,8 @@ def test_verify_theorem_guards():
     with pytest.raises(ValueError):
         theory.verify_theorem(1)
     with pytest.raises(ValueError):
-        theory.verify_theorem(9)  # default max_n=8
-    assert theory.verify_theorem(9, max_n=9).passed
+        theory.verify_theorem(13)  # MAX_N = 12, the range the CLI accepts
+    assert theory.verify_theorem(9).passed
 
 
 def test_verify_theorem_json_shape():

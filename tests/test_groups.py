@@ -228,6 +228,18 @@ def test_least_images_match_set_orbits(group):
             assert found == ((image, orderings) if image == subset else None), subset
 
 
+@pytest.mark.parametrize("group", builtin_groups(12), ids=lambda g: g.descriptor)
+def test_least_image_bound_is_lexicographic(group):
+    # an image whose entry passes the bound's is above it, whatever follows
+    tree = groups.StabilizerTree(cc.group_automorphisms(group), group.order)
+    pairs = list(itertools.combinations(group.elements(), 2))
+    for points in pairs:
+        found = tree.least_image(points)
+        for bound in pairs:
+            expected = None if found[0] < bound else found
+            assert tree.least_image(points, bound=bound) == expected, (points, bound)
+
+
 def test_stabilizer_tree_leaves_are_the_walk_of_increasing_minima():
     S4 = cc.from_descriptor("perm:4:(1,2);(1,2,3,4)")
     tree = groups.StabilizerTree(cc.group_automorphisms(S4), S4.order)
