@@ -21,12 +21,16 @@ sequences for each Aut(G)-orbit among the k! orderings of its set, and
 the orderings that share the least image of the set number |set
 stabilizer|.
 
-Aut(G) is computed, by generators, only once some k-set generates: a
-group where none does (the elementary abelian (C2)^5 at length 4, say)
-may have far too many automorphisms to hold.  Until then the walk is
-the plain combinations walk, each set tested on its own; the first
-generating set is the least of its orbit and the tree walk starts
-there.  MAX_SETS bounds the C(order, k) sets that the walk may visit.
+Aut(G) and its tree are built only once some k-set generates.  Aut(G)
+itself is cheap, a stabilizer chain held by generators
+(``groups.group_automorphisms``), but a tree node closes the images of
+the generating tuple ``base`` under its whole stabilizer: in a group
+where no k-set generates (the elementary abelian (C2)^5 at length 4,
+say), the first node below the root, under GL(5, 2), would close
+322,560 of them for nothing.  Until then the walk is the plain
+combinations walk, each set tested on its own; the first generating set
+is the least of its orbit and the tree walk starts there.  MAX_SETS
+bounds the C(order, k) sets that the walk may visit.
 
 In undirected mode a label s and its inverse give the same edges, and
 the same walk settles each class at its leaf.  An automorphism maps

@@ -10,7 +10,8 @@ from right multiplication by the generators, so the family's
 multiplication runs order * |generators| times, not order^2.
 
 The module also holds what follows Cayley edges and automorphisms:
-``left_row``, ``forced_map``, ``group_automorphisms`` and
+``left_row``, ``forced_map``, ``group_automorphisms`` (a stabilizer
+chain of Aut(G) along a generating tuple, which never lists Aut(G)) and
 ``StabilizerTree``, the pointwise stabilizers of Aut(G) down prefixes of
 elements.  Each node holds its orbit minima, a Schreier vector that
 carries a point to its minimum, and generators; a child keeps only the
@@ -691,13 +692,16 @@ def left_row(group: FiniteGroup, s: int) -> tuple[int, ...]:
     return tuple(group.mul(s, v) for v in range(group.order))
 
 
-def forced_map(count: int, rows1, rows2, sigma, base: int, start: int) -> Optional[tuple[int, ...]]:
+def forced_map(count: int, rows1, rows2, sigma, base: int, start: int,
+               whole: bool = True) -> Optional[tuple[int, ...]]:
     """Force a vertex map from f(base) = start along the rows.
 
     A map sending row k of rows1 to row sigma[k] of rows2 satisfies
     f(rows1[k][g]) = rows2[sigma[k]][f(g)], so the image of base fixes
     it; a conflict, a collision or a vertex unreachable from base proves
-    there is none.  Every edge is checked once.
+    there is none.  Every edge is checked once.  With whole false an
+    unreachable vertex is no failure: the map is forced on the vertices
+    reached from base and sends the others to -1.
     """
     f = [-1] * count
     used = [False] * count
@@ -721,7 +725,7 @@ def forced_map(count: int, rows1, rows2, sigma, base: int, start: int) -> Option
                 queue.append(w)
             elif fw != target:
                 return None
-    if head != count:
+    if whole and head != count:
         return None
     return tuple(f)
 
@@ -770,48 +774,111 @@ def _greedy_generators(group: FiniteGroup, orders: Sequence[int]) -> tuple[int, 
 
 
 def group_automorphisms(group: FiniteGroup) -> AutomorphismGroup:
-    """Generators and order of Aut(G).
+    """Generators and order of Aut(G), by a stabilizer chain along base.
 
-    An automorphism is fixed by the images t of a generating tuple s, so
-    Aut(G) acts regularly on those image tuples.  Candidates t keep the
-    orders of the s_i and of the products s_i*s_j, and are walked in
-    lexicographic order.  A candidate is an automorphism exactly when
-    forcing f(s_i*g) = t_i*f(g) from f(e) = e along the Cayley graph of
-    s gives a bijection, which ``forced_map`` decides with the
-    identity label map.  Candidates already reached from s by the maps
-    found so far are skipped, so each accepted map at least doubles the
-    subgroup they generate and only about log2|Aut(G)| maps are held.
+    base = (b_0, ..., b_{r-1}) is the greedy generating tuple, so b_j lies
+    outside <b_0, ..., b_{j-1}>.  An automorphism is fixed by its images
+    of base, and it is one exactly when forcing f(b_j*g) = t_j*f(g) from
+    f(e) = e along the Cayley graph of base gives a bijection, which
+    ``forced_map`` decides.  Level i of the chain is A_i, the
+    automorphisms fixing b_0, ..., b_{i-1}; A_r is trivial and
+    |A_i| = |A_{i+1}| * |orbit of b_i under A_i| (C. C. Sims, 1970).
+
+    The levels are built from i = r-1 up to 0, each holding only the
+    orbit of b_i, at most |G| points.  For every candidate t for b_i
+    outside that orbit, whose order and products with b_0, ..., b_{i-1}
+    match, the deeper images are searched for one tuple that forced_map
+    accepts: each t_j keeps the orders of b_j and of its products with
+    the earlier b_k, lies outside <t_0, ..., t_{j-1}>, and the map
+    forced on <b_0, ..., b_j> must be injective.  A map found extends
+    the orbit; a failed t fails with its whole orbit under the maps held
+    so far, which fix b_0, ..., b_{i-1} too, so that orbit is skipped.
+    Each map held enlarges the group held, so at most log2|Aut(G)| are
+    held, and no set or walk of |Aut(G)| size is made.
     """
     group.ensure_table()
+    count = group.order
     orders = [element_order(group, g) for g in group.elements()]
     base = _greedy_generators(group, orders)
-    source = [left_row(group, s) for s in base]
-    identity_labels = tuple(range(len(base)))
     product_orders = [[orders[group.mul(p, q)] for q in base] for p in base]
     pools = [[g for g in group.elements() if orders[g] == orders[s]] for s in base]
+    source = [left_row(group, s) for s in base]
 
-    def candidates(prefix: list[int]):
-        j = len(prefix)
-        if j == len(base):
-            yield tuple(prefix)
-            return
+    def candidates(images: list[int]):
+        """The images t for b_j, j = len(images), outside <images> with
+        the orders of b_j and of each b_k*b_j (as images[k]*t); none when
+        base[:j] -> images forces no injective map on <b_0, ..., b_{j-1}>."""
+        j = len(images)
+        rows = [left_row(group, t) for t in images]
+        inside = [False] * count
+        inside[0] = True
+        if j:
+            f = forced_map(count, source[:j], rows, range(j), 0, 0, whole=False)
+            if f is None:
+                return
+            for v in f:
+                if v != -1:
+                    inside[v] = True
+        left = list(zip(rows, [products[j] for products in product_orders]))
         for t in pools[j]:
-            if all(t != prefix[i] and orders[group.mul(prefix[i], t)] == product_orders[i][j]
-                   for i in range(j)):
-                prefix.append(t)
-                yield from candidates(prefix)
-                prefix.pop()
+            if inside[t]:
+                continue
+            for row, wanted in left:
+                if orders[row[t]] != wanted:
+                    break
+            else:
+                yield t
+
+    def complete(images: list[int]) -> Optional[tuple[int, ...]]:
+        """An automorphism sending base[:j] to images, or None."""
+        if len(images) == len(base):
+            target = [left_row(group, t) for t in images]
+            return forced_map(count, source, target, range(len(base)), 0, 0)
+        for t in candidates(images):
+            found = complete(images + [t])
+            if found is not None:
+                return found
+        return None
 
     maps: list[tuple[int, ...]] = []
-    reached = {base}
-    for image in candidates([]):
-        if image in reached:
-            continue
-        target = [left_row(group, t) for t in image]
-        f = forced_map(group.order, source, target, identity_labels, 0, 0)
-        if f is not None:
-            _grow_orbit(reached, maps, f)
-    return AutomorphismGroup(tuple(maps), len(reached), base)
+    order = 1
+    for i in reversed(range(len(base))):
+        prefix = list(base[:i])
+        orbit = [base[i]]
+        marked = [False] * count  # the orbit of b_i and the failed candidates
+        marked[base[i]] = True
+        for t in candidates(prefix):
+            if marked[t]:
+                continue
+            f = complete(prefix + [t])
+            if f is None:
+                _close_points([], marked, maps, [t])
+            else:
+                maps.append(f)
+                _close_points(orbit, marked, maps, [f[p] for p in orbit])
+        order *= len(orbit)
+    return AutomorphismGroup(tuple(maps), order, base)
+
+
+def _close_points(points: list[int], marked: list[bool], maps: Sequence[Sequence[int]],
+                  fresh: Iterable[int]) -> None:
+    """Add the unmarked points of fresh to points, marking each, and close
+    the added points under maps; the points already held are taken as
+    closed, but for the images that fresh lists."""
+    stack = []
+    for q in fresh:
+        if not marked[q]:
+            marked[q] = True
+            points.append(q)
+            stack.append(q)
+    while stack:
+        p = stack.pop()
+        for m in maps:
+            q = m[p]
+            if not marked[q]:
+                marked[q] = True
+                points.append(q)
+                stack.append(q)
 
 
 class StabilizerNode:

@@ -1,3 +1,5 @@
+import itertools
+
 import cayleyclass as cc
 
 PRODUCT_DESCRIPTORS = (
@@ -35,17 +37,34 @@ def builtin_groups(max_order, min_order=1):
 
 
 def all_automorphisms(group):
-    """Every automorphism of the group as an element map, closed from the
-    generators that group_automorphisms returns (small groups only)."""
-    identity = tuple(group.elements())
-    found = {identity}
-    stack = [identity]
-    generators = cc.group_automorphisms(group).generators
-    while stack:
-        f = stack.pop()
-        for m in generators:
-            composed = tuple(m[f[g]] for g in group.elements())
-            if composed not in found:
-                found.add(composed)
-                stack.append(composed)
+    """Every automorphism of the group as an element map, by brute force
+    over the image tuples of its declared generators (small groups only).
+
+    An image tuple fixes at most one map: breadth-first from f(e) = e,
+    f(v*g) = f(v)*t for each generator g and its image t.  The tuple is
+    kept when that map is a bijection and f(p*q) = f(p)*f(q) holds on the
+    whole multiplication table.  Images keep the generators' orders.
+    """
+    group.ensure_table()  # the callers' own checks multiply in the group too
+    elements = list(group.elements())
+    table = [[group.mul(p, q) for q in elements] for p in elements]
+    orders = [cc.element_order(group, g) for g in elements]
+    declared = [g for _, g in group.generators]
+    pools = [[t for t in elements if orders[t] == orders[g]] for g in declared]
+    found = []
+    for images in itertools.product(*pools):
+        f = {group.identity: group.identity}
+        queue = [group.identity]
+        for v in queue:
+            for g, t in zip(declared, images):
+                w = table[v][g]
+                if w not in f:
+                    f[w] = table[f[v]][t]
+                    queue.append(w)
+        if len(f) != group.order or len(set(f.values())) != group.order:
+            continue
+        m = [f[g] for g in elements]
+        # row p of the table: f(p*q) = f(p)*f(q) for every q
+        if all([m[v] for v in table[p]] == [table[m[p]][w] for w in m] for p in elements):
+            found.append(tuple(m))
     return sorted(found)

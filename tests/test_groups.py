@@ -156,6 +156,45 @@ def test_automorphism_group_orders():
         assert cc.group_automorphisms(group).order == expected, group.descriptor
 
 
+def check_automorphism_group_order(group, expected):
+    auts = cc.group_automorphisms(group)
+    assert auts.order == expected, group.descriptor
+    assert cc.is_generating(group, auts.base), group.descriptor
+    # each held map at least doubles the group held
+    assert 2 ** len(auts.generators) <= auts.order, group.descriptor
+
+
+def elementary_abelian(p, rank):
+    return cc.from_descriptor(f"product:cyclic:{p}," * (rank - 1) + f"cyclic:{p}")
+
+
+@pytest.mark.parametrize("rank", range(2, 8))
+def test_automorphism_group_order_of_elementary_abelian_2_groups(rank):
+    # Aut((C2)^k) = GL(k, 2); (C2)^7 has about 1.6 * 10^14 automorphisms
+    expected = math.prod(2 ** rank - 2 ** i for i in range(rank))
+    check_automorphism_group_order(elementary_abelian(2, rank), expected)
+
+
+@pytest.mark.parametrize("descriptor, expected", [
+    ("product:cyclic:3,product:cyclic:3,cyclic:3", 11_232),  # GL(3, 3)
+    ("product:cyclic:4,cyclic:4", 96),
+    ("product:dicyclic:2,cyclic:2", 192),  # Q8 x C2
+    ("product:perm:4:(1,2);(1,2,3,4),cyclic:2", 48),  # S4 x C2
+    ("perm:6:(1,2);(1,2,3,4,5,6)", 1_440),  # S6 and its outer automorphism
+    # Q8 x Q8: 2! |Aut Q8|^2 |Hom(Q8, Z(Q8))|^2 (J. N. S. Bidwell, 2008)
+    ("product:dicyclic:2,dicyclic:2", 18_432),
+])
+def test_automorphism_group_orders_past_order_16(descriptor, expected):
+    check_automorphism_group_order(cc.from_descriptor(descriptor), expected)
+
+
+def test_automorphism_group_orders_of_dicyclic_and_dihedral_families():
+    for n in range(3, 129):
+        check_automorphism_group_order(cc.dicyclic(n), 2 * n * _phi(2 * n))
+    for n in range(3, 257):
+        check_automorphism_group_order(cc.dihedral(n), n * _phi(n))
+
+
 @pytest.mark.parametrize("group", builtin_groups(16), ids=lambda g: g.descriptor)
 def test_automorphism_generators_close_to_the_group_order(group):
     auts = cc.group_automorphisms(group)
