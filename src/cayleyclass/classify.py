@@ -21,16 +21,15 @@ sequences for each Aut(G)-orbit among the k! orderings of its set, and
 the orderings that share the least image of the set number |set
 stabilizer|.
 
-Aut(G) and its tree are built only once some k-set generates.  Aut(G)
-itself is cheap, a stabilizer chain held by generators
-(``groups.group_automorphisms``), but a tree node closes the images of
-the generating tuple ``base`` under its whole stabilizer: in a group
-where no k-set generates (the elementary abelian (C2)^5 at length 4,
-say), the first node below the root, under GL(5, 2), would close
-322,560 of them for nothing.  Until then the walk is the plain
-combinations walk, each set tested on its own; the first generating set
-is the least of its orbit and the tree walk starts there.  MAX_SETS
-bounds the C(order, k) sets that the walk may visit.
+The walk starts at the first k-set, (0, ..., k-1).  Each node of the
+tree holds its group as a stabilizer chain along the generating tuple
+``base`` (``groups.AutomorphismGroup``): at most r <= log2|G| levels,
+each an orbit of at most |G| points with its Schreier vector.  A child
+is built by Schreier-Sims with its known order, |H| / |orbit|, sifting
+each Schreier generator through the chain built so far by its images of
+base, so a node stores O(r*|G|) points however large its group
+(GL(5, 2) for (C2)^5, say).  MAX_SETS bounds the C(order, k) sets that
+the walk may visit.
 
 In undirected mode a label s and its inverse give the same edges, and
 the same walk settles each class at its leaf.  An automorphism maps
@@ -166,49 +165,40 @@ def classify(
         raise ValueError(f"mode must be 'directed' or 'undirected', got {mode!r}")
     start = time.perf_counter()
     _check_guards(group, length, max_order)
-    group.ensure_table()
     qualifies = is_minimal_generating if minimal_only else is_generating
-    # the walk starts as the plain combinations walk: Aut(G) is computed
-    # only once some set generates, since it can be large where none does
-    first = next(
-        (s for s in itertools.combinations(group.elements(), length) if is_generating(group, s)),
-        None,
-    )
+    auts = group_automorphisms(group)  # materialises the table too
+    tree = StabilizerTree(auts, group.order)
     # records: [representative, order multiset, size, undirected view]
     records: list[list] = []
     per_set = math.factorial(length)
-    if first is not None:
-        auts = group_automorphisms(group)
-        tree = StabilizerTree(auts, group.order)
-        # no set before first generates, so no least set of a qualifying
-        # orbit comes before it; generation and minimality are
-        # Aut(G)-invariant, so only least sets are tested
-        for subset in tree.leaves(length, first):
-            found = tree.least_image(subset, bound=subset)
-            if found is None or not qualifies(group, subset):
+    # generation and minimality are Aut(G)-invariant: only least sets
+    # are tested
+    for subset in tree.leaves(length):
+        found = tree.least_image(subset, bound=subset)
+        if found is None or not qualifies(group, subset):
+            continue
+        counts = [found[1]]
+        graph = None
+        if mode == "undirected":
+            counts = _inverted_orbits(group, tree, subset, found[1])
+            if counts is None:
                 continue
-            counts = [found[1]]
-            graph = None
-            if mode == "undirected":
-                counts = _inverted_orbits(group, tree, subset, found[1])
-                if counts is None:
-                    continue
-                graph = cayley.undirected_view(cayley.build(group, subset))
-            # Aut(G) moves generating tuples freely: a class holds
-            # |Aut(G)| sequences per Aut(G)-orbit among the k! orderings
-            # of each of its sets, and `count` orderings share an orbit
-            size = sum(auts.order * per_set // count for count in counts)
-            multiset = order_multiset(group, subset)
-            if graph is not None:
-                match = next(
-                    (r for r in records
-                     if r[1] == multiset and iso.undirected_iso(graph, r[3]) is not None),
-                    None,
-                )
-                if match is not None:
-                    match[2] += size
-                    continue
-            records.append([subset, multiset, size, graph])
+            graph = cayley.undirected_view(cayley.build(group, subset))
+        # Aut(G) moves generating tuples freely: a class holds |Aut(G)|
+        # sequences per Aut(G)-orbit among the k! orderings of each of
+        # its sets, and `count` orderings share an orbit
+        size = sum(auts.order * per_set // count for count in counts)
+        multiset = order_multiset(group, subset)
+        if graph is not None:
+            match = next(
+                (r for r in records
+                 if r[1] == multiset and iso.undirected_iso(graph, r[3]) is not None),
+                None,
+            )
+            if match is not None:
+                match[2] += size
+                continue
+        records.append([subset, multiset, size, graph])
 
     records.sort(key=lambda r: ([-v for v in r[1].values], r[0]))
     classes = tuple(

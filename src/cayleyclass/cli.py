@@ -167,8 +167,7 @@ def cmd_check_morphisms(args) -> int:
 def cmd_info(args) -> int:
     group = groups.from_descriptor(args.group)
     histogram: dict[int, int] = {}
-    for g in group.elements():
-        k = groups.element_order(group, g)
+    for k in groups.element_orders(group):
         histogram[k] = histogram.get(k, 0) + 1
     if args.format == "json":
         data = {

@@ -10,19 +10,20 @@ from right multiplication by the generators, so the family's
 multiplication runs order * |generators| times, not order^2.
 
 The module also holds what follows Cayley edges and automorphisms:
-``left_row``, ``forced_map``, ``group_automorphisms`` (a stabilizer
-chain of Aut(G) along a generating tuple, which never lists Aut(G)) and
+``left_row``, ``forced_map``, ``group_automorphisms`` (Aut(G) as a
+stabilizer chain, ``AutomorphismGroup``, which never lists Aut(G)) and
 ``StabilizerTree``, the pointwise stabilizers of Aut(G) down prefixes of
-elements.  Each node holds its orbit minima, a Schreier vector that
-carries a point to its minimum, and generators; a child keeps only the
-Schreier generators that enlarge the group, known by their images of a
-generating tuple, on which Aut(G) acts regularly.  The tree's leaves
-and least set images drive ``classify``.
+elements.  Each node holds its own chain along the same tuple, built by
+Schreier-Sims with known order, and its orbit minima with a Schreier
+vector that carries a point to its minimum.  The tree's leaves and
+least set images drive ``classify``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -708,10 +709,7 @@ def forced_map(count: int, rows1, rows2, sigma, base: int, start: int,
     f[base] = start
     used[start] = True
     queue = [base]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
+    for v in queue:
         fv = f[v]
         for k in range(len(sigma)):
             w = rows1[k][v]
@@ -725,56 +723,141 @@ def forced_map(count: int, rows1, rows2, sigma, base: int, start: int,
                 queue.append(w)
             elif fw != target:
                 return None
-    if whole and head != count:
+    if whole and len(queue) != count:
         return None
     return tuple(f)
 
 
-@dataclass(frozen=True)
-class AutomorphismGroup:
-    """Aut(G) held by generators only.
+def _path(edge, inverses: Sequence[Sequence[int]], p: int) -> list[int]:
+    """The generator indices on p's Schreier path, from p back to the
+    root of its orbit, where ``edge`` holds -1."""
+    path = []
+    while edge[p] != -1:
+        path.append(edge[p])
+        p = inverses[edge[p]][p]
+    return path
 
-    Each generator is an element map: the tuple of images of the ids
-    0..order-1.  ``order`` is |Aut(G)|.  ``base`` is a generating tuple
-    of G: an automorphism is fixed by the images of base, so Aut(G) acts
-    regularly on them.
+
+def _apply(maps: Sequence[Sequence[int]], indices: Iterable[int], values: Iterable[int]) -> list[int]:
+    """values under the maps of the given indices, first to last."""
+    values = list(values)
+    for k in indices:
+        m = maps[k]
+        values = [m[v] for v in values]
+    return values
+
+
+def _close(orbit: dict[int, int], gens, fresh: list[int]) -> None:
+    """Close the dict orbit, point -> index of the generator that reached
+    it, under the indexed maps gens, from the points of fresh."""
+    for p in fresh:
+        for j, g in gens:
+            if g[p] not in orbit:
+                orbit[g[p]] = j
+                fresh.append(g[p])
+
+
+class AutomorphismGroup:
+    """A group of automorphisms of G by a stabilizer chain along the
+    generating tuple ``base`` (C. C. Sims, 1970), on whose images an
+    automorphism is fixed.  The generators are element maps (the images
+    of the ids 0..order-1); generator k first moves b_{depths[k]}.  Level
+    i maps each point of the orbit of b_i under the generators fixing
+    b_0, ..., b_{i-1} to the generator that reached it, -1 at b_i: a
+    Schreier vector on at most |G| points.  ``order``, the product of the
+    level sizes, is the group's order once the chain is complete, as
+    ``group_automorphisms`` and ``StabilizerNode.child`` leave it.
     """
 
-    generators: tuple[tuple[int, ...], ...]
-    order: int
-    base: tuple[int, ...]
+    __slots__ = ("base", "generators", "inverses", "depths", "levels")
+
+    def __init__(self, base: Sequence[int]):
+        self.base = tuple(base)
+        self.generators, self.inverses, self.depths = [], [], []
+        self.levels: list[dict[int, int]] = [{b: -1} for b in self.base]
+
+    @property
+    def order(self) -> int:
+        return math.prod(map(len, self.levels))
+
+    def sift(self, values: Sequence[int]) -> tuple[int, list[int]]:
+        """Strip an element, values[:r] its images of base (any further
+        entries ride along), carrying its image of b_i back to b_i at each
+        level i.  Returns the first level whose orbit misses the image,
+        with the residue's values, or r: the residue is the identity."""
+        values = list(values)
+        for i, level in enumerate(self.levels):
+            if values[i] not in level:
+                return i, values
+            values = _apply(self.inverses, _path(level, self.inverses, values[i]), values)
+        return len(self.levels), values
+
+    def add(self, m: tuple[int, ...], depth: int) -> None:
+        """Add the element map m, which first moves b_depth, as a
+        generator, and close levels 0..depth under it."""
+        k = len(self.generators)
+        self.generators.append(m)
+        inverse = [0] * len(m)
+        for p, q in enumerate(m):
+            inverse[q] = p
+        self.inverses.append(inverse)
+        self.depths.append(depth)
+        for i, level in enumerate(self.levels[:depth + 1]):
+            fresh = [m[p] for p in level if m[p] not in level]
+            level.update(dict.fromkeys(fresh, k))
+            _close(level, [(j, g) for j, g in enumerate(self.generators)
+                           if self.depths[j] >= i], fresh)
+
+    def absorb(self, images: Sequence[int], element: Callable[[Iterable[int]], list[int]],
+               degree: int) -> bool:
+        """Sift an automorphism by its images of base; unless it lies in the
+        group, add its residue, taking its map from element, the function
+        that maps points to their images.  Returns whether one was added."""
+        if self.sift(images)[0] == len(self.base):
+            return False
+        depth, values = self.sift(element(self.base + tuple(range(degree))))
+        self.add(tuple(values[len(self.base):]), depth)
+        return True
+
+    def complete(self, order: int, degree: int, elements: Iterable = ()) -> None:
+        """Schreier-Sims with known order: absorb the elements, then the
+        Schreier generators t_{g(p)}^-1 * g * t_p of each level (as g * t_p,
+        which level i strips to them), deepest level first, until the
+        levels reach order.  Once all of them sift the chain is complete,
+        so falling short of order is an error."""
+        def schreier():
+            for i in reversed(range(len(self.base))):
+                for p in list(self.levels[i]):
+                    path = _path(self.levels[i], self.inverses, p)[::-1]
+                    for j, depth in enumerate(self.depths):
+                        if depth >= i:
+                            element = functools.partial(_apply, self.generators, path + [j])
+                            yield element(self.base), element
+
+        elements = iter(elements)
+        while self.order < order:
+            if not any(self.absorb(images, element, degree)
+                       for images, element in itertools.chain(elements, schreier())):
+                raise RuntimeError(f"the chain closes at order {self.order}, not {order}")
 
 
-def _grow_orbit(reached: set, maps: list, new: Sequence[int]) -> None:
-    """Add the element map new to maps and close reached, an orbit of
-    base-image tuples under the old maps, under all of them: old points
-    need only the new map."""
-    maps.append(new)
-    fresh = [p for p in {tuple(new[g] for g in q) for q in reached} if p not in reached]
-    reached.update(fresh)
-    while fresh:
-        point = fresh.pop()
-        for m in maps:
-            q = tuple(m[g] for g in point)
-            if q not in reached:
-                reached.add(q)
-                fresh.append(q)
-
-
-def _greedy_generators(group: FiniteGroup, orders: Sequence[int]) -> tuple[int, ...]:
-    """A generating tuple: repeatedly the highest-order element (lowest id
-    on ties) not yet in the subgroup generated so far."""
-    gens: list[int] = []
-    reached = closure(group, gens)
-    while len(reached) < group.order:
-        gens.append(max((g for g in group.elements() if g not in reached),
-                        key=orders.__getitem__))
-        reached = closure(group, gens)
-    return tuple(gens)
+def element_orders(group: FiniteGroup) -> list[int]:
+    """The order of every element.  The powers of each element whose
+    order is not yet known are walked once, up to e, and g^k gets
+    o / gcd(k, o), o the order of g."""
+    orders = [0] * group.order
+    for g in group.elements():
+        if not orders[g]:
+            powers = [g]
+            while powers[-1] != group.identity:
+                powers.append(group.mul(powers[-1], g))
+            for k, h in enumerate(powers, 1):
+                orders[h] = len(powers) // math.gcd(k, len(powers))
+    return orders
 
 
 def group_automorphisms(group: FiniteGroup) -> AutomorphismGroup:
-    """Generators and order of Aut(G), by a stabilizer chain along base.
+    """Aut(G) by a stabilizer chain along base.
 
     base = (b_0, ..., b_{r-1}) is the greedy generating tuple, so b_j lies
     outside <b_0, ..., b_{j-1}>.  An automorphism is fixed by its images
@@ -782,206 +865,143 @@ def group_automorphisms(group: FiniteGroup) -> AutomorphismGroup:
     f(e) = e along the Cayley graph of base gives a bijection, which
     ``forced_map`` decides.  Level i of the chain is A_i, the
     automorphisms fixing b_0, ..., b_{i-1}; A_r is trivial and
-    |A_i| = |A_{i+1}| * |orbit of b_i under A_i| (C. C. Sims, 1970).
+    |A_i| = |A_{i+1}| * |orbit of b_i under A_i|.
 
-    The levels are built from i = r-1 up to 0, each holding only the
-    orbit of b_i, at most |G| points.  For every candidate t for b_i
-    outside that orbit, whose order and products with b_0, ..., b_{i-1}
-    match, the deeper images are searched for one tuple that forced_map
-    accepts: each t_j keeps the orders of b_j and of its products with
-    the earlier b_k, lies outside <t_0, ..., t_{j-1}>, and the map
-    forced on <b_0, ..., b_j> must be injective.  A map found extends
-    the orbit; a failed t fails with its whole orbit under the maps held
-    so far, which fix b_0, ..., b_{i-1} too, so that orbit is skipped.
-    Each map held enlarges the group held, so at most log2|Aut(G)| are
-    held, and no set or walk of |Aut(G)| size is made.
+    The levels are built from i = r-1 up to 0.  For every candidate t for
+    b_i outside the orbit held, whose order and products with b_0, ...,
+    b_{i-1} match, the deeper images are searched for one tuple that
+    forced_map accepts: each t_j keeps the orders of b_j and of its
+    products with the earlier b_k, lies outside <t_0, ..., t_{j-1}>, and
+    the map forced on <b_0, ..., b_j> must be injective.  A map found is
+    a generator of level i; a failed t fails with its whole orbit under
+    the generators held, which fix b_0, ..., b_{i-1} too, so that orbit
+    is skipped.  Each generator enlarges the group held, so at most
+    log2|Aut(G)| are held, and no set or walk of |Aut(G)| size is made.
     """
     group.ensure_table()
     count = group.order
-    orders = [element_order(group, g) for g in group.elements()]
-    base = _greedy_generators(group, orders)
+    orders = element_orders(group)
+    # base: repeatedly the highest-order element (lowest id on ties) not
+    # yet in the subgroup generated so far
+    base: tuple[int, ...] = ()
+    while len(reached := closure(group, base)) < count:
+        base += (max((g for g in group.elements() if g not in reached), key=orders.__getitem__),)
     product_orders = [[orders[group.mul(p, q)] for q in base] for p in base]
     pools = [[g for g in group.elements() if orders[g] == orders[s]] for s in base]
-    source = [left_row(group, s) for s in base]
+    row = functools.cache(functools.partial(left_row, group))
+    source = [row(s) for s in base]
 
     def candidates(images: list[int]):
-        """The images t for b_j, j = len(images), outside <images> with
-        the orders of b_j and of each b_k*b_j (as images[k]*t); none when
-        base[:j] -> images forces no injective map on <b_0, ..., b_{j-1}>."""
+        """The images t of b_j, j = len(images), outside <images> that keep the orders of
+        b_j and b_k*b_j; none when base[:j] -> images is not injective on <base[:j]>."""
         j = len(images)
-        rows = [left_row(group, t) for t in images]
-        inside = [False] * count
-        inside[0] = True
-        if j:
-            f = forced_map(count, source[:j], rows, range(j), 0, 0, whole=False)
-            if f is None:
-                return
-            for v in f:
-                if v != -1:
-                    inside[v] = True
+        rows = [row(t) for t in images]
+        inside = forced_map(count, source[:j], rows, range(j), 0, 0, whole=False)
+        if inside is None:
+            return
+        inside = set(inside)  # <images>, with -1 for the rest
         left = list(zip(rows, [products[j] for products in product_orders]))
         for t in pools[j]:
-            if inside[t]:
-                continue
-            for row, wanted in left:
-                if orders[row[t]] != wanted:
-                    break
-            else:
+            if t not in inside and all(orders[r[t]] == wanted for r, wanted in left):
                 yield t
 
     def complete(images: list[int]) -> Optional[tuple[int, ...]]:
         """An automorphism sending base[:j] to images, or None."""
         if len(images) == len(base):
-            target = [left_row(group, t) for t in images]
-            return forced_map(count, source, target, range(len(base)), 0, 0)
+            return forced_map(count, source, [row(t) for t in images], range(len(base)), 0, 0)
         for t in candidates(images):
             found = complete(images + [t])
             if found is not None:
                 return found
         return None
 
-    maps: list[tuple[int, ...]] = []
-    order = 1
+    auts = AutomorphismGroup(base)
     for i in reversed(range(len(base))):
         prefix = list(base[:i])
-        orbit = [base[i]]
-        marked = [False] * count  # the orbit of b_i and the failed candidates
-        marked[base[i]] = True
+        failed: dict[int, int] = {}
         for t in candidates(prefix):
-            if marked[t]:
+            if t in auts.levels[i] or t in failed:
                 continue
             f = complete(prefix + [t])
-            if f is None:
-                _close_points([], marked, maps, [t])
+            if f is not None:
+                auts.add(f, i)
             else:
-                maps.append(f)
-                _close_points(orbit, marked, maps, [f[p] for p in orbit])
-        order *= len(orbit)
-    return AutomorphismGroup(tuple(maps), order, base)
-
-
-def _close_points(points: list[int], marked: list[bool], maps: Sequence[Sequence[int]],
-                  fresh: Iterable[int]) -> None:
-    """Add the unmarked points of fresh to points, marking each, and close
-    the added points under maps; the points already held are taken as
-    closed, but for the images that fresh lists."""
-    stack = []
-    for q in fresh:
-        if not marked[q]:
-            marked[q] = True
-            points.append(q)
-            stack.append(q)
-    while stack:
-        p = stack.pop()
-        for m in maps:
-            q = m[p]
-            if not marked[q]:
-                marked[q] = True
-                points.append(q)
-                stack.append(q)
+                failed[t] = -1
+                _close(failed, list(enumerate(auts.generators)), [t])
+    return auts
 
 
 class StabilizerNode:
-    """The pointwise stabilizer H of a prefix of points, held by element
-    maps, in a group that acts regularly on the images of ``base``.
+    """The pointwise stabilizer H of a prefix of points, held by its
+    stabilizer chain ``chain``.
 
     ``least[p]`` is the least point of p's H-orbit.  Each orbit is
-    walked breadth-first from its minimum, and ``edge[p]`` names the
-    generator whose map reached p (-1 at a minimum): a Schreier vector,
-    which ``carry`` follows back to move p to its minimum.  ``order`` is
-    |H|.  The stabilizers of one more point are built on first use
-    (``child``).
+    walked breadth-first from its minimum under the chain's generators,
+    and ``edge[p]`` names the generator whose map reached p (-1 at a
+    minimum): a Schreier vector, which ``carry`` follows back to move p
+    to its minimum.  ``order`` is |H|.  The stabilizers of one more
+    point are built on first use (``child``).
     """
 
-    __slots__ = ("gens", "order", "base", "least", "edge", "_inverses", "_orbits", "_children")
+    __slots__ = ("chain", "order", "least", "edge", "_orbits", "_children")
 
-    def __init__(self, degree: int, gens: Sequence[Sequence[int]], order: int,
-                 base: tuple[int, ...]):
-        self.gens = tuple(gens)
-        self.order = order
-        self.base = base
-        # a permutation's inverse lists the points sorted by their images
-        self._inverses = [sorted(range(degree), key=m.__getitem__) for m in self.gens]
+    def __init__(self, chain: AutomorphismGroup, degree: int):
+        self.chain, self.order = chain, chain.order
         self._children: dict[int, StabilizerNode] = {}
-        least = [-1] * degree
-        edge = [-1] * degree
-        self._orbits: dict[int, list[int]] = {}  # minimum -> orbit, breadth-first
+        self._orbits: dict[int, list[int]] = {}  # minimum -> orbit, unless a fixed point
+        least = self.least = [-1] * degree
+        edge = self.edge = [-1] * degree
+        gens = list(enumerate(chain.generators))
         for p in range(degree):
-            if least[p] != -1:
-                continue
-            least[p] = p
-            orbit = [p]
-            for q in orbit:
-                for i, m in enumerate(self.gens):
-                    t = m[q]
-                    if least[t] == -1:
-                        least[t] = p
-                        edge[t] = i
-                        orbit.append(t)
-            self._orbits[p] = orbit
-        self.least = least
-        self.edge = edge
+            if least[p] == -1:
+                least[p] = p
+                orbit = [p]
+                for q in orbit:
+                    for i, m in gens:
+                        t = m[q]
+                        if least[t] == -1:
+                            least[t], edge[t] = p, i
+                            orbit.append(t)
+                if len(orbit) > 1:
+                    self._orbits[p] = orbit
 
     def carry(self, p: int, values: Iterable[int]) -> list[int]:
         """values under an element of H that maps p to least[p]: the
         inverses of the generators on p's Schreier path, last one first."""
         values = list(values)
-        edge, inverses = self.edge, self._inverses
+        edge, inverses = self.edge, self.chain.inverses
         while edge[p] != -1:
             h = inverses[edge[p]]
             p = h[p]
             values = [h[v] for v in values]
         return values
 
-    def _lift(self, p: int, values: Iterable[int]) -> list[int]:
-        """values under the transversal element t_p of H (t_p maps p's
-        orbit minimum to p); ``carry`` applies its inverse."""
-        path = []
-        while self.edge[p] != -1:
-            path.append(self.edge[p])
-            p = self._inverses[self.edge[p]][p]
-        values = list(values)
-        for i in reversed(path):
-            m = self.gens[i]
-            values = [m[v] for v in values]
-        return values
-
     def child(self, r: int) -> "StabilizerNode":
-        """The stabilizer of r in H, for r an orbit minimum.
-
-        By Schreier's lemma it is generated by s = t_{m(p)}^-1 * m * t_p
-        over the generators m and the points p of r's orbit.  An element
-        is known by its images of base, so s is kept only when s(base)
-        lies outside the orbit of base under the generators kept so far,
-        and the walk stops once that orbit has |H| / |orbit of r| points.
-        The stabilizer of a fixed point is H itself.
-        """
-        found = self._children.get(r)
-        if found is not None:
-            return found
-        orbit = self._orbits[r]
-        if len(orbit) == 1:
+        """The stabilizer of r in H, for r an orbit minimum, of order
+        |H| / |orbit of r|.  By Schreier's lemma it is generated by
+        t_{m(p)}^-1 * m * t_p over the generators m and the points p of
+        r's orbit, t_p the element on p's Schreier path.  Its chain is
+        built by Schreier-Sims with that known order: each is sifted, by
+        its images of base, through the chain built so far, and added
+        when its residue is not the identity.  So a node stores at most r
+        levels of at most |G| points, however large H.  The stabilizer of
+        a fixed point is H itself."""
+        if r in self._children:
+            return self._children[r]
+        orbit = self._orbits.get(r)
+        if orbit is None:
             return self  # not kept among the children: no reference cycle
-        order = self.order // len(orbit)
-        base, edge = self.base, self.edge
-        lifted = {r: base}  # t_p(base), built down the breadth-first tree
+        gens, inverses, edge = self.chain.generators, self.chain.inverses, self.edge
+        lifted = {r: self.chain.base}  # t_p(base), down the breadth-first orbit
         for q in orbit[1:]:
-            m = self.gens[edge[q]]
-            lifted[q] = tuple(m[v] for v in lifted[self._inverses[edge[q]][q]])
-        kept: list[tuple[int, ...]] = []
-        reached = {base}
-        for p in orbit:
-            if len(reached) == order:
-                break
-            for m in self.gens:
-                q = m[p]
-                if tuple(self.carry(q, [m[v] for v in lifted[p]])) in reached:
-                    continue
-                lifted_map = self._lift(p, range(len(self.least)))
-                _grow_orbit(reached, kept, tuple(self.carry(q, [m[v] for v in lifted_map])))
-                if len(reached) == order:
-                    break
-        node = self._children[r] = StabilizerNode(len(self.least), kept, order, base)
+            lifted[q] = [gens[edge[q]][v] for v in lifted[inverses[edge[q]][q]]]
+        sub = AutomorphismGroup(self.chain.base)
+        # the Schreier generators t_{m(p)}^-1 * m * t_p, by images of base
+        sub.complete(self.order // len(orbit), len(self.least), (
+            (self.carry(m[p], [m[v] for v in lifted[p]]), lambda values, p=p, m=m: self.carry(
+                m[p], [m[v] for v in _apply(gens, _path(edge, inverses, p)[::-1], values)]))
+            for p in orbit for m in gens))
+        node = self._children[r] = StabilizerNode(sub, len(self.least))
         return node
 
 
@@ -999,29 +1019,22 @@ class StabilizerTree:
     """
 
     def __init__(self, auts: AutomorphismGroup, degree: int):
-        self.root = StabilizerNode(degree, auts.generators, auts.order, auts.base)
+        self.root = StabilizerNode(auts, degree)
 
-    def leaves(self, length: int, start: tuple[int, ...]):
-        """The leaves of the given length from start on, in
-        lexicographic order."""
+    def leaves(self, length: int):
+        """The leaves of the given length, in lexicographic order."""
         degree = len(self.root.least)
 
-        def walk(node, prefix, first, on_start):
-            j = len(prefix)
-            low = start[j] if on_start else first
-            least = node.least
-            high = degree - (length - j - 1)
-            if j + 1 == length:
-                for m in range(low, high):
-                    if least[m] == m:
-                        yield prefix + (m,)
-                return
-            for m in range(low, high):
+        def walk(node, prefix, first):
+            least, last = node.least, len(prefix) + 1 == length
+            for m in range(first, degree - (length - len(prefix) - 1)):
                 if least[m] == m:
-                    yield from walk(node.child(m), prefix + (m,), m + 1,
-                                    on_start and m == start[j])
+                    if last:
+                        yield prefix + (m,)
+                    else:
+                        yield from walk(node.child(m), prefix + (m,), m + 1)
 
-        return walk(self.root, (), 0, True)
+        return walk(self.root, (), 0)
 
     def least_image(self, points: Sequence[int], bound: Optional[Sequence[int]] = None):
         """The lexicographically least sorted image of the set points,
@@ -1051,12 +1064,8 @@ class StabilizerTree:
                 if best < bound[j]:
                     return None
                 tight = best == bound[j]
-            following = []
-            for rest in states:
-                for i, x in enumerate(rest):
-                    if least[x] == best:
-                        following.append(tuple(node.carry(x, rest[:i] + rest[i + 1:])))
-            states = following
+            states = [tuple(node.carry(x, rest[:i] + rest[i + 1:]))
+                      for rest in states for i, x in enumerate(rest) if least[x] == best]
             image.append(best)
             if j + 1 < len(points):
                 node = node.child(best)

@@ -185,28 +185,35 @@ def test_directed_class_count_is_burnside_count(group):
             assert len(report.classes) == fixed // len(auts), (length, minimal_only)
 
 
-def test_automorphisms_wait_for_a_qualifying_set(monkeypatch):
-    # Aut((C2)^5) = GL(5, 2) has about 10^7 elements; no 4-set generates
-    def refuse(group):
-        raise AssertionError("Aut(G) computed although no set qualifies")
+def test_tree_nodes_stay_small_where_no_set_qualifies(monkeypatch):
+    # Aut((C2)^5) = GL(5, 2) has 9,999,360 elements and no 4-set
+    # generates; the stabilizer of one nonzero vector has 322,560, and a
+    # node holds only its chain: r levels of at most |G| points
+    nodes = []
+    init = groups.StabilizerNode.__init__
 
-    monkeypatch.setattr(classify_module, "group_automorphisms", refuse)
+    def recorded(self, chain, degree):
+        init(self, chain, degree)
+        nodes.append(self)
+
+    monkeypatch.setattr(groups.StabilizerNode, "__init__", recorded)
     G = cc.from_descriptor("product:cyclic:2," * 4 + "cyclic:2")
     assert G.order == 32
     for mode in ("directed", "undirected"):
+        nodes.clear()
         report = classify(G, 4, mode)
         assert report.classes == () and report.total == 0
+        assert nodes[0].order == 9_999_360 and 322_560 in {node.order for node in nodes}
+        for node in nodes:
+            assert sum(map(len, node.chain.levels)) <= len(node.chain.base) * G.order
 
 
 def walked_sets(group, length):
     """The sets that classify visits, by brute force over every
-    automorphism: the combinations up to the first generating set, then
-    the leaves of the stabilizer tree, sets whose every element is the
-    least of its orbit under the automorphisms fixing the elements
-    before it."""
+    automorphism: the leaves of the stabilizer tree from (0, ..., k-1),
+    sets whose every element is the least of its orbit under the
+    automorphisms fixing the elements before it."""
     auts = all_automorphisms(group)
-    sets = list(itertools.combinations(group.elements(), length))
-    first = next(i for i, s in enumerate(sets) if cc.is_generating(group, s))
 
     def is_leaf(subset):
         return all(
@@ -214,7 +221,7 @@ def walked_sets(group, length):
             for j in range(length)
         )
 
-    return first + sum(1 for s in sets[first:] if is_leaf(s))
+    return sum(1 for s in itertools.combinations(group.elements(), length) if is_leaf(s))
 
 
 def test_generation_tests_stay_within_the_tree_leaves(monkeypatch):

@@ -248,6 +248,68 @@ def test_stabilizer_nodes_match_every_automorphism(group):
         for g in group.elements():
             carried = tuple(node.carry(g, group.elements()))
             assert carried[g] == node.least[g] and carried in fixing, (prefix, g)
+        # the chain: exactly the automorphisms fixing the prefix sift to
+        # the identity, and its orbit sizes multiply to |H|
+        chain = node.chain
+        assert math.prod(len(level) for level in chain.levels) == node.order, prefix
+        for m in auts:
+            level, residue = chain.sift([m[b] for b in chain.base])
+            if m in fixing:
+                assert (level, residue) == (len(chain.base), list(chain.base)), (prefix, m)
+            else:
+                assert level < len(chain.base), (prefix, m)
+
+
+def gl2_stabilizer_order(rank, fixed):
+    """The automorphisms of (C2)^rank fixing `fixed` independent vectors:
+    the images of the other basis vectors, each outside the span so far."""
+    return math.prod(2 ** rank - 2 ** i for i in range(fixed, rank))
+
+
+@pytest.mark.parametrize("rank", [4, 5])
+def test_stabilizer_node_orders_of_elementary_abelian_2_groups(rank):
+    G = elementary_abelian(2, rank)
+    tree = groups.StabilizerTree(cc.group_automorphisms(G), G.order)
+    # ids are coordinate bit strings, so 1, 2, 4, ... are independent, and
+    # each is the least element outside the span of the ones before it
+    basis = [2 ** i for i in range(rank)]
+    for fixed in range(rank + 1):
+        node = node_at(tree, basis[:fixed])
+        assert node.order == gl2_stabilizer_order(rank, fixed), fixed
+        assert node.order == math.prod(len(level) for level in node.chain.levels)
+    assert gl2_stabilizer_order(5, 1) == 322_560
+    # a vector in the span of the prefix is fixed: its stabilizer is the node
+    assert node_at(tree, [1, 2, 3]).order == gl2_stabilizer_order(rank, 2)
+
+
+def test_chain_completes_from_generators_alone():
+    # along base reversed, the generators of Aut(G) are no strong
+    # generating set; the Schreier generators of the chain's own levels
+    # must complete it
+    completed = 0
+    for group in builtin_groups(16):
+        auts = cc.group_automorphisms(group)
+        base = auts.base[::-1]
+        chain = groups.AutomorphismGroup(base)
+        for m in auts.generators:
+            chain.absorb([m[b] for b in base], lambda values, m=m: [m[v] for v in values],
+                         group.order)
+        completed += chain.order < auts.order
+        chain.complete(auts.order, group.order)
+        every = all_automorphisms(group)
+        for i, level in enumerate(chain.levels):
+            fixing = [m for m in every if all(m[b] == b for b in base[:i])]
+            assert level.keys() == {m[base[i]] for m in fixing}, (group.descriptor, i)
+        with pytest.raises(RuntimeError):
+            chain.complete(2 * auts.order, group.order)
+    assert completed >= 5
+
+
+@pytest.mark.parametrize("group", builtin_groups(24) + [
+    cc.from_descriptor("perm:7:(1,2);(1,2,3,4,5,6,7)")], ids=lambda g: g.descriptor)
+def test_element_orders_from_powers(group):
+    assert groups.element_orders(group) == [
+        cc.element_order(group, g) for g in group.elements()]
 
 
 @pytest.mark.parametrize("group", builtin_groups(16), ids=lambda g: g.descriptor)
@@ -286,12 +348,11 @@ def test_stabilizer_tree_leaves_are_the_walk_of_increasing_minima():
         s for s in itertools.combinations(S4.elements(), 3)
         if all(node_at(tree, s[:j]).least[s[j]] == s[j] for j in range(3))
     ]
-    leaves = list(tree.leaves(3, expected[0]))
+    leaves = list(tree.leaves(3))
     assert leaves == expected
     # every least set of an orbit is a leaf
     assert {min(set_orbit(s, cc.group_automorphisms(S4).generators))
             for s in itertools.combinations(S4.elements(), 3)} <= set(leaves)
-    assert list(tree.leaves(3, expected[5])) == expected[5:]
 
 
 # ---------------------------------------------------------------------------
