@@ -1,7 +1,7 @@
 """Classify generating sequences of finite groups by edge-labeled
 Cayley graph isomorphism up to edge relabeling."""
 
-from .cayley import CayleyGraph, UndirectedLabeledGraph, build, is_connected, to_dot, undirected_view
+from .cayley import CayleyGraph, build, is_connected, to_dot, undirected_view
 from .classify import (
     ClassificationReport,
     SequenceClass,

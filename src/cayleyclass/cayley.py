@@ -5,8 +5,11 @@ every group element g and every distinct label s in the sequence
 (labels are the underlying set of the sequence, in first-occurrence
 order).  Each label's edge set is a permutation of the vertices, so a
 label subgraph is a disjoint union of directed cycles whose common
-length is the label's element order.  The rows are ``groups.left_row``,
-shared with the group's table when it has one.
+length is the label's element order.  One graph type serves both
+senses: ``succ`` holds the rows v -> s*v and ``pred`` the rows
+v -> s^-1*v, so the undirected neighbours of v under s are the pair
+{s*v, s^-1*v}.  The rows are ``groups.left_row``, shared with the
+group's table when it has one.
 """
 
 from __future__ import annotations
@@ -26,29 +29,7 @@ class CayleyGraph:
     label_names: tuple[str, ...]
     label_orders: tuple[int, ...]
     succ: tuple[tuple[int, ...], ...]
-    vertex_names: tuple[str, ...]
-    basepoint: int
-    provenance: str
-
-
-@dataclass(frozen=True)
-class UndirectedLabeledGraph:
-    """Direction-forgetting view of a Cayley graph.
-
-    For an order-2 label the directed pair g <-> s*g collapses to one
-    undirected edge; for higher-order labels every directed edge yields
-    one undirected edge.  Edges are canonical (min, max, label-index)
-    triples; loops (label e) are retained as loops.  ``pred`` inverts
-    each ``succ`` row: pred[k][v] = s_k^-1 * v.
-    """
-
-    vertex_count: int
-    labels: tuple[int, ...]
-    label_names: tuple[str, ...]
-    label_orders: tuple[int, ...]
-    succ: tuple[tuple[int, ...], ...]
     pred: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, int, int], ...]
     vertex_names: tuple[str, ...]
     basepoint: int
     provenance: str
@@ -75,13 +56,14 @@ def build(group: FiniteGroup, sequence: Union[GeneratingSequence, Iterable[int]]
         label_names=tuple(group.names[s] for s in labels),
         label_orders=tuple(element_order(group, s) for s in labels),
         succ=tuple(left_row(group, s) for s in labels),
+        pred=tuple(left_row(group, group.inv(s)) for s in labels),
         vertex_names=group.names,
         basepoint=group.identity,
         provenance=f"{group.descriptor};{','.join(group.names[s] for s in elements)}",
     )
 
 
-def is_connected(graph: Union[CayleyGraph, UndirectedLabeledGraph]) -> bool:
+def is_connected(graph: CayleyGraph) -> bool:
     """Reachability from the basepoint along labeled edges.
 
     Directed and undirected reachability coincide: each label subgraph
@@ -104,32 +86,13 @@ def is_connected(graph: Union[CayleyGraph, UndirectedLabeledGraph]) -> bool:
     return count == graph.vertex_count
 
 
-def undirected_view(graph: CayleyGraph) -> UndirectedLabeledGraph:
-    """Forget edge directions, keeping labels.
-
-    Parallel undirected edges with distinct labels are retained; the
-    two directed edges of an order-2 label become one undirected edge.
+def undirected_view(graph: CayleyGraph) -> tuple[tuple[int, int, int], ...]:
+    """The edges with directions forgotten: sorted (min, max, label index)
+    triples.  Parallel edges with distinct labels are kept, the two
+    directed edges of an order-2 label become one, and loops stay loops.
     """
-    edges = set()
-    pred = []
-    for k, row in enumerate(graph.succ):
-        inverse = [0] * graph.vertex_count
-        for v, w in enumerate(row):
-            edges.add((v, w, k) if v <= w else (w, v, k))
-            inverse[w] = v
-        pred.append(tuple(inverse))
-    return UndirectedLabeledGraph(
-        vertex_count=graph.vertex_count,
-        labels=graph.labels,
-        label_names=graph.label_names,
-        label_orders=graph.label_orders,
-        succ=graph.succ,
-        pred=tuple(pred),
-        edges=tuple(sorted(edges)),
-        vertex_names=graph.vertex_names,
-        basepoint=graph.basepoint,
-        provenance=graph.provenance,
-    )
+    return tuple(sorted({(min(v, w), max(v, w), k)
+                         for k, row in enumerate(graph.succ) for v, w in enumerate(row)}))
 
 
 def label_cycles(graph: CayleyGraph, label_index: int) -> list[list[int]]:
@@ -155,18 +118,11 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def to_dot(
-    graph: Union[CayleyGraph, UndirectedLabeledGraph],
-    name: str = "cayley",
-    undirected: bool = False,
-) -> str:
+def to_dot(graph: CayleyGraph, name: str = "cayley", undirected: bool = False) -> str:
     """Deterministic DOT text; label k is drawn with the k-th line style.
 
-    A CayleyGraph yields a digraph; pass undirected=True (or an
-    UndirectedLabeledGraph) for the direction-forgetting graph.
+    A digraph, or with undirected=True the graph of ``undirected_view``.
     """
-    if isinstance(graph, UndirectedLabeledGraph):
-        undirected = True
     keyword, arrow = ("graph", "--") if undirected else ("digraph", "->")
     lines = [f"{keyword} {name} {{"]
     lines.append(f"  // {graph.provenance}")
@@ -176,21 +132,10 @@ def to_dot(
     for v in range(graph.vertex_count):
         lines.append(f"  n{v} [label={_quote(graph.vertex_names[v])}];")
     if undirected:
-        if isinstance(graph, CayleyGraph):
-            graph = undirected_view(graph)
-        for v, w, k in sorted(graph.edges, key=lambda e: (e[2], e[0], e[1])):
-            style = _EDGE_STYLES[k % len(_EDGE_STYLES)]
-            lines.append(f"  n{v} {arrow} n{w} [style={style}];")
+        edges = sorted(undirected_view(graph), key=lambda e: (e[2], e[0], e[1]))
     else:
-        for k, row in enumerate(graph.succ):
-            style = _EDGE_STYLES[k % len(_EDGE_STYLES)]
-            for v, w in enumerate(row):
-                lines.append(f"  n{v} {arrow} n{w} [style={style}];")
+        edges = [(v, w, k) for k, row in enumerate(graph.succ) for v, w in enumerate(row)]
+    for v, w, k in edges:
+        lines.append(f"  n{v} {arrow} n{w} [style={_EDGE_STYLES[k % len(_EDGE_STYLES)]}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def edge_count(graph: Union[CayleyGraph, UndirectedLabeledGraph]) -> int:
-    if isinstance(graph, UndirectedLabeledGraph):
-        return len(graph.edges)
-    return graph.vertex_count * len(graph.labels)

@@ -9,7 +9,7 @@ Aut(G)-orbits of the generating k-sets.  Each class is represented by
 its lexicographically least set.
 
 The k-sets are walked in lexicographic order down a tree of pointwise
-stabilizers of Aut(G) (``groups.StabilizerTree``, after C. Sims, 1970,
+stabilizers of Aut(G) (``groups.StabilizerNode``, after C. Sims, 1970,
 and S. Linton, "Finding the smallest image of a set", ISSAC 2004): a
 set is a leaf when each element is the least of its orbit under the
 automorphisms that fix the elements before it, and every least set of
@@ -57,7 +57,7 @@ from .groups import (
     FiniteGroup,
     GeneratingSequence,
     OrderMultiset,
-    StabilizerTree,
+    StabilizerNode,
     group_automorphisms,
     is_generating,
     is_minimal_generating,
@@ -167,23 +167,23 @@ def classify(
     _check_guards(group, length, max_order)
     qualifies = is_minimal_generating if minimal_only else is_generating
     auts = group_automorphisms(group)  # materialises the table too
-    tree = StabilizerTree(auts, group.order)
-    # records: [representative, order multiset, size, undirected view]
+    root = StabilizerNode(auts, group.order)
+    # records: [representative, order multiset, size, Cayley graph]
     records: list[list] = []
     per_set = math.factorial(length)
     # generation and minimality are Aut(G)-invariant: only least sets
     # are tested
-    for subset in tree.leaves(length):
-        found = tree.least_image(subset, bound=subset)
+    for subset in root.leaves(length):
+        found = root.least_image(subset, bound=subset)
         if found is None or not qualifies(group, subset):
             continue
         counts = [found[1]]
         graph = None
         if mode == "undirected":
-            counts = _inverted_orbits(group, tree, subset, found[1])
+            counts = _inverted_orbits(group, root, subset, found[1])
             if counts is None:
                 continue
-            graph = cayley.undirected_view(cayley.build(group, subset))
+            graph = cayley.build(group, subset)
         # Aut(G) moves generating tuples freely: a class holds |Aut(G)|
         # sequences per Aut(G)-orbit among the k! orderings of each of
         # its sets, and `count` orderings share an orbit
@@ -221,7 +221,7 @@ def classify(
     )
 
 
-def _inverted_orbits(group: FiniteGroup, tree: StabilizerTree, subset: tuple[int, ...],
+def _inverted_orbits(group: FiniteGroup, root: StabilizerNode, subset: tuple[int, ...],
                      count: int):
     """The orderings counts of ``least_image``, one per Aut(G)-orbit
     that label inversion joins to the orbit of subset (whose own count
@@ -235,7 +235,7 @@ def _inverted_orbits(group: FiniteGroup, tree: StabilizerTree, subset: tuple[int
     for r in range(1, len(labels) + 1):
         for chosen in itertools.combinations(labels, r):
             flipped = tuple(group.inv(g) if i in chosen else g for i, g in enumerate(subset))
-            found = tree.least_image(flipped, bound=subset)
+            found = root.least_image(flipped, bound=subset)
             if found is None:
                 return None
             images[found[0]] = found[1]

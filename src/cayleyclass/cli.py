@@ -124,13 +124,11 @@ def cmd_export_dot(args) -> int:
     group = groups.from_descriptor(args.group)
     sequence = groups.parse_sequence(group, args.seq)
     graph = cayley.build(group, sequence)
+    text = cayley.to_dot(graph, name=args.name, undirected=args.undirected)
     if args.undirected:
-        view = cayley.undirected_view(graph)
-        text = cayley.to_dot(view, name=args.name)
-        edges = cayley.edge_count(view)
+        edges = len(cayley.undirected_view(graph))
     else:
-        text = cayley.to_dot(graph, name=args.name)
-        edges = cayley.edge_count(graph)
+        edges = graph.vertex_count * len(graph.labels)
     _write_out(args.out, text)
     print(f"{graph.vertex_count} vertices, {edges} edges", file=sys.stderr if args.out is None else sys.stdout)
     return 0

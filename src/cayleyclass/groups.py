@@ -12,11 +12,11 @@ multiplication runs order * |generators| times, not order^2.
 The module also holds what follows Cayley edges and automorphisms:
 ``left_row``, ``forced_map``, ``group_automorphisms`` (Aut(G) as a
 stabilizer chain, ``AutomorphismGroup``, which never lists Aut(G)) and
-``StabilizerTree``, the pointwise stabilizers of Aut(G) down prefixes of
-elements.  Each node holds its own chain along the same tuple, built by
-Schreier-Sims with known order, and its orbit minima with a Schreier
-vector that carries a point to its minimum.  The tree's leaves and
-least set images drive ``classify``.
+``StabilizerNode``, a node of the tree of pointwise stabilizers of Aut(G)
+down prefixes of elements, whose root is Aut(G).  Each node holds its own
+chain along the same tuple, built by Schreier-Sims with known order, and
+its orbit minima with a Schreier vector that carries a point to its
+minimum.  The leaves and least set images of the root drive ``classify``.
 """
 
 from __future__ import annotations
@@ -95,16 +95,7 @@ class FiniteGroup:
         return self._inv_fn(a)
 
     def pow(self, g: int, k: int) -> int:
-        if k < 0:
-            g = self.inv(g)
-            k = -k
-        result = 0
-        while k:
-            if k & 1:
-                result = self.mul(result, g)
-            g = self.mul(g, g)
-            k >>= 1
-        return result
+        return words._power(g, k, self.mul, self.identity, self.inv)
 
     def name(self, g: int) -> str:
         return self.names[g]
@@ -933,20 +924,29 @@ def group_automorphisms(group: FiniteGroup) -> AutomorphismGroup:
 
 class StabilizerNode:
     """The pointwise stabilizer H of a prefix of points, held by its
-    stabilizer chain ``chain``.
+    stabilizer chain ``chain``: a node of the tree whose root is Aut(G)
+    and whose children fix one more point, each an orbit minimum of H.
 
     ``least[p]`` is the least point of p's H-orbit.  Each orbit is
     walked breadth-first from its minimum under the chain's generators,
     and ``edge[p]`` names the generator whose map reached p (-1 at a
     minimum): a Schreier vector, which ``carry`` follows back to move p
-    to its minimum.  ``order`` is |H|.  The stabilizers of one more
-    point are built on first use (``child``).
+    to its minimum.  The stabilizers of one more point are built on
+    first use (``child``).
+
+    A sorted k-set whose j-th element is the least of its orbit under
+    the stabilizer of the first j-1, at every j, is a leaf of the tree.
+    Every lexicographically least set of an Aut(G)-orbit is one: an
+    element fixing the first j-1 and moving the j-th lower would move
+    the whole set lower.  The least image of a set is found down the
+    same nodes (S. Linton, "Finding the smallest image of a set", ISSAC
+    2004).
     """
 
-    __slots__ = ("chain", "order", "least", "edge", "_orbits", "_children")
+    __slots__ = ("chain", "least", "edge", "_orbits", "_children")
 
     def __init__(self, chain: AutomorphismGroup, degree: int):
-        self.chain, self.order = chain, chain.order
+        self.chain = chain
         self._children: dict[int, StabilizerNode] = {}
         self._orbits: dict[int, list[int]] = {}  # minimum -> orbit, unless a fixed point
         least = self.least = [-1] * degree
@@ -965,16 +965,16 @@ class StabilizerNode:
                 if len(orbit) > 1:
                     self._orbits[p] = orbit
 
+    @property
+    def order(self) -> int:
+        """|H|."""
+        return self.chain.order
+
     def carry(self, p: int, values: Iterable[int]) -> list[int]:
         """values under an element of H that maps p to least[p]: the
         inverses of the generators on p's Schreier path, last one first."""
-        values = list(values)
-        edge, inverses = self.edge, self.chain.inverses
-        while edge[p] != -1:
-            h = inverses[edge[p]]
-            p = h[p]
-            values = [h[v] for v in values]
-        return values
+        inverses = self.chain.inverses
+        return _apply(inverses, _path(self.edge, inverses, p), values)
 
     def child(self, r: int) -> "StabilizerNode":
         """The stabilizer of r in H, for r an orbit minimum, of order
@@ -1004,26 +1004,10 @@ class StabilizerNode:
         node = self._children[r] = StabilizerNode(sub, len(self.least))
         return node
 
-
-class StabilizerTree:
-    """Pointwise stabilizers of Aut(G) down prefixes of elements: the
-    node of a prefix fixes every element of it, and its children fix one
-    more, each an orbit minimum of the node.
-
-    A sorted k-set whose j-th element is the least of its orbit under
-    the stabilizer of the first j-1, at every j, is a leaf.  Every
-    lexicographically least set of an Aut(G)-orbit is one: an element
-    fixing the first j-1 and moving the j-th lower would move the whole
-    set lower.  The least image of a set is found down the same nodes
-    (S. Linton, "Finding the smallest image of a set", ISSAC 2004).
-    """
-
-    def __init__(self, auts: AutomorphismGroup, degree: int):
-        self.root = StabilizerNode(auts, degree)
-
     def leaves(self, length: int):
-        """The leaves of the given length, in lexicographic order."""
-        degree = len(self.root.least)
+        """The leaves of the given length below this node, in
+        lexicographic order."""
+        degree = len(self.least)
 
         def walk(node, prefix, first):
             least, last = node.least, len(prefix) + 1 == length
@@ -1034,11 +1018,11 @@ class StabilizerTree:
                     else:
                         yield from walk(node.child(m), prefix + (m,), m + 1)
 
-        return walk(self.root, (), 0)
+        return walk(self, (), 0)
 
     def least_image(self, points: Sequence[int], bound: Optional[Sequence[int]] = None):
-        """The lexicographically least sorted image of the set points,
-        with the number of orderings of points whose least tuple image
+        """The lexicographically least sorted image of the set points under
+        H, with the number of orderings of points whose least tuple image
         it is; None as soon as that image is known to be
         lexicographically less than bound.
 
@@ -1052,7 +1036,7 @@ class StabilizerTree:
         order of its set stabilizer.
         """
         states = [tuple(points)]
-        node = self.root
+        node = self
         image: list[int] = []
         # tight while the image so far equals bound's prefix: once an
         # entry is greater, the image is greater whatever follows

@@ -9,20 +9,21 @@ isomorphism composes with an automorphism of the target into one fixing
 the basepoint, and a basepoint-fixing isomorphism is forced edge by
 edge (``groups.forced_map``).  That normalization is the correctness
 crux; the brute-force oracle below does not rely on it.
+
+The undirected matcher takes the same ``CayleyGraph``s and reads both
+rows of a label, ``succ`` (v -> s*v) and ``pred`` (v -> s^-1*v).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
-from .cayley import CayleyGraph, UndirectedLabeledGraph, is_connected
+from .cayley import CayleyGraph, is_connected
 from .groups import forced_map
 
 BRUTE_FORCE_LIMIT = 16
-
-Graph = Union[CayleyGraph, UndirectedLabeledGraph]
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,7 @@ class IsoWitness:
     vertex_map: tuple[int, ...]
     label_map: tuple[int, ...]
 
-    def to_json(self, source: Graph, target: Graph) -> dict:
+    def to_json(self, source: CayleyGraph, target: CayleyGraph) -> dict:
         return {
             "vertex_map": list(self.vertex_map),
             "label_map": [
@@ -42,25 +43,29 @@ class IsoWitness:
         }
 
 
-def validate_witness(g1: Graph, g2: Graph, witness: IsoWitness) -> bool:
-    """Edge-by-edge check of the witness invariant."""
+def _bijective(g1: CayleyGraph, g2: CayleyGraph, witness: IsoWitness) -> bool:
+    """Whether the witness maps the vertices and the labels of g1
+    one-to-one onto those of g2."""
     n = g1.vertex_count
+    return (g2.vertex_count == n and sorted(witness.vertex_map) == list(range(n))
+            and len(witness.label_map) == len(g1.labels)
+            and sorted(witness.label_map) == list(range(len(g2.labels))))
+
+
+def validate_witness(g1: CayleyGraph, g2: CayleyGraph, witness: IsoWitness) -> bool:
+    """Edge-by-edge check of the witness invariant."""
+    if not _bijective(g1, g2, witness):
+        return False
     f = witness.vertex_map
-    sigma = witness.label_map
-    if g2.vertex_count != n or len(f) != n or len(set(f)) != n:
-        return False
-    if len(sigma) != len(g1.labels) or sorted(sigma) != list(range(len(g2.labels))):
-        return False
-    for k in range(len(g1.labels)):
-        row1 = g1.succ[k]
-        row2 = g2.succ[sigma[k]]
-        for v in range(n):
+    for k, k2 in enumerate(witness.label_map):
+        row1, row2 = g1.succ[k], g2.succ[k2]
+        for v in range(g1.vertex_count):
             if f[row1[v]] != row2[f[v]]:
                 return False
     return True
 
 
-def _checked(g1: Graph, g2: Graph, witness: IsoWitness, caller: str) -> IsoWitness:
+def _checked(g1: CayleyGraph, g2: CayleyGraph, witness: IsoWitness, caller: str) -> IsoWitness:
     """Return the witness after validating it edge by edge; an explicit
     raise, so the check also runs under ``python -O``."""
     if not validate_witness(g1, g2, witness):
@@ -68,12 +73,12 @@ def _checked(g1: Graph, g2: Graph, witness: IsoWitness, caller: str) -> IsoWitne
     return witness
 
 
-def _require_connected(graph: Graph, caller: str) -> None:
+def _require_connected(graph: CayleyGraph, caller: str) -> None:
     if not is_connected(graph):
         raise ValueError(f"{caller} requires a connected graph: {graph.provenance}")
 
 
-def _label_bijections(g1: Graph, g2: Graph, order_compatible: bool):
+def _label_bijections(g1: CayleyGraph, g2: CayleyGraph, order_compatible: bool):
     """Label bijections in lexicographic order, optionally restricted to
     order-compatible ones (element orders are an isomorphism invariant)."""
     k = len(g1.labels)
@@ -140,9 +145,7 @@ def automorphisms(graph: CayleyGraph) -> list[IsoWitness]:
 # undirected matching
 
 
-def undirected_iso(
-    u1: UndirectedLabeledGraph, u2: UndirectedLabeledGraph
-) -> Optional[IsoWitness]:
+def undirected_iso(g1: CayleyGraph, g2: CayleyGraph) -> Optional[IsoWitness]:
     """Witness of undirected labeled isomorphism, or None.
 
     Backtracking with constraint propagation from f(basepoint) =
@@ -152,27 +155,27 @@ def undirected_iso(
     justified as in the directed case (right multiplications remain
     automorphisms of the undirected view).
     """
-    _require_connected(u1, "undirected_iso")
-    _require_connected(u2, "undirected_iso")
-    if u1.vertex_count != u2.vertex_count or len(u1.labels) != len(u2.labels):
+    _require_connected(g1, "undirected_iso")
+    _require_connected(g2, "undirected_iso")
+    if g1.vertex_count != g2.vertex_count or len(g1.labels) != len(g2.labels):
         return None
-    n = u1.vertex_count
-    for sigma in _label_bijections(u1, u2, order_compatible=True):
+    n = g1.vertex_count
+    for sigma in _label_bijections(g1, g2, order_compatible=True):
         f = [-1] * n
         used = [False] * n
-        f[u1.basepoint] = u2.basepoint
-        used[u2.basepoint] = True
-        result = _undirected_search(u1, u2, sigma, f, used, [u1.basepoint])
+        f[g1.basepoint] = g2.basepoint
+        used[g2.basepoint] = True
+        result = _undirected_search(g1, g2, sigma, f, used, [g1.basepoint])
         if result is not None:
             witness = IsoWitness(result, tuple(sigma))
-            if _validate_undirected(u1, u2, witness):
+            if _validate_undirected(g1, g2, witness):
                 return witness
             raise AssertionError("undirected search produced an invalid witness")
     return None
 
 
-def _undirected_search(u1, u2, sigma, f, used, pending) -> Optional[tuple[int, ...]]:
-    succ1, pred1, succ2, pred2 = u1.succ, u1.pred, u2.succ, u2.pred
+def _undirected_search(g1, g2, sigma, f, used, pending) -> Optional[tuple[int, ...]]:
+    succ1, pred1, succ2, pred2 = g1.succ, g1.pred, g2.succ, g2.pred
     while pending:
         v = pending.pop()
         fv = f[v]
@@ -227,7 +230,7 @@ def _undirected_search(u1, u2, sigma, f, used, pending) -> Optional[tuple[int, .
                     used2[t_lo] = True
                     used2[t_hi] = True
                     result = _undirected_search(
-                        u1, u2, sigma, f2, used2, pending + [lo, hi, v]
+                        g1, g2, sigma, f2, used2, pending + [lo, hi, v]
                     )
                     if result is not None:
                         return result
@@ -237,13 +240,17 @@ def _undirected_search(u1, u2, sigma, f, used, pending) -> Optional[tuple[int, .
     return tuple(f)
 
 
-def _validate_undirected(u1, u2, witness: IsoWitness) -> bool:
-    f = witness.vertex_map
-    sigma = witness.label_map
-    if len(set(f)) != u1.vertex_count or u1.vertex_count != u2.vertex_count:
+def _validate_undirected(g1: CayleyGraph, g2: CayleyGraph, witness: IsoWitness) -> bool:
+    """Row-by-row check of the undirected witness invariant: for each
+    label s, t = sigma(s), and vertex v, {f(s*v), f(s^-1*v)} equals
+    {t*f(v), t^-1*f(v)}.  With f and sigma bijections this maps the
+    undirected edges of each label onto those of its image."""
+    if not _bijective(g1, g2, witness):
         return False
-    mapped = set()
-    for v, w, k in u1.edges:
-        a, b = f[v], f[w]
-        mapped.add((a, b, sigma[k]) if a <= b else ((b, a, sigma[k])))
-    return mapped == set(u2.edges)
+    f = witness.vertex_map
+    for k, k2 in enumerate(witness.label_map):
+        succ1, pred1, succ2, pred2 = g1.succ[k], g1.pred[k], g2.succ[k2], g2.pred[k2]
+        for v in range(g1.vertex_count):
+            if {f[succ1[v]], f[pred1[v]]} != {succ2[f[v]], pred2[f[v]]}:
+                return False
+    return True

@@ -1,6 +1,6 @@
 """Orbits of elements and of k-sets under automorphism maps, by plain
 closure: the reference that the stabilizer tree of
-``groups.StabilizerTree`` is checked against.
+``groups.StabilizerNode`` is checked against.
 """
 
 

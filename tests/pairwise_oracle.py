@@ -31,8 +31,6 @@ def pairwise_classify(group, length, mode="directed", minimal_only=False):
     buckets = {}
     for index, tup in enumerate(sequences):
         graph = cayley.build(group, tup)
-        if mode == "undirected":
-            graph = cayley.undirected_view(graph)
         bucket = buckets.setdefault(order_multiset(group, tup), [])
         for record in bucket:
             if compare(graph, record[1]) is not None:

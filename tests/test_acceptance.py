@@ -140,7 +140,7 @@ def test_criterion_5_worked_examples():
     g2 = cc.build(A4, cc.parse_sequence(A4, "(1,2,3),(2,3,4)"))
     if iso.directed_iso(g1, g2) is not None:
         failures.append("A4 directed")
-    if iso.undirected_iso(cc.undirected_view(g1), cc.undirected_view(g2)) is None:
+    if iso.undirected_iso(g1, g2) is None:
         failures.append("A4 undirected")
 
     ok = not failures

@@ -21,7 +21,7 @@ def test_build_figure_graphs():
         graph = graph_of(G, text)
         assert graph.vertex_count == 12
         assert len(graph.labels) == 2
-        assert cayley.edge_count(graph) == 24
+        assert sum(map(len, graph.succ)) == 24
 
 
 def test_duplicate_labels_collapse():
@@ -91,38 +91,38 @@ def test_group_automorphism_induces_cayley_isomorphism():
 
 def test_undirected_view_edge_counts():
     # order > 2 labels: one undirected edge per directed edge
-    u = cc.undirected_view(graph_of(cc.dicyclic(3), "a*x,x"))
-    assert len(u.edges) == 24
+    edges = cc.undirected_view(graph_of(cc.dicyclic(3), "a*x,x"))
+    assert len(edges) == 24
     # order-2 labels: directed pairs collapse, |G|/2 edges per label
     D = cc.dihedral(3)
-    u = cc.undirected_view(cc.build(D, (elem(D, "x"), elem(D, "a*x"))))
-    assert len(u.edges) == 6
-    per_label = [sum(1 for e in u.edges if e[2] == k) for k in range(2)]
+    edges = cc.undirected_view(cc.build(D, (elem(D, "x"), elem(D, "a*x"))))
+    assert len(edges) == 6
+    per_label = [sum(1 for e in edges if e[2] == k) for k in range(2)]
     assert per_label == [3, 3]
     # loops retained as loops
     C = cc.cyclic(3)
-    u = cc.undirected_view(cc.build(C, (C.identity,)))
-    assert len(u.edges) == 3
-    assert all(v == w for v, w, _ in u.edges)
+    edges = cc.undirected_view(cc.build(C, (C.identity,)))
+    assert len(edges) == 3
+    assert all(v == w for v, w, _ in edges)
 
 
 def test_undirected_pred_inverts_succ():
     for group in builtin_groups(24):
         graph = cc.build(group, tuple(group.elements()))
-        pred = cc.undirected_view(graph).pred
         for k, s in enumerate(graph.labels):
-            assert pred[k] == tuple(group.mul(group.inv(s), v) for v in group.elements())
+            assert graph.pred[k] == tuple(group.mul(group.inv(s), v) for v in group.elements())
 
 
 def test_build_rows_do_not_depend_on_the_table():
     for group in builtin_groups(24):
-        before = cc.build(group, tuple(group.elements())).succ
+        before = cc.build(group, tuple(group.elements()))
         group.ensure_table()
-        after = cc.build(group, tuple(group.elements())).succ
-        assert after == before
+        after = cc.build(group, tuple(group.elements()))
+        assert (after.succ, after.pred) == (before.succ, before.pred)
         # with a table, graphs share its rows instead of copying them
-        again = cc.build(group, tuple(group.elements())).succ
-        assert all(row is other for row, other in zip(after, again))
+        again = cc.build(group, tuple(group.elements()))
+        assert all(row is other for row, other in zip(after.succ + after.pred,
+                                                      again.succ + again.pred))
 
 
 def test_single_vertex_graph():
@@ -130,8 +130,7 @@ def test_single_vertex_graph():
     graph = cc.build(C1, ())
     assert graph.vertex_count == 1 and graph.labels == ()
     assert cayley.is_connected(graph)
-    u = cc.undirected_view(graph)
-    assert u.edges == ()
+    assert cc.undirected_view(graph) == ()
     dot = cayley.to_dot(graph)
     assert 'n0 [label="e"];' in dot
 
@@ -160,7 +159,7 @@ def test_dot_styles_cycle_beyond_two_labels():
 
 def test_dot_undirected():
     G = cc.dicyclic(3)
-    dot = cayley.to_dot(cc.undirected_view(graph_of(G, "a*x,x")))
+    dot = cayley.to_dot(graph_of(G, "a*x,x"), undirected=True)
     assert dot.startswith("graph cayley {")
     assert "--" in dot and "->" not in dot
     assert sum(1 for l in dot.splitlines() if "--" in l) == 24

@@ -126,6 +126,8 @@ def test_jobs_and_orbit_collapse_do_not_change_reports():
 @pytest.mark.parametrize("group", builtin_groups(24), ids=lambda g: g.descriptor)
 def test_classify_matches_pairwise_oracle(group):
     lengths = (1, 2, 3) if group.order <= 16 else (1, 2)
+    if group.order <= 8:
+        lengths += (classify_module.MAX_LENGTH,)
     for length in lengths:
         for mode in ("directed", "undirected"):
             for minimal_only in (False, True):

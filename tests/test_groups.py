@@ -221,26 +221,26 @@ def test_orbit_minima_match_every_automorphism(group):
         min(min(m[g], inverse[m[g]]) for m in auts) for g in group.elements()]
 
 
-def node_at(tree, prefix):
-    return functools.reduce(lambda node, r: node.child(r), prefix, tree.root)
+def node_at(root, prefix):
+    return functools.reduce(lambda node, r: node.child(r), prefix, root)
 
 
-def tree_prefixes(tree, degree):
-    """The prefixes of length at most 2 down the tree: each entry an
+def tree_prefixes(root, degree):
+    """The prefixes of length at most 2 down the tree from root: each entry an
     orbit minimum of its parent's node, in any order."""
-    ones = [(r,) for r in range(degree) if tree.root.least[r] == r]
+    ones = [(r,) for r in range(degree) if root.least[r] == r]
     twos = [(r, s) for (r,) in ones for s in range(degree)
-            if s != r and tree.root.child(r).least[s] == s]
+            if s != r and root.child(r).least[s] == s]
     return [()] + ones + twos
 
 
 @pytest.mark.parametrize("group", builtin_groups(16), ids=lambda g: g.descriptor)
 def test_stabilizer_nodes_match_every_automorphism(group):
     auts = all_automorphisms(group)
-    tree = groups.StabilizerTree(cc.group_automorphisms(group), group.order)
-    for prefix in tree_prefixes(tree, group.order):
+    root = groups.StabilizerNode(cc.group_automorphisms(group), group.order)
+    for prefix in tree_prefixes(root, group.order):
         fixing = [m for m in auts if all(m[p] == p for p in prefix)]
-        node = node_at(tree, prefix)
+        node = node_at(root, prefix)
         assert node.order == len(fixing), prefix
         assert node.least == [min(m[g] for m in fixing) for g in group.elements()], prefix
         # the Schreier vector carries each point to its minimum by an
@@ -269,17 +269,17 @@ def gl2_stabilizer_order(rank, fixed):
 @pytest.mark.parametrize("rank", [4, 5])
 def test_stabilizer_node_orders_of_elementary_abelian_2_groups(rank):
     G = elementary_abelian(2, rank)
-    tree = groups.StabilizerTree(cc.group_automorphisms(G), G.order)
+    root = groups.StabilizerNode(cc.group_automorphisms(G), G.order)
     # ids are coordinate bit strings, so 1, 2, 4, ... are independent, and
     # each is the least element outside the span of the ones before it
     basis = [2 ** i for i in range(rank)]
     for fixed in range(rank + 1):
-        node = node_at(tree, basis[:fixed])
+        node = node_at(root, basis[:fixed])
         assert node.order == gl2_stabilizer_order(rank, fixed), fixed
         assert node.order == math.prod(len(level) for level in node.chain.levels)
     assert gl2_stabilizer_order(5, 1) == 322_560
     # a vector in the span of the prefix is fixed: its stabilizer is the node
-    assert node_at(tree, [1, 2, 3]).order == gl2_stabilizer_order(rank, 2)
+    assert node_at(root, [1, 2, 3]).order == gl2_stabilizer_order(rank, 2)
 
 
 def test_chain_completes_from_generators_alone():
@@ -315,40 +315,40 @@ def test_element_orders_from_powers(group):
 @pytest.mark.parametrize("group", builtin_groups(16), ids=lambda g: g.descriptor)
 def test_least_images_match_set_orbits(group):
     auts = cc.group_automorphisms(group)
-    tree = groups.StabilizerTree(auts, group.order)
+    root = groups.StabilizerNode(auts, group.order)
     for length in (1, 2, 3):
         for subset in itertools.islice(itertools.combinations(group.elements(), length), 0, None, 7):
             orbit = set_orbit(subset, auts.generators)
-            image, orderings = tree.least_image(subset)
+            image, orderings = root.least_image(subset)
             assert image == min(orbit), subset
             if cc.is_generating(group, subset):
                 # Aut(G) moves generating tuples freely: the orderings
                 # that share the least image number |set stabilizer|
                 assert orderings * len(orbit) == auts.order, subset
-            found = tree.least_image(subset, bound=subset)
+            found = root.least_image(subset, bound=subset)
             assert found == ((image, orderings) if image == subset else None), subset
 
 
 @pytest.mark.parametrize("group", builtin_groups(12), ids=lambda g: g.descriptor)
 def test_least_image_bound_is_lexicographic(group):
     # an image whose entry passes the bound's is above it, whatever follows
-    tree = groups.StabilizerTree(cc.group_automorphisms(group), group.order)
+    root = groups.StabilizerNode(cc.group_automorphisms(group), group.order)
     pairs = list(itertools.combinations(group.elements(), 2))
     for points in pairs:
-        found = tree.least_image(points)
+        found = root.least_image(points)
         for bound in pairs:
             expected = None if found[0] < bound else found
-            assert tree.least_image(points, bound=bound) == expected, (points, bound)
+            assert root.least_image(points, bound=bound) == expected, (points, bound)
 
 
 def test_stabilizer_tree_leaves_are_the_walk_of_increasing_minima():
     S4 = cc.from_descriptor("perm:4:(1,2);(1,2,3,4)")
-    tree = groups.StabilizerTree(cc.group_automorphisms(S4), S4.order)
+    root = groups.StabilizerNode(cc.group_automorphisms(S4), S4.order)
     expected = [
         s for s in itertools.combinations(S4.elements(), 3)
-        if all(node_at(tree, s[:j]).least[s[j]] == s[j] for j in range(3))
+        if all(node_at(root, s[:j]).least[s[j]] == s[j] for j in range(3))
     ]
-    leaves = list(tree.leaves(3))
+    leaves = list(root.leaves(3))
     assert leaves == expected
     # every least set of an orbit is a leaf
     assert {min(set_orbit(s, cc.group_automorphisms(S4).generators))

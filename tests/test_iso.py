@@ -15,10 +15,6 @@ def graph_of(group, text):
     return cc.build(group, cc.parse_sequence(group, text))
 
 
-def ugraph_of(group, text):
-    return cc.undirected_view(graph_of(group, text))
-
-
 def compose(w1, w2):
     # apply w1 then w2
     return iso.IsoWitness(
@@ -88,15 +84,14 @@ def test_directed_witness_implies_undirected():
         g1, g2 = graph_of(G, t1), graph_of(G, t2)
         w = iso.directed_iso(g1, g2)
         assert w is not None
-        u1, u2 = cc.undirected_view(g1), cc.undirected_view(g2)
-        assert iso._validate_undirected(u1, u2, w)
+        assert iso._validate_undirected(g1, g2, w)
 
 
 def test_undirected_merges_parity_classes():
     G = cc.dicyclic(3)
-    assert iso.undirected_iso(ugraph_of(G, "a*x,x"), ugraph_of(G, "a^2*x,x")) is not None
+    assert iso.undirected_iso(graph_of(G, "a*x,x"), graph_of(G, "a^2*x,x")) is not None
     # distinct multisets still distinguish
-    assert iso.undirected_iso(ugraph_of(G, "a,x"), ugraph_of(G, "a^2,x")) is None
+    assert iso.undirected_iso(graph_of(G, "a,x"), graph_of(G, "a^2,x")) is None
 
 
 def test_a4_directed_vs_undirected():
@@ -104,21 +99,39 @@ def test_a4_directed_vs_undirected():
     g1 = graph_of(A4, "(1,2,3),(2,4,3)")
     g2 = graph_of(A4, "(1,2,3),(2,3,4)")
     assert iso.directed_iso(g1, g2) is None
-    w = iso.undirected_iso(cc.undirected_view(g1), cc.undirected_view(g2))
+    w = iso.undirected_iso(g1, g2)
     assert w is not None
 
 
 def test_undirected_identity_witness():
-    u = ugraph_of(cc.dicyclic(3), "a,x")
-    w = iso.undirected_iso(u, u)
-    assert w is not None and iso._validate_undirected(u, u, w)
+    g = graph_of(cc.dicyclic(3), "a,x")
+    w = iso.undirected_iso(g, g)
+    assert w is not None and iso._validate_undirected(g, g, w)
+
+
+def test_undirected_validator_rejects_bad_witnesses():
+    g = graph_of(cc.dihedral(3), "x,a")
+    identity = tuple(range(g.vertex_count))
+    assert iso._validate_undirected(g, g, iso.IsoWitness(identity, (0, 1)))
+    # (1, 0) pairs the involution x with the order-3 label a
+    assert not iso._validate_undirected(g, g, iso.IsoWitness(identity, (1, 0)))
+    # (0, 0) is no label bijection
+    assert not iso._validate_undirected(g, g, iso.IsoWitness(identity, (0, 0)))
+    # a vertex map that is not a bijection
+    collapsed = (0,) + identity[:-1]
+    assert not iso._validate_undirected(g, g, iso.IsoWitness(collapsed, (0, 1)))
+    # g and g^-1 have the same undirected edges, so only the label
+    # bijection check rejects sending both labels to one
+    c = graph_of(cc.cyclic(3), "g,g^2")
+    assert iso._validate_undirected(c, c, iso.IsoWitness((0, 1, 2), (1, 0)))
+    assert not iso._validate_undirected(c, c, iso.IsoWitness((0, 1, 2), (0, 0)))
 
 
 def test_undirected_with_order2_labels():
     D = cc.dihedral(5)
-    u1 = ugraph_of(D, "x,a*x")
-    u2 = ugraph_of(D, "x,a^2*x")
-    assert iso.undirected_iso(u1, u2) is not None
+    g1 = graph_of(D, "x,a*x")
+    g2 = graph_of(D, "x,a^2*x")
+    assert iso.undirected_iso(g1, g2) is not None
 
 
 def test_count_mismatches_give_none():
@@ -138,7 +151,7 @@ def test_disconnected_inputs_rejected():
     with pytest.raises(ValueError):
         iso.directed_iso(disconnected, disconnected)
     with pytest.raises(ValueError):
-        iso.undirected_iso(cc.undirected_view(disconnected), cc.undirected_view(connected))
+        iso.undirected_iso(disconnected, connected)
     with pytest.raises(ValueError):
         iso.automorphisms(disconnected)
 

@@ -1,7 +1,8 @@
-"""Byte identity of classify reports and verify-theorem output.
+"""Byte identity of classify reports, verify-theorem output and DOT export.
 
-The SHA-256 digests below pin the exact bytes of a corpus of reports, so
-a change to how classes are found cannot change what is reported.  To
+The SHA-256 digests below pin the exact bytes of a corpus of reports and
+of ``export-dot`` runs, so a change to how classes are found or how
+graphs are held cannot change what is printed.  To
 re-record them after an intended change of output, run this file as a
 script (``PYTHONPATH=src:tests python tests/test_report_digests.py``)
 and paste what it prints.
@@ -28,6 +29,17 @@ LENGTH_THREE = [
 ]
 
 
+# (group, sequence) pairs for export-dot, each run directed and undirected:
+# labels of order > 2, order-2 labels, a loop, and a permutation group
+DOT_CASES = [
+    ("dicyclic:3", "a*x,x"),
+    ("dihedral:4", "x,a*x"),
+    ("cyclic:1", "e"),
+    ("perm:4:(1,2);(1,2,3,4)", "(1,2),(1,2,3,4)"),
+]
+DOT_RUNS = [(group, seq, flags) for group, seq in DOT_CASES for flags in ((), ("--undirected",))]
+
+
 def digest(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -46,12 +58,26 @@ def verify_theorem_output():
     return f"exit {code}\n" + out.getvalue()
 
 
+def export_dot_output(group, seq, flags):
+    """Exit code, stdout and stderr of one export-dot run, joined."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["export-dot", "--group", group, "--seq", seq, *flags])
+    return f"exit {code}\n" + out.getvalue() + "\n--- stderr\n" + err.getvalue()
+
+
+def dot_key(group, seq, flags):
+    return " ".join(("export-dot", group, seq, *flags))
+
+
 def current_digests():
     found = {g.descriptor: digest(builtin_reports(g)) for g in builtin_groups(24)}
     for descriptor, length, mode, minimal_only in LENGTH_THREE:
         report = cc.classify(cc.from_descriptor(descriptor), length, mode, minimal_only)
         found[f"{descriptor} {length} {mode} {minimal_only}"] = digest(report.to_json())
     found["verify-theorem 2..12 json"] = digest(verify_theorem_output())
+    for run in DOT_RUNS:
+        found[dot_key(*run)] = digest(export_dot_output(*run))
     return found
 
 
@@ -107,6 +133,15 @@ DIGESTS = {
     'dicyclic:45 3 directed True': 'ec8be5650f28199073248d7828069a244865b5a3b728f0d43577b4f2ad93bbe3',
     'perm:5:(1,2);(1,2,3,4,5) 3 directed False': 'ea9d9dedf7beb7a1f9088fba74bf1f9274fff5e26294b76f5c81d8ac270f6a07',
     'verify-theorem 2..12 json': 'd1ad8c410ed866c2da605c53dad5c324769a11c86f4e6ad9cb68e37851a45b6f',
+    # recorded from the code that held undirected graphs as a second type
+    'export-dot dicyclic:3 a*x,x': '8fb03e475173f961052b304978230808f0ffa391811f453441b35cc8f40681c0',
+    'export-dot dicyclic:3 a*x,x --undirected': 'f44cf086393dce98658ea307f3381ae3f366a0c295cd08cc8fc726f8af9a5d73',
+    'export-dot dihedral:4 x,a*x': 'b95d9854bc02fc8631545a6c78f2fc2f46759f8f8e7b0659d5a13401e25f20c6',
+    'export-dot dihedral:4 x,a*x --undirected': '8a53d77c258e8281a7f9fbb6b540c7a6c9069137d4d3c6861a608d550b44d39e',
+    'export-dot cyclic:1 e': '98093ea4f3b0dc4862cbd4885a194f10e34836fa056d8d280dae8e3da3b5581b',
+    'export-dot cyclic:1 e --undirected': '8101c37b900dddcc6109bf00fc028988b44aa3577a569436fa47ce1c80b124e6',
+    'export-dot perm:4:(1,2);(1,2,3,4) (1,2),(1,2,3,4)': '90e8f4b519b91e4756972f2a2b9ff6b7e87c1a4242961582cd59e5bce4aaf437',
+    'export-dot perm:4:(1,2);(1,2,3,4) (1,2),(1,2,3,4) --undirected': '71b97e9e8e7458d79043733268ee16eae6e708f8b0fd21679bd1a3d251f27cd0',
 }
 
 
@@ -124,6 +159,11 @@ def test_length_three_reports_are_byte_identical(descriptor, length, mode, minim
 
 def test_verify_theorem_output_is_byte_identical():
     assert digest(verify_theorem_output()) == DIGESTS["verify-theorem 2..12 json"]
+
+
+@pytest.mark.parametrize("group, seq, flags", DOT_RUNS, ids=[dot_key(*run) for run in DOT_RUNS])
+def test_export_dot_output_is_byte_identical(group, seq, flags):
+    assert digest(export_dot_output(group, seq, flags)) == DIGESTS[dot_key(group, seq, flags)]
 
 
 if __name__ == "__main__":
