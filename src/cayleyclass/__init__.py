@@ -22,7 +22,6 @@ from .dicyclic_theory import (
     verify_theorem,
 )
 from .groups import (
-    AutomorphismGroup,
     ClosureLimitError,
     FiniteGroup,
     GeneratingSequence,

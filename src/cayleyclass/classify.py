@@ -23,13 +23,13 @@ stabilizer|.
 
 The walk starts at the first k-set, (0, ..., k-1).  Each node of the
 tree holds its group as a stabilizer chain along the generating tuple
-``base`` (``groups.AutomorphismGroup``): at most r <= log2|G| levels,
-each an orbit of at most |G| points with its Schreier vector.  A child
-is built by Schreier-Sims with its known order, |H| / |orbit|, sifting
-each Schreier generator through the chain built so far by its images of
-base, so a node stores O(r*|G|) points however large its group
-(GL(5, 2) for (C2)^5, say).  MAX_SETS bounds the C(order, k) sets that
-the walk may visit.
+``base``: at most r <= log2|G| levels, each an orbit of at most |G|
+points with its Schreier vector.  ``groups.group_automorphisms`` returns
+the root, Aut(G).  A child is built by Schreier-Sims with its known
+order, |H| / |orbit|, sifting each Schreier generator through the chain
+built so far by its images of base, so a node stores O(r*|G|) points
+however large its group (GL(5, 2) for (C2)^5, say).  MAX_SETS bounds the
+C(order, k) sets that the walk may visit.
 
 In undirected mode a label s and its inverse give the same edges, and
 the same walk settles each class at its leaf.  An automorphism maps
@@ -166,8 +166,7 @@ def classify(
     start = time.perf_counter()
     _check_guards(group, length, max_order)
     qualifies = is_minimal_generating if minimal_only else is_generating
-    auts = group_automorphisms(group)  # materialises the table too
-    root = StabilizerNode(auts, group.order)
+    root = group_automorphisms(group)  # materialises the table too
     # records: [representative, order multiset, size, Cayley graph]
     records: list[list] = []
     per_set = math.factorial(length)
@@ -187,7 +186,7 @@ def classify(
         # Aut(G) moves generating tuples freely: a class holds |Aut(G)|
         # sequences per Aut(G)-orbit among the k! orderings of each of
         # its sets, and `count` orderings share an orbit
-        size = sum(auts.order * per_set // count for count in counts)
+        size = sum(root.order * per_set // count for count in counts)
         multiset = order_multiset(group, subset)
         if graph is not None:
             match = next(

@@ -76,13 +76,15 @@ def _report_table(data: dict) -> str:
 
 def cmd_classify(args) -> int:
     _check_jobs(args)
-    group = groups.from_descriptor(args.group)
+    max_order = _max_order()
+    # the guard fires before a group past it is built
+    group = groups.from_descriptor(args.group, max_order)
     report = run_classify(
         group,
         args.length,
         args.mode,
         minimal_only=args.minimal,
-        max_order=_max_order(),
+        max_order=max_order,
     )
     data = report.to_json_dict()
     text = report.to_json() if args.format == "json" else _report_table(data)

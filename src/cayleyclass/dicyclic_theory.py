@@ -9,13 +9,12 @@ x^2=a^n, x^(-1)ax=a^(-1)>; elements a^k*x all have order 4.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .classify import ClassificationReport, classify, classify_summary_equal
-from .groups import OrderMultiset, dicyclic, forced_map, left_row, parse_sequence
+from .groups import OrderMultiset, dicyclic, group_automorphisms, parse_sequence
 from .presentations import (
     Presentation,
     parse_presentation,
@@ -194,8 +193,8 @@ def verify_theorem(n: int) -> TheoremVerification:
     count and multiset profile against the prediction, places every
     predicted representative in a distinct observed class, and runs the
     morphism verification for each applicable presentation variant.
-    A representative's class is the first one an automorphism maps it
-    into, or -1.
+    A representative's class is the one whose representative, the least
+    set of its Aut(G)-orbit, is the least image of its set, or -1.
     """
     if not MIN_N <= n <= MAX_N:
         raise ValueError(f"n must be in {MIN_N}..{MAX_N}, got {n}")
@@ -204,19 +203,11 @@ def verify_theorem(n: int) -> TheoremVerification:
     report = classify(group, 2, "directed", minimal_only=True)
     profile_ok = classify_summary_equal(report, prediction.multisets)
 
-    def class_of(seq) -> int:
-        # an automorphism maps seq onto a class representative, in some
-        # order, exactly when the map forced from f(e) = e along their
-        # Cayley-graph rows is a bijection
-        rows = [left_row(group, g) for g in seq]
-        for idx, c in enumerate(report.classes):
-            for image in itertools.permutations(c.representative.elements):
-                target = [left_row(group, g) for g in image]
-                if forced_map(group.order, rows, target, range(len(seq)), 0, 0) is not None:
-                    return idx
-        return -1
-
-    rep_classes = [class_of(parse_sequence(group, text).elements)
+    # a class is an Aut(G)-orbit of sets, led by its least set, which is
+    # the least image of each of its sets
+    root = group_automorphisms(group)
+    index = {c.representative.elements: i for i, c in enumerate(report.classes)}
+    rep_classes = [index.get(root.least_image(sorted(parse_sequence(group, text).elements))[0], -1)
                    for text in prediction.representatives]
     distinct = -1 not in rep_classes and len(set(rep_classes)) == len(rep_classes)
 

@@ -10,13 +10,16 @@ from right multiplication by the generators, so the family's
 multiplication runs order * |generators| times, not order^2.
 
 The module also holds what follows Cayley edges and automorphisms:
-``left_row``, ``forced_map``, ``group_automorphisms`` (Aut(G) as a
-stabilizer chain, ``AutomorphismGroup``, which never lists Aut(G)) and
-``StabilizerNode``, a node of the tree of pointwise stabilizers of Aut(G)
-down prefixes of elements, whose root is Aut(G).  Each node holds its own
-chain along the same tuple, built by Schreier-Sims with known order, and
-its orbit minima with a Schreier vector that carries a point to its
-minimum.  The leaves and least set images of the root drive ``classify``.
+``left_row``, ``forced_map``, ``group_automorphisms`` and
+``StabilizerNode``, the one type that holds a group of automorphisms: a
+node of the tree of pointwise stabilizers of Aut(G) down prefixes of
+elements.  ``group_automorphisms`` returns its root, Aut(G), which is
+never listed.  Each node holds its group as a stabilizer chain along the
+same generating tuple, built by Schreier-Sims with known order from
+automorphisms given as data (base images and the held maps they
+compose), and its orbit minima with a Schreier vector that carries a
+point to its minimum.  The leaves and least set images of the root drive
+``classify``.
 """
 
 from __future__ import annotations
@@ -512,22 +515,32 @@ def from_permutations(
 # descriptors
 
 
-def from_descriptor(text: str) -> FiniteGroup:
+def from_descriptor(text: str, max_order: Optional[int] = None) -> FiniteGroup:
     """Build a group from a descriptor string.
 
     Grammar: ``dicyclic:<n>``, ``dihedral:<n>``, ``cyclic:<n>``,
     ``product:<d1>,<d2>`` (recursively) and
     ``perm:<degree>:<gen>;<gen>...`` with cycle-notation generators.
+    A family or product of order above max_order raises ValueError
+    before any of its elements is built; a permutation group is bounded
+    by its closure cap instead.
     """
-    group, end = _parse_descriptor(text, 0)
+    group, end = _parse_descriptor(text, 0, max_order)
     if text[end:].strip():
         raise ValueError(f"trailing text in descriptor: {text[end:]!r}")
     return group
 
 
-def _parse_descriptor(text: str, pos: int) -> tuple[FiniteGroup, int]:
+def _guard_order(order: int, descriptor: str, max_order: Optional[int]) -> None:
+    if max_order is not None and order > max_order:
+        raise ValueError(
+            f"group order {order} of {descriptor} exceeds the order guard ({max_order})"
+        )
+
+
+def _parse_descriptor(text: str, pos: int, max_order: Optional[int]) -> tuple[FiniteGroup, int]:
     rest = text[pos:]
-    for family in ("dicyclic", "dihedral", "cyclic"):
+    for family, per_n in (("dicyclic", 4), ("dihedral", 2), ("cyclic", 1)):
         prefix = family + ":"
         if rest.startswith(prefix):
             start = pos + len(prefix)
@@ -537,13 +550,15 @@ def _parse_descriptor(text: str, pos: int) -> tuple[FiniteGroup, int]:
             if end == start:
                 raise ValueError(f"expected integer after {prefix!r} in descriptor")
             n = int(text[start:end])
+            _guard_order(per_n * n, text[pos:end], max_order)
             maker = {"dicyclic": dicyclic, "dihedral": dihedral, "cyclic": cyclic}[family]
             return maker(n), end
     if rest.startswith("product:"):
-        g1, end = _parse_descriptor(text, pos + len("product:"))
+        g1, end = _parse_descriptor(text, pos + len("product:"), max_order)
         if end >= len(text) or text[end] != ",":
             raise ValueError("product descriptor needs two comma-separated factors")
-        g2, end = _parse_descriptor(text, end + 1)
+        g2, end = _parse_descriptor(text, end + 1, max_order)
+        _guard_order(g1.order * g2.order, text[pos:end], max_order)
         return direct_product(g1, g2), end
     if rest.startswith("perm:"):
         start = pos + len("perm:")
@@ -748,90 +763,6 @@ def _close(orbit: dict[int, int], gens, fresh: list[int]) -> None:
                 fresh.append(g[p])
 
 
-class AutomorphismGroup:
-    """A group of automorphisms of G by a stabilizer chain along the
-    generating tuple ``base`` (C. C. Sims, 1970), on whose images an
-    automorphism is fixed.  The generators are element maps (the images
-    of the ids 0..order-1); generator k first moves b_{depths[k]}.  Level
-    i maps each point of the orbit of b_i under the generators fixing
-    b_0, ..., b_{i-1} to the generator that reached it, -1 at b_i: a
-    Schreier vector on at most |G| points.  ``order``, the product of the
-    level sizes, is the group's order once the chain is complete, as
-    ``group_automorphisms`` and ``StabilizerNode.child`` leave it.
-    """
-
-    __slots__ = ("base", "generators", "inverses", "depths", "levels")
-
-    def __init__(self, base: Sequence[int]):
-        self.base = tuple(base)
-        self.generators, self.inverses, self.depths = [], [], []
-        self.levels: list[dict[int, int]] = [{b: -1} for b in self.base]
-
-    @property
-    def order(self) -> int:
-        return math.prod(map(len, self.levels))
-
-    def sift(self, values: Sequence[int]) -> tuple[int, list[int]]:
-        """Strip an element, values[:r] its images of base (any further
-        entries ride along), carrying its image of b_i back to b_i at each
-        level i.  Returns the first level whose orbit misses the image,
-        with the residue's values, or r: the residue is the identity."""
-        values = list(values)
-        for i, level in enumerate(self.levels):
-            if values[i] not in level:
-                return i, values
-            values = _apply(self.inverses, _path(level, self.inverses, values[i]), values)
-        return len(self.levels), values
-
-    def add(self, m: tuple[int, ...], depth: int) -> None:
-        """Add the element map m, which first moves b_depth, as a
-        generator, and close levels 0..depth under it."""
-        k = len(self.generators)
-        self.generators.append(m)
-        inverse = [0] * len(m)
-        for p, q in enumerate(m):
-            inverse[q] = p
-        self.inverses.append(inverse)
-        self.depths.append(depth)
-        for i, level in enumerate(self.levels[:depth + 1]):
-            fresh = [m[p] for p in level if m[p] not in level]
-            level.update(dict.fromkeys(fresh, k))
-            _close(level, [(j, g) for j, g in enumerate(self.generators)
-                           if self.depths[j] >= i], fresh)
-
-    def absorb(self, images: Sequence[int], element: Callable[[Iterable[int]], list[int]],
-               degree: int) -> bool:
-        """Sift an automorphism by its images of base; unless it lies in the
-        group, add its residue, taking its map from element, the function
-        that maps points to their images.  Returns whether one was added."""
-        if self.sift(images)[0] == len(self.base):
-            return False
-        depth, values = self.sift(element(self.base + tuple(range(degree))))
-        self.add(tuple(values[len(self.base):]), depth)
-        return True
-
-    def complete(self, order: int, degree: int, elements: Iterable = ()) -> None:
-        """Schreier-Sims with known order: absorb the elements, then the
-        Schreier generators t_{g(p)}^-1 * g * t_p of each level (as g * t_p,
-        which level i strips to them), deepest level first, until the
-        levels reach order.  Once all of them sift the chain is complete,
-        so falling short of order is an error."""
-        def schreier():
-            for i in reversed(range(len(self.base))):
-                for p in list(self.levels[i]):
-                    path = _path(self.levels[i], self.inverses, p)[::-1]
-                    for j, depth in enumerate(self.depths):
-                        if depth >= i:
-                            element = functools.partial(_apply, self.generators, path + [j])
-                            yield element(self.base), element
-
-        elements = iter(elements)
-        while self.order < order:
-            if not any(self.absorb(images, element, degree)
-                       for images, element in itertools.chain(elements, schreier())):
-                raise RuntimeError(f"the chain closes at order {self.order}, not {order}")
-
-
 def element_orders(group: FiniteGroup) -> list[int]:
     """The order of every element.  The powers of each element whose
     order is not yet known are walked once, up to e, and g^k gets
@@ -847,8 +778,9 @@ def element_orders(group: FiniteGroup) -> list[int]:
     return orders
 
 
-def group_automorphisms(group: FiniteGroup) -> AutomorphismGroup:
-    """Aut(G) by a stabilizer chain along base.
+def group_automorphisms(group: FiniteGroup) -> StabilizerNode:
+    """Aut(G), the root of the stabilizer tree, by a stabilizer chain
+    along base.
 
     base = (b_0, ..., b_{r-1}) is the greedy generating tuple, so b_j lies
     outside <b_0, ..., b_{j-1}>.  An automorphism is fixed by its images
@@ -906,7 +838,7 @@ def group_automorphisms(group: FiniteGroup) -> AutomorphismGroup:
                 return found
         return None
 
-    auts = AutomorphismGroup(base)
+    auts = StabilizerNode(base)
     for i in reversed(range(len(base))):
         prefix = list(base[:i])
         failed: dict[int, int] = {}
@@ -919,17 +851,26 @@ def group_automorphisms(group: FiniteGroup) -> AutomorphismGroup:
             else:
                 failed[t] = -1
                 _close(failed, list(enumerate(auts.generators)), [t])
-    return auts
+    return auts._walk_orbits(count)
 
 
 class StabilizerNode:
-    """The pointwise stabilizer H of a prefix of points, held by its
-    stabilizer chain ``chain``: a node of the tree whose root is Aut(G)
-    and whose children fix one more point, each an orbit minimum of H.
+    """The pointwise stabilizer H of a prefix of points: a node of the
+    tree whose root is Aut(G) and whose children fix one more point, each
+    an orbit minimum of H.
+
+    H is held by a stabilizer chain along the generating tuple ``base``
+    (C. C. Sims, 1970), on whose images an automorphism is fixed.  The
+    generators are element maps (the images of the ids 0..order-1);
+    generator k first moves b_{depths[k]}.  Level i maps each point of the
+    orbit of b_i under the generators fixing b_0, ..., b_{i-1} to the
+    generator that reached it, -1 at b_i: a Schreier vector on at most |G|
+    points.  ``order``, the product of the level sizes, is |H| once the
+    chain is complete, as ``group_automorphisms`` and ``child`` leave it.
 
     ``least[p]`` is the least point of p's H-orbit.  Each orbit is
-    walked breadth-first from its minimum under the chain's generators,
-    and ``edge[p]`` names the generator whose map reached p (-1 at a
+    walked breadth-first from its minimum under the generators, and
+    ``edge[p]`` names the generator whose map reached p (-1 at a
     minimum): a Schreier vector, which ``carry`` follows back to move p
     to its minimum.  The stabilizers of one more point are built on
     first use (``child``).
@@ -943,15 +884,83 @@ class StabilizerNode:
     2004).
     """
 
-    __slots__ = ("chain", "least", "edge", "_orbits", "_children")
+    __slots__ = ("base", "generators", "inverses", "depths", "levels",
+                 "least", "edge", "_orbits", "_children")
 
-    def __init__(self, chain: AutomorphismGroup, degree: int):
-        self.chain = chain
+    def __init__(self, base: Sequence[int]):
+        self.base = tuple(base)
+        self.generators, self.inverses, self.depths = [], [], []
+        self.levels: list[dict[int, int]] = [{b: -1} for b in self.base]
         self._children: dict[int, StabilizerNode] = {}
+
+    @property
+    def order(self) -> int:
+        """|H|, once the chain is complete."""
+        return math.prod(map(len, self.levels))
+
+    def add(self, m: tuple[int, ...], depth: int) -> None:
+        """Add the element map m, which first moves b_depth, as a
+        generator, and close levels 0..depth under it."""
+        k = len(self.generators)
+        self.generators.append(m)
+        inverse = [0] * len(m)
+        for p, q in enumerate(m):
+            inverse[q] = p
+        self.inverses.append(inverse)
+        self.depths.append(depth)
+        for i, level in enumerate(self.levels[:depth + 1]):
+            fresh = [m[p] for p in level if m[p] not in level]
+            level.update(dict.fromkeys(fresh, k))
+            _close(level, [(j, g) for j, g in enumerate(self.generators)
+                           if self.depths[j] >= i], fresh)
+
+    def absorb(self, images: Sequence[int], maps: Sequence[Sequence[int]]) -> bool:
+        """Sift an automorphism, given by its images of base and the held
+        maps whose composition (first to last) it is: at each level i,
+        carry its image of b_i back to b_i by the inverses on the Schreier
+        path.  Unless it strips to the identity, add the residue, composed
+        from maps and those inverses, at the first level whose orbit misses
+        the image.  Returns whether one was added."""
+        stripped: list[int] = []  # the inverses on the paths, first to last
+        for depth, level in enumerate(self.levels):
+            if images[depth] not in level:
+                m = _apply(maps, range(1, len(maps)), maps[0])
+                self.add(tuple(_apply(self.inverses, stripped, m)), depth)
+                return True
+            path = _path(level, self.inverses, images[depth])
+            images = _apply(self.inverses, path, images)
+            stripped += path
+        return False
+
+    def complete(self, order: int, elements: Iterable = ()) -> None:
+        """Schreier-Sims with known order: absorb the elements, pairs of
+        base images and maps as ``absorb`` takes them, then the Schreier
+        generators t_{g(p)}^-1 * g * t_p of each level (as g * t_p, which
+        level i strips to them), deepest level first, until the levels
+        reach order.  Once all of them sift the chain is complete, so
+        falling short of order is an error."""
+        def schreier():
+            for i in reversed(range(len(self.base))):
+                for p in list(self.levels[i]):
+                    path = _path(self.levels[i], self.inverses, p)[::-1]
+                    for j, depth in enumerate(self.depths):
+                        if depth >= i:
+                            yield (_apply(self.generators, path + [j], self.base),
+                                   [self.generators[k] for k in path + [j]])
+
+        elements = iter(elements)
+        while self.order < order:
+            if not any(self.absorb(images, maps)
+                       for images, maps in itertools.chain(elements, schreier())):
+                raise RuntimeError(f"the chain closes at order {self.order}, not {order}")
+
+    def _walk_orbits(self, degree: int) -> StabilizerNode:
+        """Set ``least`` and ``edge`` on the points 0..degree-1 from the
+        complete chain's generators; returns the node."""
         self._orbits: dict[int, list[int]] = {}  # minimum -> orbit, unless a fixed point
         least = self.least = [-1] * degree
         edge = self.edge = [-1] * degree
-        gens = list(enumerate(chain.generators))
+        gens = list(enumerate(self.generators))
         for p in range(degree):
             if least[p] == -1:
                 least[p] = p
@@ -964,19 +973,14 @@ class StabilizerNode:
                             orbit.append(t)
                 if len(orbit) > 1:
                     self._orbits[p] = orbit
-
-    @property
-    def order(self) -> int:
-        """|H|."""
-        return self.chain.order
+        return self
 
     def carry(self, p: int, values: Iterable[int]) -> list[int]:
         """values under an element of H that maps p to least[p]: the
         inverses of the generators on p's Schreier path, last one first."""
-        inverses = self.chain.inverses
-        return _apply(inverses, _path(self.edge, inverses, p), values)
+        return _apply(self.inverses, _path(self.edge, self.inverses, p), values)
 
-    def child(self, r: int) -> "StabilizerNode":
+    def child(self, r: int) -> StabilizerNode:
         """The stabilizer of r in H, for r an orbit minimum, of order
         |H| / |orbit of r|.  By Schreier's lemma it is generated by
         t_{m(p)}^-1 * m * t_p over the generators m and the points p of
@@ -985,23 +989,32 @@ class StabilizerNode:
         its images of base, through the chain built so far, and added
         when its residue is not the identity.  So a node stores at most r
         levels of at most |G| points, however large H.  The stabilizer of
-        a fixed point is H itself."""
+        a fixed point is H itself.  Raises ValueError when r is not the
+        least point of its orbit."""
+        if self.least[r] != r:
+            raise ValueError(f"{r} is not the least point of its orbit ({self.least[r]} is)")
         if r in self._children:
             return self._children[r]
         orbit = self._orbits.get(r)
         if orbit is None:
             return self  # not kept among the children: no reference cycle
-        gens, inverses, edge = self.chain.generators, self.chain.inverses, self.edge
-        lifted = {r: self.chain.base}  # t_p(base), down the breadth-first orbit
+        gens, inverses, edge = self.generators, self.inverses, self.edge
+        lifted = {r: self.base}  # t_p(base), down the breadth-first orbit
         for q in orbit[1:]:
             lifted[q] = [gens[edge[q]][v] for v in lifted[inverses[edge[q]][q]]]
-        sub = AutomorphismGroup(self.chain.base)
-        # the Schreier generators t_{m(p)}^-1 * m * t_p, by images of base
-        sub.complete(self.order // len(orbit), len(self.least), (
-            (self.carry(m[p], [m[v] for v in lifted[p]]), lambda values, p=p, m=m: self.carry(
-                m[p], [m[v] for v in _apply(gens, _path(edge, inverses, p)[::-1], values)]))
-            for p in orbit for m in gens))
-        node = self._children[r] = StabilizerNode(sub, len(self.least))
+
+        def schreier():
+            # t_{m(p)}^-1 * m * t_p, by images of base and as held maps
+            for p in orbit:
+                forth = [gens[k] for k in reversed(_path(edge, inverses, p))]
+                for m in gens:
+                    back = _path(edge, inverses, m[p])
+                    yield (_apply(inverses, back, [m[v] for v in lifted[p]]),
+                           forth + [m] + [inverses[k] for k in back])
+
+        sub = StabilizerNode(self.base)
+        sub.complete(self.order // len(orbit), schreier())
+        node = self._children[r] = sub._walk_orbits(len(self.least))
         return node
 
     def leaves(self, length: int):

@@ -194,8 +194,8 @@ def test_tree_nodes_stay_small_where_no_set_qualifies(monkeypatch):
     nodes = []
     init = groups.StabilizerNode.__init__
 
-    def recorded(self, chain, degree):
-        init(self, chain, degree)
+    def recorded(self, base):
+        init(self, base)
         nodes.append(self)
 
     monkeypatch.setattr(groups.StabilizerNode, "__init__", recorded)
@@ -207,7 +207,7 @@ def test_tree_nodes_stay_small_where_no_set_qualifies(monkeypatch):
         assert report.classes == () and report.total == 0
         assert nodes[0].order == 9_999_360 and 322_560 in {node.order for node in nodes}
         for node in nodes:
-            assert sum(map(len, node.chain.levels)) <= len(node.chain.base) * G.order
+            assert sum(map(len, node.levels)) <= len(node.base) * G.order
 
 
 def walked_sets(group, length):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from cayleyclass import groups
 from cayleyclass.cli import main
 from conftest import coxeter_sn
 
@@ -72,6 +73,26 @@ def test_classify_env_guard(capsys, monkeypatch):
     monkeypatch.setenv("CAYLEY_CLASSIFY_MAX_ORDER", "12")
     code, _, _ = run(capsys, "classify", "--group", "dicyclic:3", "--length", "2")
     assert code == 0
+
+
+def test_classify_guard_fires_before_the_group_is_built(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("a group past the order guard was built")
+
+    for name in ("dicyclic", "dihedral", "cyclic", "direct_product"):
+        monkeypatch.setattr(groups, name, never)
+    for descriptor, order in [("dicyclic:1000000", 4_000_000), ("dihedral:300", 600),
+                              ("cyclic:10000000000", 10_000_000_000)]:
+        code, out, err = run(capsys, "classify", "--group", descriptor, "--length", "2")
+        assert code == 2 and out == "" and "guard" in err, descriptor
+        assert f"group order {order} of {descriptor}" in err, descriptor
+    monkeypatch.undo()
+    # a product is refused before its elements are named: each factor is
+    # within the guard, their product is not
+    monkeypatch.setattr(groups, "direct_product", never)
+    code, out, err = run(capsys, "classify", "--group", "product:cyclic:100,cyclic:100",
+                         "--length", "2")
+    assert code == 2 and out == "" and "group order 10000 of product:" in err
 
 
 def test_classify_env_guard_below_one_is_a_usage_error(capsys, monkeypatch):

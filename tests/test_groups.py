@@ -237,7 +237,7 @@ def tree_prefixes(root, degree):
 @pytest.mark.parametrize("group", builtin_groups(16), ids=lambda g: g.descriptor)
 def test_stabilizer_nodes_match_every_automorphism(group):
     auts = all_automorphisms(group)
-    root = groups.StabilizerNode(cc.group_automorphisms(group), group.order)
+    root = cc.group_automorphisms(group)
     for prefix in tree_prefixes(root, group.order):
         fixing = [m for m in auts if all(m[p] == p for p in prefix)]
         node = node_at(root, prefix)
@@ -248,16 +248,13 @@ def test_stabilizer_nodes_match_every_automorphism(group):
         for g in group.elements():
             carried = tuple(node.carry(g, group.elements()))
             assert carried[g] == node.least[g] and carried in fixing, (prefix, g)
-        # the chain: exactly the automorphisms fixing the prefix sift to
-        # the identity, and its orbit sizes multiply to |H|
-        chain = node.chain
-        assert math.prod(len(level) for level in chain.levels) == node.order, prefix
-        for m in auts:
-            level, residue = chain.sift([m[b] for b in chain.base])
-            if m in fixing:
-                assert (level, residue) == (len(chain.base), list(chain.base)), (prefix, m)
-            else:
-                assert level < len(chain.base), (prefix, m)
+        # the chain: level i holds the images of b_i under the
+        # automorphisms fixing the prefix and b_0, ..., b_{i-1}, and its
+        # orbit sizes multiply to |H|
+        assert math.prod(len(level) for level in node.levels) == node.order, prefix
+        for i, level in enumerate(node.levels):
+            below = [m for m in fixing if all(m[b] == b for b in node.base[:i])]
+            assert level.keys() == {m[node.base[i]] for m in below}, (prefix, i)
 
 
 def gl2_stabilizer_order(rank, fixed):
@@ -269,14 +266,14 @@ def gl2_stabilizer_order(rank, fixed):
 @pytest.mark.parametrize("rank", [4, 5])
 def test_stabilizer_node_orders_of_elementary_abelian_2_groups(rank):
     G = elementary_abelian(2, rank)
-    root = groups.StabilizerNode(cc.group_automorphisms(G), G.order)
+    root = cc.group_automorphisms(G)
     # ids are coordinate bit strings, so 1, 2, 4, ... are independent, and
     # each is the least element outside the span of the ones before it
     basis = [2 ** i for i in range(rank)]
     for fixed in range(rank + 1):
         node = node_at(root, basis[:fixed])
         assert node.order == gl2_stabilizer_order(rank, fixed), fixed
-        assert node.order == math.prod(len(level) for level in node.chain.levels)
+        assert node.order == math.prod(len(level) for level in node.levels)
     assert gl2_stabilizer_order(5, 1) == 322_560
     # a vector in the span of the prefix is fixed: its stabilizer is the node
     assert node_at(root, [1, 2, 3]).order == gl2_stabilizer_order(rank, 2)
@@ -290,18 +287,17 @@ def test_chain_completes_from_generators_alone():
     for group in builtin_groups(16):
         auts = cc.group_automorphisms(group)
         base = auts.base[::-1]
-        chain = groups.AutomorphismGroup(base)
+        chain = groups.StabilizerNode(base)
         for m in auts.generators:
-            chain.absorb([m[b] for b in base], lambda values, m=m: [m[v] for v in values],
-                         group.order)
+            chain.absorb([m[b] for b in base], [m])
         completed += chain.order < auts.order
-        chain.complete(auts.order, group.order)
+        chain.complete(auts.order)
         every = all_automorphisms(group)
         for i, level in enumerate(chain.levels):
             fixing = [m for m in every if all(m[b] == b for b in base[:i])]
             assert level.keys() == {m[base[i]] for m in fixing}, (group.descriptor, i)
         with pytest.raises(RuntimeError):
-            chain.complete(2 * auts.order, group.order)
+            chain.complete(2 * auts.order)
     assert completed >= 5
 
 
@@ -314,17 +310,16 @@ def test_element_orders_from_powers(group):
 
 @pytest.mark.parametrize("group", builtin_groups(16), ids=lambda g: g.descriptor)
 def test_least_images_match_set_orbits(group):
-    auts = cc.group_automorphisms(group)
-    root = groups.StabilizerNode(auts, group.order)
+    root = cc.group_automorphisms(group)
     for length in (1, 2, 3):
         for subset in itertools.islice(itertools.combinations(group.elements(), length), 0, None, 7):
-            orbit = set_orbit(subset, auts.generators)
+            orbit = set_orbit(subset, root.generators)
             image, orderings = root.least_image(subset)
             assert image == min(orbit), subset
             if cc.is_generating(group, subset):
                 # Aut(G) moves generating tuples freely: the orderings
                 # that share the least image number |set stabilizer|
-                assert orderings * len(orbit) == auts.order, subset
+                assert orderings * len(orbit) == root.order, subset
             found = root.least_image(subset, bound=subset)
             assert found == ((image, orderings) if image == subset else None), subset
 
@@ -332,7 +327,7 @@ def test_least_images_match_set_orbits(group):
 @pytest.mark.parametrize("group", builtin_groups(12), ids=lambda g: g.descriptor)
 def test_least_image_bound_is_lexicographic(group):
     # an image whose entry passes the bound's is above it, whatever follows
-    root = groups.StabilizerNode(cc.group_automorphisms(group), group.order)
+    root = cc.group_automorphisms(group)
     pairs = list(itertools.combinations(group.elements(), 2))
     for points in pairs:
         found = root.least_image(points)
@@ -343,7 +338,7 @@ def test_least_image_bound_is_lexicographic(group):
 
 def test_stabilizer_tree_leaves_are_the_walk_of_increasing_minima():
     S4 = cc.from_descriptor("perm:4:(1,2);(1,2,3,4)")
-    root = groups.StabilizerNode(cc.group_automorphisms(S4), S4.order)
+    root = cc.group_automorphisms(S4)
     expected = [
         s for s in itertools.combinations(S4.elements(), 3)
         if all(node_at(root, s[:j]).least[s[j]] == s[j] for j in range(3))
@@ -353,6 +348,17 @@ def test_stabilizer_tree_leaves_are_the_walk_of_increasing_minima():
     # every least set of an orbit is a leaf
     assert {min(set_orbit(s, cc.group_automorphisms(S4).generators))
             for s in itertools.combinations(S4.elements(), 3)} <= set(leaves)
+
+
+def test_child_refuses_a_point_that_is_not_its_orbit_minimum():
+    # in dicyclic:3, a^4 lies in the orbit of a^2: its stabilizer has
+    # order 6, which child(2) gives, not the root's 12
+    root = cc.group_automorphisms(cc.dicyclic(3))
+    assert root.least[4] == 2 and root.order == 12 and root.child(2).order == 6
+    with pytest.raises(ValueError, match="least point"):
+        root.child(4)
+    # a fixed point is its own minimum: its stabilizer is the node
+    assert root.least[0] == 0 and root.child(0) is root
 
 
 # ---------------------------------------------------------------------------

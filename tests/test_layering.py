@@ -67,3 +67,11 @@ def test_groups_imports_only_words():
 
 def test_theory_places_representatives_without_graphs():
     assert not package_imports("dicyclic_theory") & {"cayley", "iso"}
+
+
+def test_no_module_asserts():
+    # checks must survive python -O, which strips assert statements
+    for name in MODULES:
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, (name, lines)

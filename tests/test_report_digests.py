@@ -28,6 +28,15 @@ LENGTH_THREE = [
     ("perm:5:(1,2);(1,2,3,4,5)", 3, "directed", False),
 ]
 
+# reports that walk deep into the stabilizer tree: Q8 x Q8 needs four
+# generators, so at length 3 every leaf is walked and none qualifies
+DEEP_TREE = [
+    ("product:dicyclic:2,dicyclic:2", 4, "directed", True),
+    ("product:dicyclic:2,dicyclic:2", 3, "directed", False),
+    ("perm:4:(1,2);(1,2,3,4)", 3, "undirected", True),
+    ("dihedral:10", 3, "undirected", False),
+]
+
 
 # (group, sequence) pairs for export-dot, each run directed and undirected:
 # labels of order > 2, order-2 labels, a loop, and a permutation group
@@ -72,7 +81,7 @@ def dot_key(group, seq, flags):
 
 def current_digests():
     found = {g.descriptor: digest(builtin_reports(g)) for g in builtin_groups(24)}
-    for descriptor, length, mode, minimal_only in LENGTH_THREE:
+    for descriptor, length, mode, minimal_only in LENGTH_THREE + DEEP_TREE:
         report = cc.classify(cc.from_descriptor(descriptor), length, mode, minimal_only)
         found[f"{descriptor} {length} {mode} {minimal_only}"] = digest(report.to_json())
     found["verify-theorem 2..12 json"] = digest(verify_theorem_output())
@@ -132,6 +141,12 @@ DIGESTS = {
     'dicyclic:30 3 directed True': '122f2210a57bf941c9f18109ba1e10b90348a08fdda1a48660b015f0207b82f0',
     'dicyclic:45 3 directed True': 'ec8be5650f28199073248d7828069a244865b5a3b728f0d43577b4f2ad93bbe3',
     'perm:5:(1,2);(1,2,3,4,5) 3 directed False': 'ea9d9dedf7beb7a1f9088fba74bf1f9274fff5e26294b76f5c81d8ac270f6a07',
+    # recorded from the code that held Aut(G) as a second type beside
+    # its stabilizer-tree nodes
+    'product:dicyclic:2,dicyclic:2 4 directed True': '1960c418d8a9123a41ca718816499d953102e3ce2fc52a2f47d8f1f2f82fc489',
+    'product:dicyclic:2,dicyclic:2 3 directed False': '285e6be8f19f0433bfe21d9ed91b1bbfd7e71d02433d8152cdca91863c17faf8',
+    'perm:4:(1,2);(1,2,3,4) 3 undirected True': '26e52c33174416e30fefb347c58594da258cffcdf0de8c3809ae408d83049f53',
+    'dihedral:10 3 undirected False': 'd35820628340e479545b142801665a36dcaef945832fa2c99530c0930089c60b',
     'verify-theorem 2..12 json': 'd1ad8c410ed866c2da605c53dad5c324769a11c86f4e6ad9cb68e37851a45b6f',
     # recorded from the code that held undirected graphs as a second type
     'export-dot dicyclic:3 a*x,x': '8fb03e475173f961052b304978230808f0ffa391811f453441b35cc8f40681c0',
@@ -152,6 +167,13 @@ def test_builtin_group_reports_are_byte_identical(group):
 
 @pytest.mark.parametrize("descriptor, length, mode, minimal_only", LENGTH_THREE)
 def test_length_three_reports_are_byte_identical(descriptor, length, mode, minimal_only):
+    report = cc.classify(cc.from_descriptor(descriptor), length, mode, minimal_only)
+    key = f"{descriptor} {length} {mode} {minimal_only}"
+    assert digest(report.to_json()) == DIGESTS[key]
+
+
+@pytest.mark.parametrize("descriptor, length, mode, minimal_only", DEEP_TREE)
+def test_deep_tree_reports_are_byte_identical(descriptor, length, mode, minimal_only):
     report = cc.classify(cc.from_descriptor(descriptor), length, mode, minimal_only)
     key = f"{descriptor} {length} {mode} {minimal_only}"
     assert digest(report.to_json()) == DIGESTS[key]
