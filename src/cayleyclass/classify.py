@@ -13,13 +13,25 @@ stabilizers of Aut(G) (``groups.StabilizerNode``, after C. Sims, 1970,
 and S. Linton, "Finding the smallest image of a set", ISSAC 2004): a
 set is a leaf when each element is the least of its orbit under the
 automorphisms that fix the elements before it, and every least set of
-an orbit is a leaf.  A leaf is kept when it is its own least image,
-computed down the same tree, and then tested for generation (and
-minimality), which automorphisms preserve; so each orbit gets one test.
+an orbit is a leaf.  A leaf is kept when it generates (minimally, in
+minimal mode) and is its own least image, computed down the same tree.
 Aut(G) moves generating tuples freely, so a class holds |Aut(G)|
 sequences for each Aut(G)-orbit among the k! orderings of its set, and
 the orderings that share the least image of the set number |set
 stabilizer|.
+
+The generation test comes first, since it is the cheaper one, and it is
+shared down the tree.  The walk is depth-first, and each node on the
+current path holds <prefix>, the subgroup its elements generate (in
+minimal mode also the subgroup of each prefix without one of its
+elements), so at most k*k subgroups of at most |G| elements are held.
+A leaf (prefix, x) fails at once when x lies in <prefix>; otherwise
+<prefix> is extended by x coset by coset (``groups.extend_subgroup``,
+Dimino's method), until it is known to be the group or not.  In minimal
+mode a node whose prefix generates the group, or has an element in the
+subgroup of the others, is pruned: no leaf below it is minimal, and its
+children are never built.  In the other mode every leaf below a prefix
+that generates qualifies without a test.
 
 The walk starts at the first k-set, (0, ..., k-1).  Each node of the
 tree holds its group as a stabilizer chain along the generating tuple
@@ -51,6 +63,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from typing import Optional
 
 from . import cayley, iso
 from .groups import (
@@ -58,6 +71,7 @@ from .groups import (
     GeneratingSequence,
     OrderMultiset,
     StabilizerNode,
+    extend_subgroup,
     group_automorphisms,
     is_generating,
     is_minimal_generating,
@@ -155,26 +169,27 @@ def classify(
     minimal_only: bool = False,
     *,
     max_order: int = DEFAULT_MAX_ORDER,
+    automorphisms: Optional[StabilizerNode] = None,
 ) -> ClassificationReport:
     """Partition generating sequences into equivalence classes.
 
     mode is "directed" (edge-labeled digraph isomorphism) or
-    "undirected" (direction-forgetting view).
+    "undirected" (direction-forgetting view).  automorphisms is Aut(G)
+    as ``group_automorphisms(group)`` returns it, for a caller that holds
+    it already; by default it is computed here.
     """
     if mode not in ("directed", "undirected"):
         raise ValueError(f"mode must be 'directed' or 'undirected', got {mode!r}")
     start = time.perf_counter()
     _check_guards(group, length, max_order)
-    qualifies = is_minimal_generating if minimal_only else is_generating
-    root = group_automorphisms(group)  # materialises the table too
+    # Aut(G) materialises the table too
+    root = automorphisms if automorphisms is not None else group_automorphisms(group)
     # records: [representative, order multiset, size, Cayley graph]
     records: list[list] = []
     per_set = math.factorial(length)
-    # generation and minimality are Aut(G)-invariant: only least sets
-    # are tested
-    for subset in root.leaves(length):
+    for subset in _qualifying_leaves(group, root, length, minimal_only):
         found = root.least_image(subset, bound=subset)
-        if found is None or not qualifies(group, subset):
+        if found is None:
             continue
         counts = [found[1]]
         graph = None
@@ -218,6 +233,63 @@ def classify(
         total=sum(c.size for c in classes),
         wall_time_seconds=time.perf_counter() - start,
     )
+
+
+def _qualifying_leaves(group: FiniteGroup, root: StabilizerNode, length: int,
+                      minimal_only: bool):
+    """The leaves of the given length below root that generate the group
+    (minimally, with minimal_only), in lexicographic order.
+
+    Each node on the path walked holds its spans (``_grow``), so a
+    subgroup is built once for all the leaves below it, and a child that
+    no leaf below qualifies is neither built nor walked.
+    """
+    order = group.order
+
+    def walk(node, prefix, spans, first):
+        least, last = node.least, len(prefix) + 1 == length
+        for m in range(first, order - (length - len(prefix) - 1)):
+            if least[m] == m:
+                grown = _grow(group, prefix, spans, m, minimal_only, last)
+                if grown is None:
+                    continue
+                if last:
+                    yield prefix + (m,)
+                else:
+                    yield from walk(node.child(m), prefix + (m,), grown, m + 1)
+
+    return walk(root, (), ({group.identity},), 0)
+
+
+def _grow(group: FiniteGroup, prefix: tuple[int, ...], spans: tuple, m: int,
+          minimal_only: bool, last: bool) -> Optional[tuple]:
+    """The spans held for prefix + (m,), built from those of prefix; None
+    when no leaf at or below prefix + (m,) qualifies.
+
+    ``spans[-1]`` is <prefix>, and in minimal mode ``spans[i]`` is
+    <prefix without its i-th element>.  A set is minimal generating when
+    it generates and none of its elements lies in the span of the
+    others; every proper subset of such a set is then such a set, except
+    that it does not generate.  So in minimal mode m must lie outside
+    <prefix>, each element of prefix outside the span of the others and
+    m, and <prefix, m> must be the group at a leaf and not above it.  In
+    the other mode a leaf must generate, and below a prefix that
+    generates every leaf does without building a subgroup.
+    """
+    if minimal_only and m in spans[-1]:
+        return None
+    grown = extend_subgroup(group, spans[-1], prefix, m)
+    generates = len(grown) == group.order
+    if generates != last and (last or minimal_only):
+        return None
+    if not minimal_only:
+        return (grown,)
+    others = []
+    for i, p in enumerate(prefix):
+        others.append(extend_subgroup(group, spans[i], prefix[:i] + prefix[i + 1:], m))
+        if p in others[-1]:
+            return None
+    return (*others, spans[-1], grown)
 
 
 def _inverted_orbits(group: FiniteGroup, root: StabilizerNode, subset: tuple[int, ...],

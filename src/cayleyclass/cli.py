@@ -123,7 +123,7 @@ def cmd_verify_theorem(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    group = groups.from_descriptor(args.group)
+    group = groups.from_descriptor(args.group, groups.DEFAULT_CLOSURE_CAP)
     sequence = groups.parse_sequence(group, args.seq)
     graph = cayley.build(group, sequence)
     text = cayley.to_dot(graph, name=args.name, undirected=args.undirected)
@@ -165,7 +165,7 @@ def cmd_check_morphisms(args) -> int:
 
 
 def cmd_info(args) -> int:
-    group = groups.from_descriptor(args.group)
+    group = groups.from_descriptor(args.group, groups.DEFAULT_CLOSURE_CAP)
     histogram: dict[int, int] = {}
     for k in groups.element_orders(group):
         histogram[k] = histogram.get(k, 0) + 1

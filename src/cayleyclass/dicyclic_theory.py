@@ -200,12 +200,12 @@ def verify_theorem(n: int) -> TheoremVerification:
         raise ValueError(f"n must be in {MIN_N}..{MAX_N}, got {n}")
     group = dicyclic(n)
     prediction = predicted_classification(n)
-    report = classify(group, 2, "directed", minimal_only=True)
+    root = group_automorphisms(group)
+    report = classify(group, 2, "directed", minimal_only=True, automorphisms=root)
     profile_ok = classify_summary_equal(report, prediction.multisets)
 
     # a class is an Aut(G)-orbit of sets, led by its least set, which is
     # the least image of each of its sets
-    root = group_automorphisms(group)
     index = {c.representative.elements: i for i, c in enumerate(report.classes)}
     rep_classes = [index.get(root.least_image(sorted(parse_sequence(group, text).elements))[0], -1)
                    for text in prediction.representatives]

@@ -18,8 +18,9 @@ never listed.  Each node holds its group as a stabilizer chain along the
 same generating tuple, built by Schreier-Sims with known order from
 automorphisms given as data (base images and the held maps they
 compose), and its orbit minima with a Schreier vector that carries a
-point to its minimum.  The leaves and least set images of the root drive
-``classify``.
+point to its minimum.  ``classify`` walks the tree from the root and
+takes least set images down it.  ``extend_subgroup`` grows a subgroup
+by one element, coset by coset, for the generation tests of that walk.
 """
 
 from __future__ import annotations
@@ -668,6 +669,36 @@ def closure(group: FiniteGroup, elements: Iterable[int]) -> frozenset[int]:
     return frozenset(seen)
 
 
+def extend_subgroup(group: FiniteGroup, subgroup, generators: Sequence[int], x: int):
+    """<subgroup, x>, for subgroup = <generators> given as a set holding
+    the identity, built as a union of left cosets y*subgroup (Dimino's
+    method; see G. Butler, "Fundamental Algorithms for Permutation
+    Groups", 1991): the coset of each generator times a known coset
+    representative is added until none is new.  So an element costs one
+    product (with a table, one lookup in a row), not one per generator.
+    Returns subgroup itself when x lies in it, and group.elements() as
+    soon as more than half the group is reached, since no proper subgroup
+    is that large.
+    """
+    if x in subgroup:
+        return subgroup
+    order, table = group.order, group._table
+    rows = [left_row(group, s) for s in (*generators, x)]
+    reached = set(subgroup)
+    representatives = [group.identity]
+    for r in representatives:
+        for row in rows:
+            y = row[r]
+            if y not in reached:
+                coset = map(table[y].__getitem__ if table is not None
+                            else functools.partial(group.mul, y), subgroup)
+                reached.update(coset)
+                if 2 * len(reached) > order:
+                    return group.elements()
+                representatives.append(y)
+    return reached
+
+
 def is_generating(group: FiniteGroup, sequence: Iterable[int]) -> bool:
     return len(closure(group, sequence)) == group.order
 
@@ -978,7 +1009,13 @@ class StabilizerNode:
     def carry(self, p: int, values: Iterable[int]) -> list[int]:
         """values under an element of H that maps p to least[p]: the
         inverses of the generators on p's Schreier path, last one first."""
-        return _apply(self.inverses, _path(self.edge, self.inverses, p), values)
+        values = list(values)
+        edge, inverses = self.edge, self.inverses
+        while edge[p] != -1:
+            h = inverses[edge[p]]
+            p = h[p]
+            values = [h[v] for v in values]
+        return values
 
     def child(self, r: int) -> StabilizerNode:
         """The stabilizer of r in H, for r an orbit minimum, of order
@@ -1016,22 +1053,6 @@ class StabilizerNode:
         sub.complete(self.order // len(orbit), schreier())
         node = self._children[r] = sub._walk_orbits(len(self.least))
         return node
-
-    def leaves(self, length: int):
-        """The leaves of the given length below this node, in
-        lexicographic order."""
-        degree = len(self.least)
-
-        def walk(node, prefix, first):
-            least, last = node.least, len(prefix) + 1 == length
-            for m in range(first, degree - (length - len(prefix) - 1)):
-                if least[m] == m:
-                    if last:
-                        yield prefix + (m,)
-                    else:
-                        yield from walk(node.child(m), prefix + (m,), m + 1)
-
-        return walk(self, (), 0)
 
     def least_image(self, points: Sequence[int], bound: Optional[Sequence[int]] = None):
         """The lexicographically least sorted image of the set points under

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import itertools
 import json
@@ -227,16 +228,17 @@ def walked_sets(group, length):
 
 
 def test_generation_tests_stay_within_the_tree_leaves(monkeypatch):
+    # the per-leaf test is _grow at the last element of a set; the nodes
+    # above hold the spans that it extends
     calls = []
-    is_generating = groups.is_generating
+    grow = classify_module._grow
 
-    def counted(group, sequence):
-        calls.append(sequence)
-        return is_generating(group, sequence)
+    def counted(group, prefix, spans, m, minimal_only, last):
+        if last:
+            calls.append(prefix + (m,))
+        return grow(group, prefix, spans, m, minimal_only, last)
 
-    # is_minimal_generating calls the groups module's is_generating
-    monkeypatch.setattr(groups, "is_generating", counted)
-    monkeypatch.setattr(classify_module, "is_generating", counted)
+    monkeypatch.setattr(classify_module, "_grow", counted)
     S4 = cc.from_descriptor("perm:4:(1,2);(1,2,3,4)")
     for group, length in [(cc.dicyclic(8), 2), (S4, 3)]:
         leaves = walked_sets(group, length)
@@ -246,7 +248,43 @@ def test_generation_tests_stay_within_the_tree_leaves(monkeypatch):
             assert report.classes
             # a leaf costs at most one test, and 1 + k for minimality
             bound = (1 + length) * leaves if minimal_only else leaves
-            assert len(calls) <= bound, (group.descriptor, minimal_only, len(calls), leaves)
+            assert 0 < len(calls) <= bound, (group.descriptor, minimal_only, len(calls), leaves)
+
+
+def tree_leaves(root, degree, length):
+    """The leaves of the given length below root, by their definition:
+    sets whose every element is the least of its orbit under the node of
+    the elements before it."""
+    def node_at(prefix):
+        return functools.reduce(lambda node, r: node.child(r), prefix, root)
+
+    return [s for s in itertools.combinations(range(degree), length)
+            if all(node_at(s[:j]).least[s[j]] == s[j] for j in range(length))]
+
+
+@pytest.mark.parametrize("group", builtin_groups(24), ids=lambda g: g.descriptor)
+def test_held_spans_agree_with_the_closure_tests_on_every_leaf(group):
+    # the walk tests a leaf against the subgroups held down its path and
+    # skips the subtrees it prunes; is_generating and is_minimal_generating
+    # close every set from scratch
+    root = cc.group_automorphisms(group)
+    for length in (1, 2, 3):
+        leaves = tree_leaves(root, group.order, length)
+        for minimal_only in (False, True):
+            qualifies = cc.is_minimal_generating if minimal_only else cc.is_generating
+            walked = list(classify_module._qualifying_leaves(group, root, length, minimal_only))
+            assert walked == [s for s in leaves if qualifies(group, s)], (length, minimal_only)
+
+
+# Directed, minimal, length 3, n <= 30: past two generators the class
+# count is not bounded in n (0 for prime powers, 6 for n = 2p, ...)
+@pytest.mark.parametrize("n, count", [
+    (6, 6), (10, 6), (12, 10), (20, 10), (15, 12), (18, 14), (30, 48),
+    (8, 0), (9, 0), (16, 0), (25, 0), (27, 0),
+])
+def test_dicyclic_length_three_minimal_class_counts(n, count):
+    report = classify(cc.dicyclic(n), 3, "directed", minimal_only=True)
+    assert len(report.classes) == count
 
 
 # S5 is Aut(A5): both groups have 120 automorphisms

@@ -315,6 +315,18 @@ def test_info_json(capsys):
     assert data["element_orders"] == {"1": 1, "2": 1, "4": 6}
 
 
+def test_info_and_export_dot_refuse_a_family_past_the_closure_cap(capsys, monkeypatch):
+    # the bound that permutation groups have: DEFAULT_CLOSURE_CAP elements
+    def never(*args):
+        raise AssertionError("a group past the order guard was built")
+
+    monkeypatch.setattr(groups, "dicyclic", never)
+    for argv in (["info"], ["export-dot", "--seq", "a,x"]):
+        code, out, err = run(capsys, *argv, "--group", "dicyclic:250000")
+        assert code == 2 and out == "", argv
+        assert "group order 1000000 of dicyclic:250000 exceeds the order guard (10000)" in err, argv
+
+
 def test_usage_error_exit_code():
     # argparse reports unknown commands/flags with exit code 2
     with pytest.raises(SystemExit) as err:

@@ -1,9 +1,14 @@
+import importlib
+
 import pytest
 
 import cayleyclass as cc
-from cayleyclass import dicyclic_theory as theory
+from cayleyclass import dicyclic_theory as theory, groups
 from cayleyclass.groups import OrderMultiset
 from pairwise_oracle import pairwise_representative_classes
+
+# the package re-exports the function classify under the module's name
+classify_module = importlib.import_module("cayleyclass.classify")
 
 
 def ms(*values):
@@ -143,6 +148,24 @@ def test_representative_classes_match_pairwise_placement():
         expected = pairwise_representative_classes(
             cc.dicyclic(n), result.report, result.predicted.representatives)
         assert result.representative_classes == expected, n
+
+
+def test_verify_theorem_builds_aut_once_per_n(monkeypatch):
+    # classify and the placement of the predicted representatives share
+    # one root; a second group_automorphisms would be counted here
+    calls = []
+    group_automorphisms = cc.group_automorphisms
+
+    def counted(group):
+        calls.append(group.descriptor)
+        return group_automorphisms(group)
+
+    for module in (groups, classify_module, theory):
+        monkeypatch.setattr(module, "group_automorphisms", counted)
+    for n in range(theory.MIN_N, theory.MAX_N + 1):
+        calls.clear()
+        theory.verify_theorem(n)
+        assert calls == [f"dicyclic:{n}"], n
 
 
 def test_verify_theorem_guards():
