@@ -156,6 +156,12 @@ def cmd_check_presentation(args) -> int:
 
 
 def cmd_check_morphisms(args) -> int:
+    # the enumeration scans a relator of length about n at each of 4n
+    # cosets, so the group-order guard bounds n before anything is built
+    max_order = _max_order()
+    if 4 * args.n > max_order:
+        raise ValueError(f"group order {4 * args.n} of dicyclic:{args.n} exceeds the order "
+                         f"guard ({max_order})")
     variant = args.n if args.variant == "n" else int(args.variant)
     # parity or range violations raise ValueError and exit 2
     ok = dicyclic_theory.check_morphism_variant(args.n, variant)

@@ -132,6 +132,8 @@ def morphism_pair(n: int, variant: int) -> MorphismPair:
 
 
 def applicable_variants(n: int) -> list[int]:
+    if n < 2:
+        raise ValueError(f"requires n >= 2, got {n}")
     return [1] if n % 2 == 0 else [0, 1, n]
 
 

@@ -29,6 +29,7 @@ import functools
 import itertools
 import math
 import random
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -99,7 +100,7 @@ class FiniteGroup:
         return self._inv_fn(a)
 
     def pow(self, g: int, k: int) -> int:
-        return words._power(g, k, self.mul, self.identity, self.inv)
+        return words.power(g, k, self.mul, self.identity, self.inv)
 
     def name(self, g: int) -> str:
         return self.names[g]
@@ -203,19 +204,11 @@ class OrderMultiset:
 
 
 def _exponent_names(unit: str, count: int, suffix: str = "") -> list[str]:
-    names = []
-    for i in range(count):
-        if i == 0:
-            head = ""
-        elif i == 1:
-            head = unit
-        else:
-            head = f"{unit}^{i}"
-        if head and suffix:
-            names.append(f"{head}*{suffix}")
-        else:
-            names.append(head or suffix or words.IDENTITY_NAME)
-    return names
+    """unit^i*suffix for i in range(count); unit^0 is e, or suffix alone."""
+    heads = [unit if i == 1 else f"{unit}^{i}" for i in range(1, count)]
+    if not suffix:
+        return [words.IDENTITY_NAME] + heads
+    return [suffix] + [f"{head}*{suffix}" for head in heads]
 
 
 def dicyclic(n: int) -> FiniteGroup:
@@ -282,28 +275,9 @@ def cyclic(n: int) -> FiniteGroup:
     )
 
 
-_IDENT_CHARS = words._NAME_CHARS
-
-
 def _rename_expression(text: str, mapping: dict[str, str]) -> str:
-    """Rewrite identifier tokens of an element expression via mapping."""
-    if not mapping:
-        return text
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in words._NAME_START:
-            j = i + 1
-            while j < n and text[j] in _IDENT_CHARS:
-                j += 1
-            token = text[i:j]
-            out.append(mapping.get(token, token))
-            i = j
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    """Rewrite the names of an element expression via mapping."""
+    return words.NAME.sub(lambda name: mapping.get(name[0], name[0]), text)
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
@@ -339,15 +313,10 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     map1 = {old: new for old, new in zip(combined[:split], renamed[:split]) if old != new}
     map2 = {old: new for old, new in zip(combined[split:], renamed[split:]) if old != new}
 
-    names = []
-    for a1 in range(g1.order):
-        left = _rename_expression(g1.names[a1], map1) if a1 else ""
-        for a2 in range(order2):
-            right = _rename_expression(g2.names[a2], map2) if a2 else ""
-            if left and right:
-                names.append(f"{left}*{right}")
-            else:
-                names.append(left or right or words.IDENTITY_NAME)
+    lefts = [""] + [_rename_expression(name, map1) for name in g1.names[1:]]
+    rights = [""] + [_rename_expression(name, map2) for name in g2.names[1:]]
+    names = [words.SYLLABLE_SEPARATOR.join(filter(None, (left, right))) or words.IDENTITY_NAME
+             for left in lefts for right in rights]
 
     generators = [
         (new, g * order2) for new, (_, g) in zip(renamed[:split], g1.generators)
@@ -388,19 +357,14 @@ def perm_from_cycles(degree: int, text: str) -> tuple[int, ...]:
     tokens = words.tokenize(text)
     if len(tokens) != 1 or tokens[0].kind != "CYCLES":
         raise ParseError(f"not a permutation in cycle notation: {text!r}", 0)
-    cycles: list[list[int]] = []
-    for chunk in tokens[0].text.replace(" ", "").split(")"):
-        if not chunk:
-            continue
-        entries = [int(v) for v in chunk.lstrip("(").split(",")]
-        for v in entries:
+    perm = tuple(range(degree))
+    for cycle_text in words.CYCLE.findall(tokens[0].text):
+        cycle = [int(v) for v in cycle_text[1:-1].split(",")]
+        for v in cycle:
             if not 1 <= v <= degree:
                 raise ValueError(f"cycle entry {v} outside 1..{degree}")
-        if len(set(entries)) != len(entries):
-            raise ValueError(f"repeated entry in cycle {chunk + ')'}")
-        cycles.append(entries)
-    perm = tuple(range(degree))
-    for cycle in cycles:
+        if len(set(cycle)) != len(cycle):
+            raise ValueError(f"repeated entry in cycle {cycle_text}")
         mapping = list(range(degree))
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             mapping[a - 1] = b - 1
@@ -496,18 +460,15 @@ def from_permutations(
             return None
         return index.get(perm)
 
-    generators_named = [(cycles_text(p), index[p]) for p in gen_perms]
-    # drop duplicate generator entries (same permutation listed twice)
-    seen_names: dict[str, int] = {}
-    for name, g in generators_named:
-        seen_names.setdefault(name, g)
+    # a permutation listed twice is one generator: same name, same id
+    generators_named = {cycles_text(p): index[p] for p in gen_perms}
     return FiniteGroup(
         len(perms),
         mul,
         inv,
         names,
         descriptor,
-        list(seen_names.items()),
+        list(generators_named.items()),
         name_resolver=resolver,
     )
 
@@ -521,10 +482,11 @@ def from_descriptor(text: str, max_order: Optional[int] = None) -> FiniteGroup:
 
     Grammar: ``dicyclic:<n>``, ``dihedral:<n>``, ``cyclic:<n>``,
     ``product:<d1>,<d2>`` (recursively) and
-    ``perm:<degree>:<gen>;<gen>...`` with cycle-notation generators.
-    A family or product of order above max_order raises ValueError
-    before any of its elements is built; a permutation group is bounded
-    by its closure cap instead.
+    ``perm:<degree>:<gen>;<gen>...`` with cycle-notation generators,
+    where ``<n>`` and ``<degree>`` are ``words.INT``.  A family or
+    product of order above max_order raises ValueError before any of its
+    elements is built; a permutation group is closed up to max_order
+    elements (the closure cap when max_order is None).
     """
     group, end = _parse_descriptor(text, 0, max_order)
     if text[end:].strip():
@@ -539,77 +501,63 @@ def _guard_order(order: int, descriptor: str, max_order: Optional[int]) -> None:
         )
 
 
+_FAMILIES = {"dicyclic": (dicyclic, 4), "dihedral": (dihedral, 2), "cyclic": (cyclic, 1)}
+_HEAD = re.compile(r"(dicyclic|dihedral|cyclic|product|perm):")
+_PERM_DEGREE = re.compile(rf"({words.INT.pattern}):")
+# a perm generator runs to the next ';' or ',' outside parentheses, and
+# words.tokenize reads it; a comma separates generators only before a
+# '(', which no descriptor starts with, so it also ends a product factor
+_PERM_GENERATOR = re.compile(r"((?:[^;,()]|\([^()]*\))*)(;|,(?=\())?")
+
+
 def _parse_descriptor(text: str, pos: int, max_order: Optional[int]) -> tuple[FiniteGroup, int]:
-    rest = text[pos:]
-    for family, per_n in (("dicyclic", 4), ("dihedral", 2), ("cyclic", 1)):
-        prefix = family + ":"
-        if rest.startswith(prefix):
-            start = pos + len(prefix)
-            end = start
-            while end < len(text) and text[end].isdigit():
-                end += 1
-            if end == start:
-                raise ValueError(f"expected integer after {prefix!r} in descriptor")
-            n = int(text[start:end])
-            _guard_order(per_n * n, text[pos:end], max_order)
-            maker = {"dicyclic": dicyclic, "dihedral": dihedral, "cyclic": cyclic}[family]
-            return maker(n), end
-    if rest.startswith("product:"):
-        g1, end = _parse_descriptor(text, pos + len("product:"), max_order)
-        if end >= len(text) or text[end] != ",":
-            raise ValueError("product descriptor needs two comma-separated factors")
+    head = _HEAD.match(text, pos)
+    if head is None:
+        raise ValueError(f"unknown group descriptor at {text[pos:]!r}")
+    kind, cursor = head[1], head.end()
+    if kind == "product":
+        g1, end = _parse_descriptor(text, cursor, max_order)
+        if not text.startswith(",", end):
+            raise ValueError(f"product descriptor needs two comma-separated factors, "
+                             f"got {text[pos:]!r}")
         g2, end = _parse_descriptor(text, end + 1, max_order)
         _guard_order(g1.order * g2.order, text[pos:end], max_order)
         return direct_product(g1, g2), end
-    if rest.startswith("perm:"):
-        start = pos + len("perm:")
-        end = start
-        while end < len(text) and text[end].isdigit():
-            end += 1
-        if end == start or end >= len(text) or text[end] != ":":
-            raise ValueError("perm descriptor is perm:<degree>:<gen>;<gen>...")
-        degree = int(text[start:end])
-        cursor = end + 1
-        gens: list[str] = []
-        while True:
-            chunk_end = _scan_cycle_chunk(text, cursor)
-            gens.append(text[cursor:chunk_end])
-            cursor = chunk_end
-            if cursor < len(text) and text[cursor] == ";":
-                cursor += 1
-                continue
-            # a comma also separates generators when a cycle follows; a
-            # descriptor never starts with '(', so this is unambiguous
-            # inside product descriptors
-            if (
-                cursor + 1 < len(text)
-                and text[cursor] == ","
-                and text[cursor + 1] == "("
-            ):
-                cursor += 1
-                continue
-            break
-        return from_permutations(degree, gens), cursor
-    raise ValueError(f"unknown group descriptor at {text[pos:]!r}")
+    if kind == "perm":
+        degree = _PERM_DEGREE.match(text, cursor)
+        if degree is None:
+            raise ValueError(f"perm descriptor is perm:<degree>:<gen>;<gen>..., "
+                             f"got {text[pos:]!r}")
+        gens, cursor = _parse_perm_generators(text, degree.end())
+        cap = DEFAULT_CLOSURE_CAP if max_order is None else max_order
+        try:
+            return from_permutations(int(degree[1]), gens, cap), cursor
+        except ClosureLimitError:
+            if max_order is None:
+                raise
+            raise ValueError(f"group order of {text[pos:cursor]} exceeds the order "
+                             f"guard ({max_order})") from None
+    n = words.INT.match(text, cursor)
+    if n is None:
+        raise ValueError(f"expected integer after {text[pos:cursor]!r} in descriptor")
+    maker, per_n = _FAMILIES[kind]
+    _guard_order(per_n * int(n[0]), text[pos:n.end()], max_order)
+    return maker(int(n[0])), n.end()
 
 
-def _scan_cycle_chunk(text: str, pos: int) -> int:
-    depth = 0
-    i = pos
-    while i < len(text):
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and ch in ";,":
-            break
-        i += 1
-    if depth != 0:
-        raise ValueError("unbalanced parentheses in perm descriptor")
-    if i == pos:
-        raise ValueError("empty generator in perm descriptor")
-    return i
+def _parse_perm_generators(text: str, cursor: int) -> tuple[list[str], int]:
+    gens: list[str] = []
+    while True:
+        generator = _PERM_GENERATOR.match(text, cursor)
+        end = generator.end(1)
+        if text.startswith(("(", ")"), end):
+            raise ParseError("unbalanced parentheses in perm descriptor", end)
+        if not generator[1]:
+            raise ParseError("empty generator in perm descriptor", cursor)
+        gens.append(generator[1])
+        if generator[2] is None:
+            return gens, end
+        cursor = generator.end()
 
 
 # ---------------------------------------------------------------------------

@@ -47,9 +47,6 @@ class Word:
     def letters(self) -> list[tuple[int, int]]:
         return words.syllables_to_letters(self.syllables)
 
-    def inverse(self) -> "Word":
-        return Word(tuple((g, -e) for g, e in reversed(self.syllables)))
-
     def text(self, names: Sequence[str]) -> str:
         return words.syllables_text(self.syllables, names)
 
@@ -88,7 +85,7 @@ def parse_presentation(text: str) -> Presentation:
         name = part.strip()
         if not name:
             raise ParseError("empty generator name", offset)
-        if not all(c in words._NAME_CHARS for c in name) or name[0] not in words._NAME_START:
+        if not words.NAME.fullmatch(name):
             raise ParseError(f"invalid generator name {name!r}", offset)
         if name == words.IDENTITY_NAME:
             raise ParseError("'e' is reserved for the identity", offset)

@@ -1,4 +1,4 @@
-"""Parsing of element expressions and presentation words.
+r"""Parsing of element expressions and presentation words.
 
 One grammar serves both group-element expressions (``a^2*x``,
 ``(1,2)(3,4)``) and the relator words of presentations
@@ -8,22 +8,38 @@ One grammar serves both group-element expressions (``a^2*x``,
     factor := atom ('^' ['-'] INT)?
     atom   := NAME | CYCLES | '(' word ')'
 
-NAME is an identifier; CYCLES is permutation cycle notation, one or more
-parenthesised integer lists such as ``(1,2,3)`` or ``(1,2)(3,4)``.  An
-opening ``(`` starts a cycle token exactly when the next non-space
-character is a digit, otherwise it groups a subword.  The name ``e`` is
-reserved for the identity.
+The tokens are the patterns below, and every parser of the package
+scans with them:
+
+    NAME   := [A-Za-z_][A-Za-z0-9_]*     (ASCII only)
+    INT    := \d+                        (the digits int() reads)
+    CYCLE  := '(' \s* \d [\d,\s]* ')'
+    CYCLES := CYCLE (\s* CYCLE)*
+
+So an opening ``(`` starts a cycle token exactly when the next non-space
+character is a digit, otherwise it groups a subword.  Spaces between
+tokens are skipped.  The name ``e`` is reserved for the identity.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+import re
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 IDENTITY_NAME = "e"
 SYLLABLE_SEPARATOR = "*"
 
-_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_NAME_CHARS = _NAME_START | set("0123456789")
+NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+INT = re.compile(r"\d+")
+CYCLE = re.compile(r"\(\s*\d[\d,\s]*\)")
+CYCLES = re.compile(rf"{CYCLE.pattern}(?:\s*{CYCLE.pattern})*")
+
+# a '(' that opens no cycle list is a grouping parenthesis
+_TOKEN = re.compile(
+    rf"\s*(?:(?P<NAME>{NAME.pattern})|(?P<INT>{INT.pattern})|(?P<STAR>\*)|(?P<CARET>\^)"
+    rf"|(?P<CYCLES>{CYCLES.pattern})|(?P<LPAREN>\((?!\s*\d))|(?P<RPAREN>\))|(?P<MINUS>-))"
+)
+_CYCLE_BODY = re.compile(r"[\d,\s]*")
 
 
 class ParseError(ValueError):
@@ -34,103 +50,46 @@ class ParseError(ValueError):
         self.position = position
 
 
-class Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-    def __repr__(self):
-        return f"Token({self.kind!r}, {self.text!r}, {self.pos})"
+class Token(NamedTuple):
+    kind: str
+    text: str
+    pos: int
 
 
 def tokenize(text: str, offset: int = 0) -> list[Token]:
     """Lex a word into NAME/CYCLES/INT/symbol tokens (positions absolute)."""
-    tokens: list[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        pos = offset + i
-        if ch in _NAME_START:
-            j = i + 1
-            while j < n and text[j] in _NAME_CHARS:
-                j += 1
-            tokens.append(Token("NAME", text[i:j], pos))
-            i = j
-        elif ch.isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", text[i:j], pos))
-            i = j
-        elif ch == "(":
-            k = i + 1
-            while k < n and text[k].isspace():
-                k += 1
-            if k < n and text[k].isdigit():
-                j = _scan_cycles(text, i, offset)
-                tokens.append(Token("CYCLES", text[i:j], pos))
-                i = j
-            else:
-                tokens.append(Token("LPAREN", ch, pos))
-                i += 1
-        elif ch == ")":
-            tokens.append(Token("RPAREN", ch, pos))
-            i += 1
-        elif ch == "*":
-            tokens.append(Token("STAR", ch, pos))
-            i += 1
-        elif ch == "^":
-            tokens.append(Token("CARET", ch, pos))
-            i += 1
-        elif ch == "-":
-            tokens.append(Token("MINUS", ch, pos))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", pos)
+    return [Token(*token) for token in _lex(text, offset)]
+
+
+def _lex(text: str, offset: int) -> list[tuple[str, str, int]]:
+    """The tokens as plain (kind, text, pos) tuples, which the parser
+    reads: a tuple is several times cheaper to make than a Token."""
+    tokens = []
+    pos, end = 0, len(text)
+    while pos < end:
+        match = _TOKEN.match(text, pos)
+        if match is None:
+            if text[pos:].strip():
+                raise _lex_error(text, pos, offset)
+            break
+        kind = match.lastgroup
+        tokens.append((kind, match[kind], offset + match.start(kind)))
+        pos = match.end()
     return tokens
 
 
-def _scan_cycles(text: str, i: int, offset: int) -> int:
-    """Scan one cycle-notation token starting at ``text[i] == '('``."""
-    n = len(text)
-    while True:
-        if i >= n or text[i] != "(":
-            break
-        j = i + 1
-        saw_digit = False
-        while j < n and text[j] != ")":
-            c = text[j]
-            if c.isdigit():
-                saw_digit = True
-            elif c != "," and not c.isspace():
-                raise ParseError(f"invalid character {c!r} in cycle", offset + j)
-            j += 1
-        if j >= n:
-            raise ParseError("unterminated cycle", offset + i)
-        if not saw_digit:
-            raise ParseError("empty cycle", offset + i)
-        i = j + 1
-        # chained cycles like (1,2)(3,4) form a single token
-        k = i
-        while k < n and text[k].isspace():
-            k += 1
-        if k < n and text[k] == "(" and k + 1 < n and _next_nonspace_is_digit(text, k + 1):
-            i = k
-            continue
-        break
-    return i
-
-
-def _next_nonspace_is_digit(text: str, i: int) -> bool:
-    while i < len(text) and text[i].isspace():
-        i += 1
-    return i < len(text) and text[i].isdigit()
+def _lex_error(text: str, pos: int, offset: int) -> ParseError:
+    """The error at the first non-space character from pos, where no
+    token matches: a cycle list that breaks, or a stray character."""
+    pos = len(text) - len(text[pos:].lstrip())
+    if text[pos] != "(":
+        return ParseError(f"unexpected character {text[pos]!r}", offset + pos)
+    # a digit follows this '(', so only a character outside [\d,\s] or
+    # the end of the text can stop the list before its ')'
+    end = _CYCLE_BODY.match(text, pos + 1).end()
+    if end == len(text):
+        return ParseError("unterminated cycle", offset + pos)
+    return ParseError(f"invalid character {text[end]!r} in cycle", offset + end)
 
 
 # AST nodes: ("name", text, pos) | ("cycles", text, pos) | ("word", factors)
@@ -138,56 +97,55 @@ def _next_nonspace_is_digit(text: str, i: int) -> bool:
 
 
 def parse_word_ast(text: str, offset: int = 0):
-    tokens = tokenize(text, offset)
+    tokens = _lex(text, offset)
     if not tokens:
         raise ParseError("empty word", offset)
     ast, k = _parse_word(tokens, 0)
     if k != len(tokens):
-        tok = tokens[k]
-        raise ParseError(f"unexpected {tok.text!r}", tok.pos)
+        _, token, pos = tokens[k]
+        raise ParseError(f"unexpected {token!r}", pos)
     return ast
 
 
-def _parse_word(tokens: list[Token], k: int):
+def _parse_word(tokens: list[tuple[str, str, int]], k: int):
     factors = []
     node, k = _parse_factor(tokens, k)
     factors.append(node)
-    while k < len(tokens) and tokens[k].kind == "STAR":
+    while k < len(tokens) and tokens[k][0] == "STAR":
         node, k = _parse_factor(tokens, k + 1)
         factors.append(node)
     return ("word", factors), k
 
 
-def _parse_factor(tokens: list[Token], k: int):
+def _parse_factor(tokens: list[tuple[str, str, int]], k: int):
     if k >= len(tokens):
-        last = tokens[-1]
-        raise ParseError("unexpected end of word", last.pos + len(last.text))
-    tok = tokens[k]
-    if tok.kind == "NAME":
-        atom = ("name", tok.text, tok.pos)
+        _, token, pos = tokens[-1]
+        raise ParseError("unexpected end of word", pos + len(token))
+    kind, token, pos = tokens[k]
+    if kind == "NAME":
+        atom = ("name", token, pos)
         k += 1
-    elif tok.kind == "CYCLES":
-        atom = ("cycles", tok.text, tok.pos)
+    elif kind == "CYCLES":
+        atom = ("cycles", token, pos)
         k += 1
-    elif tok.kind == "LPAREN":
+    elif kind == "LPAREN":
         atom, k = _parse_word(tokens, k + 1)
-        if k >= len(tokens) or tokens[k].kind != "RPAREN":
-            raise ParseError("expected ')'", tok.pos)
+        if k >= len(tokens) or tokens[k][0] != "RPAREN":
+            raise ParseError("expected ')'", pos)
         k += 1
     else:
-        raise ParseError(f"unexpected {tok.text!r}", tok.pos)
+        raise ParseError(f"unexpected {token!r}", pos)
     exponent = 1
-    pos = tok.pos
-    if k < len(tokens) and tokens[k].kind == "CARET":
+    if k < len(tokens) and tokens[k][0] == "CARET":
         k += 1
         sign = 1
-        if k < len(tokens) and tokens[k].kind == "MINUS":
+        if k < len(tokens) and tokens[k][0] == "MINUS":
             sign = -1
             k += 1
-        if k >= len(tokens) or tokens[k].kind != "INT":
-            where = tokens[k].pos if k < len(tokens) else tokens[-1].pos + 1
+        if k >= len(tokens) or tokens[k][0] != "INT":
+            where = tokens[k][2] if k < len(tokens) else tokens[-1][2] + 1
             raise ParseError("expected integer exponent", where)
-        exponent = sign * int(tokens[k].text)
+        exponent = sign * int(tokens[k][1])
         k += 1
     return (atom, exponent, pos), k
 
@@ -204,7 +162,7 @@ def evaluate(ast, *, mul, identity, inv, resolve: Callable[[str], object]):
     value = identity
     for node, exponent, pos in ast[1]:
         base = _evaluate_atom(node, mul=mul, identity=identity, inv=inv, resolve=resolve)
-        value = mul(value, _power(base, exponent, mul, identity, inv))
+        value = mul(value, power(base, exponent, mul, identity, inv))
     return value
 
 
@@ -221,7 +179,8 @@ def _evaluate_atom(node, *, mul, identity, inv, resolve):
     return value
 
 
-def _power(value, exponent: int, mul, identity, inv):
+def power(value, exponent: int, mul, identity, inv):
+    """value to the exponent by squaring; a negative exponent inverts."""
     if exponent < 0:
         value = inv(value)
         exponent = -exponent

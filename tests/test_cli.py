@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cayleyclass import groups
+from cayleyclass import dicyclic_theory, groups
 from cayleyclass.cli import main
 from conftest import coxeter_sn
 
@@ -296,6 +296,22 @@ def test_check_morphisms_parity_violation(capsys):
     assert code == 2 and "odd" in err
 
 
+def test_check_morphisms_guard_fires_before_the_group_is_built(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("a group past the order guard was built")
+
+    monkeypatch.setattr(dicyclic_theory, "check_morphism_variant", never)
+    code, out, err = run(capsys, "check-morphisms", "--n", "250000", "--variant", "1")
+    assert code == 2 and out == ""
+    assert err == "error: group order 1000000 of dicyclic:250000 exceeds the order guard (512)\n"
+    monkeypatch.setenv("CAYLEY_CLASSIFY_MAX_ORDER", "47")
+    code, _, err = run(capsys, "check-morphisms", "--n", "12", "--variant", "1")
+    assert code == 2 and "group order 48 of dicyclic:12 exceeds the order guard (47)" in err
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "check-morphisms", "--n", "12", "--variant", "1")
+    assert code == 0 and out == "n=12 variant=1: PASS\n"
+
+
 # ---------------------------------------------------------------------------
 # info
 
@@ -315,6 +331,33 @@ def test_info_json(capsys):
     assert data["element_orders"] == {"1": 1, "2": 1, "4": 6}
 
 
+def test_perm_descriptor_closure_is_bounded_by_the_order_guard(capsys, monkeypatch):
+    # the guard caps the closure, so S7 is refused after at most 8 of its
+    # 5,040 elements, and a guard past the default closure cap replaces it
+    built = []
+    closure = groups.from_permutations
+
+    def counting(degree, generators, closure_cap=groups.DEFAULT_CLOSURE_CAP):
+        built.append(closure_cap)
+        return closure(degree, generators, closure_cap)
+
+    monkeypatch.setattr(groups, "from_permutations", counting)
+    monkeypatch.setenv("CAYLEY_CLASSIFY_MAX_ORDER", "8")
+    code, out, err = run(capsys, "classify", "--group", "perm:7:(1,2);(1,2,3,4,5,6,7)",
+                         "--length", "2")
+    assert code == 2 and out == "" and built == [8]
+    assert err == ("error: group order of perm:7:(1,2);(1,2,3,4,5,6,7) exceeds the order "
+                   "guard (8)\n")
+    monkeypatch.setenv("CAYLEY_CLASSIFY_MAX_ORDER", "20000")
+    code, _, err = run(capsys, "classify", "--group", "perm:8:(1,2);(1,2,3,4,5,6,7,8)",
+                       "--length", "1")
+    assert code == 2 and "exceeds the order guard (20000)" in err and built[-1] == 20000
+    monkeypatch.undo()
+    with pytest.raises(groups.ClosureLimitError, match="cap of 10000"):
+        groups.from_descriptor("perm:8:(1,2);(1,2,3,4,5,6,7,8)")
+    assert groups.from_descriptor("perm:4:(1,2);(1,2,3,4)", 24).order == 24
+
+
 def test_info_and_export_dot_refuse_a_family_past_the_closure_cap(capsys, monkeypatch):
     # the bound that permutation groups have: DEFAULT_CLOSURE_CAP elements
     def never(*args):
@@ -325,6 +368,45 @@ def test_info_and_export_dot_refuse_a_family_past_the_closure_cap(capsys, monkey
         code, out, err = run(capsys, *argv, "--group", "dicyclic:250000")
         assert code == 2 and out == "", argv
         assert "group order 1000000 of dicyclic:250000 exceeds the order guard (10000)" in err, argv
+
+
+S4 = "perm:4:(1,2);(1,2,3,4)"
+
+# malformed descriptors, sequences and presentations, each with the one
+# line it is refused with; a position counts from the start of the text
+# given, except that of a broken cycle in a perm descriptor, which counts
+# from the start of its generator
+MALFORMED = [
+    (("info", "--group", "perm:3:(1,2;(2,3)"),
+     "unbalanced parentheses in perm descriptor (at position 7)"),
+    (("info", "--group", "perm:3:"), "empty generator in perm descriptor (at position 7)"),
+    (("info", "--group", "perm:3:(1,a)"), "invalid character 'a' in cycle (at position 3)"),
+    (("info", "--group", "perm:3:()"),
+     "not a permutation in cycle notation: '()' (at position 0)"),
+    (("info", "--group", "perm:3:(1,2)junk"),
+     "not a permutation in cycle notation: '(1,2)junk' (at position 0)"),
+    (("info", "--group", "perm:x:(1,2)"),
+     "perm descriptor is perm:<degree>:<gen>;<gen>..., got 'perm:x:(1,2)'"),
+    (("info", "--group", "dicyclic:"), "expected integer after 'dicyclic:' in descriptor"),
+    (("info", "--group", "cyclic:2junk"), "trailing text in descriptor: 'junk'"),
+    (("export-dot", "--group", S4, "--seq", "(1,2)(3,a)"),
+     "invalid character 'a' in cycle (at position 8)"),
+    (("export-dot", "--group", S4, "--seq", "(1,2"), "unbalanced '(' (at position 4)"),
+    (("export-dot", "--group", "dicyclic:3", "--seq", "a$b"),
+     "unexpected character '$' (at position 1)"),
+    (("export-dot", "--group", "dicyclic:3", "--seq", "a^"),
+     "expected integer exponent (at position 2)"),
+    (("export-dot", "--group", "dicyclic:3", "--seq", "a,,x"),
+     "empty sequence entry (at position 2)"),
+    (("check-presentation", "<1u | u>"), "invalid generator name '1u' (at position 1)"),
+    (("check-presentation", "<u,u | u>"), "duplicate generator name 'u' (at position 3)"),
+]
+
+
+@pytest.mark.parametrize("argv, message", MALFORMED, ids=[" ".join(a) for a, _ in MALFORMED])
+def test_malformed_input_is_refused_with_its_position(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_usage_error_exit_code():

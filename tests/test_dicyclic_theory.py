@@ -113,6 +113,9 @@ def test_check_morphism_variant():
 def test_applicable_variants():
     assert theory.applicable_variants(4) == [1]
     assert theory.applicable_variants(5) == [0, 1, 5]
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError, match="requires n >= 2"):
+            theory.applicable_variants(n)
 
 
 def test_verify_theorem_passes_for_3_to_8():

@@ -448,6 +448,10 @@ def test_permutation_generator_validation():
         cc.from_permutations(3, [(1, 1, 2)])
     with pytest.raises(ValueError):
         cc.from_permutations(3, ["(1,5)"])
+    # entries are comma-separated: "(1 2)" is not the 1-cycle (12)
+    for text in ("(1 2)", "(1,,2)", "(1,2,)"):
+        with pytest.raises(ValueError):
+            cc.from_permutations(12, [text])
 
 
 def test_cycle_name_resolution():
@@ -580,6 +584,12 @@ def test_perm_descriptor_comma_separator():
     # starts with a parenthesis, so this stays unambiguous in products)
     assert cc.from_descriptor("perm:4:(1,2),(1,2,3,4)").order == 24
     assert cc.from_descriptor("product:perm:3:(1,2,3);(1,2),cyclic:2").order == 12
+    # spaces around a generator are the generator's own: same group, ids and names
+    for spaced, plain in [("perm:5:(1,2) ;(1,2,3,4,5)", "perm:5:(1,2);(1,2,3,4,5)"),
+                          ("perm:4: (1,2);(1,2,3,4)", "perm:4:(1,2);(1,2,3,4)"),
+                          ("product:perm:3:(1,2) ,cyclic:2", "product:perm:3:(1,2),cyclic:2")]:
+        group = cc.from_descriptor(spaced)
+        assert (group.descriptor, group.names) == (plain, cc.from_descriptor(plain).names)
 
 
 def test_bad_descriptors():

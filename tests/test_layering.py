@@ -78,3 +78,28 @@ def test_no_module_asserts():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, (str(path.relative_to(PACKAGE.parent)), lines)
+
+
+def test_no_module_scans_characters_by_hand():
+    # names, integers and cycles are the patterns of words; a str.isdigit
+    # loop accepts digits int() rejects, and a copy of the name set
+    # drifts from words.NAME
+    banned_calls = {"isdigit", "isspace", "isalpha", "isalnum"}
+    banned_names = {"_NAME_START", "_NAME_CHARS"}
+    for path in sorted(PACKAGE.parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            where = (str(path.relative_to(PACKAGE.parent)), getattr(node, "lineno", None))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                assert node.func.attr not in banned_calls, where
+            assert getattr(node, "id", None) not in banned_names, where
+            assert getattr(node, "attr", None) not in banned_names, where
+
+
+def test_only_words_reads_its_private_names():
+    for name in MODULES:
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        private = sorted(node.attr for node in ast.walk(tree)
+                         if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                         and isinstance(node.value, ast.Name) and node.value.id == "words")
+        assert not private, (name, private)

@@ -48,6 +48,25 @@ DOT_CASES = [
 ]
 DOT_RUNS = [(group, seq, flags) for group, seq in DOT_CASES for flags in ((), ("--undirected",))]
 
+# CLI runs over the text the parsers read: perm descriptors with spaces
+# around and inside their generators, products with renamed generators,
+# cycle sequences with spaces, and a presentation
+PARSE_RUNS = [
+    *(("info", "--group", descriptor, "--format", "json") for descriptor in (
+        "perm:5:(1,2) ;(1,2,3,4,5)",
+        "perm:4: (1,2);(1,2,3,4)",
+        "product:perm:3:(1,2) ,cyclic:2",
+        "perm:4:(1, 2);( 1,2,3,4 )",
+        "perm:4:(1,2)(3,4);(1,2,3,4)",
+        "product:perm:3:(1,2,3);(1,2),cyclic:2",
+    )),
+    ("info", "--group", "product:dicyclic:2,dicyclic:2"),
+    ("export-dot", "--group", "product:dicyclic:2,dicyclic:2", "--seq", "g1*g3,g2"),
+    ("export-dot", "--group", "perm:4:(1,2);(1,2,3,4)", "--seq", "(1,2),(1, 2,3,4)",
+     "--undirected"),
+    ("check-presentation", "<u,v | u^2=v^2, u^4, u^2*(u^3*v)^3>", "--expect", "12"),
+]
+
 
 def digest(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -67,12 +86,16 @@ def verify_theorem_output():
     return f"exit {code}\n" + out.getvalue()
 
 
-def export_dot_output(group, seq, flags):
-    """Exit code, stdout and stderr of one export-dot run, joined."""
+def cli_output(*argv):
+    """Exit code, stdout and stderr of one CLI run, joined."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["export-dot", "--group", group, "--seq", seq, *flags])
+        code = cli.main(list(argv))
     return f"exit {code}\n" + out.getvalue() + "\n--- stderr\n" + err.getvalue()
+
+
+def export_dot_output(group, seq, flags):
+    return cli_output("export-dot", "--group", group, "--seq", seq, *flags)
 
 
 def dot_key(group, seq, flags):
@@ -87,6 +110,8 @@ def current_digests():
     found["verify-theorem 2..12 json"] = digest(verify_theorem_output())
     for run in DOT_RUNS:
         found[dot_key(*run)] = digest(export_dot_output(*run))
+    for argv in PARSE_RUNS:
+        found[" ".join(argv)] = digest(cli_output(*argv))
     return found
 
 
@@ -157,6 +182,18 @@ DIGESTS = {
     'export-dot cyclic:1 e --undirected': '8101c37b900dddcc6109bf00fc028988b44aa3577a569436fa47ce1c80b124e6',
     'export-dot perm:4:(1,2);(1,2,3,4) (1,2),(1,2,3,4)': '90e8f4b519b91e4756972f2a2b9ff6b7e87c1a4242961582cd59e5bce4aaf437',
     'export-dot perm:4:(1,2);(1,2,3,4) (1,2),(1,2,3,4) --undirected': '71b97e9e8e7458d79043733268ee16eae6e708f8b0fd21679bd1a3d251f27cd0',
+    # recorded from the code that scanned names, integers and cycles
+    # character by character
+    'info --group perm:5:(1,2) ;(1,2,3,4,5) --format json': '984a9edc81a820585a6e41e318b9d4b747d6b9f9668c401647ac9ecc31b2126e',
+    'info --group perm:4: (1,2);(1,2,3,4) --format json': 'aa0d86405432a61dbe2ed506b0d1df6dc643155a180becd1daab4bf9fa4da142',
+    'info --group product:perm:3:(1,2) ,cyclic:2 --format json': '6bee0a614d0ca1b336d3418da7e06fbcb195e326a18382bf82d4f3f4ab751403',
+    'info --group perm:4:(1, 2);( 1,2,3,4 ) --format json': 'aa0d86405432a61dbe2ed506b0d1df6dc643155a180becd1daab4bf9fa4da142',
+    'info --group perm:4:(1,2)(3,4);(1,2,3,4) --format json': 'fef3c51a88f4221aa0462e47c02033744bc9678b8379c4f169d241bbd66140d4',
+    'info --group product:perm:3:(1,2,3);(1,2),cyclic:2 --format json': 'b4c9e079fff582d0462b614e3b47f992d2f284546679b0167bb21d7c664cb1cc',
+    'info --group product:dicyclic:2,dicyclic:2': '56d4ba57488e00edeb9f8b41383691c6f099928c9e210edc8d4688a649ef521a',
+    'export-dot --group product:dicyclic:2,dicyclic:2 --seq g1*g3,g2': '5fcff2063edf18a12a89ab9156f8d14b502867bfe5477583b8f20b383f0e171b',
+    'export-dot --group perm:4:(1,2);(1,2,3,4) --seq (1,2),(1, 2,3,4) --undirected': '71b97e9e8e7458d79043733268ee16eae6e708f8b0fd21679bd1a3d251f27cd0',
+    'check-presentation <u,v | u^2=v^2, u^4, u^2*(u^3*v)^3> --expect 12': '85c97c1d911746cd7b59b3746369b9525229996736cee1973a0658c27f5af286',
 }
 
 
@@ -186,6 +223,11 @@ def test_verify_theorem_output_is_byte_identical():
 @pytest.mark.parametrize("group, seq, flags", DOT_RUNS, ids=[dot_key(*run) for run in DOT_RUNS])
 def test_export_dot_output_is_byte_identical(group, seq, flags):
     assert digest(export_dot_output(group, seq, flags)) == DIGESTS[dot_key(group, seq, flags)]
+
+
+@pytest.mark.parametrize("argv", PARSE_RUNS, ids=" ".join)
+def test_parse_runs_are_byte_identical(argv):
+    assert digest(cli_output(*argv)) == DIGESTS[" ".join(argv)]
 
 
 if __name__ == "__main__":

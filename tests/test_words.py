@@ -1,7 +1,11 @@
+import string
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cayleyclass import words
 from cayleyclass.words import ParseError
+from lexer_oracle import oracle_tokenize
 
 
 def test_tokenize_expression():
@@ -40,6 +44,43 @@ def test_parse_error_positions():
         words.tokenize("(1,2")
     with pytest.raises(ParseError):
         words.parse_word_ast("(u*v")
+
+
+def outcome(lexer, text, offset):
+    """The lexer's (kind, text, pos) triples, or its error message."""
+    try:
+        return lexer(text, offset)
+    except ParseError as exc:
+        return str(exc)
+
+
+def triples(text, offset):
+    return [(t.kind, t.text, t.pos) for t in words.tokenize(text, offset)]
+
+
+# letters, digits and the other characters drawn about equally often, so
+# that cycles, chains of cycles and broken cycles all come up
+ASCII_WORDS = st.text(alphabet=st.one_of(st.sampled_from(string.ascii_letters + "_"),
+                                         st.sampled_from(string.digits),
+                                         st.sampled_from("()*^-, ")), max_size=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ASCII_WORDS, st.integers(0, 5))
+@example("(1,2) (3,4)(5, 6)x", 0)
+@example("(1,2)(3,a)", 0)
+@example("(1,2) (3", 2)
+@example("( ,1)", 0)
+def test_tokenize_matches_the_character_loop(text, offset):
+    assert outcome(triples, text, offset) == outcome(oracle_tokenize, text, offset)
+
+
+def test_int_is_the_digits_int_reads():
+    # '²' is a digit to str.isdigit but not to int(); '٣' is one to both
+    with pytest.raises(ParseError) as err:
+        words.parse_word_ast("a^²")
+    assert err.value.position == 2
+    assert words.parse_word_ast("a^٣*x") == words.parse_word_ast("a^3*x")
 
 
 def test_offset_shifts_positions():
