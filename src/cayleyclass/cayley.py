@@ -8,7 +8,7 @@ label subgraph is a disjoint union of directed cycles whose common
 length is the label's element order.  One graph type serves both
 senses: ``succ`` holds the rows v -> s*v and ``pred`` the rows
 v -> s^-1*v, so the undirected neighbours of v under s are the pair
-{s*v, s^-1*v}.  The rows are ``groups.left_row``, shared with the
+{s*v, s^-1*v}.  The rows are ``FiniteGroup.row``, shared with the
 group's table when it has one.
 """
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .groups import FiniteGroup, GeneratingSequence, element_order, left_row
+from .groups import FiniteGroup, GeneratingSequence, element_order
 
 _EDGE_STYLES = ("solid", "dashed", "dotted", "bold")
 
@@ -55,8 +55,8 @@ def build(group: FiniteGroup, sequence: Union[GeneratingSequence, Iterable[int]]
         labels=tuple(labels),
         label_names=tuple(group.names[s] for s in labels),
         label_orders=tuple(element_order(group, s) for s in labels),
-        succ=tuple(left_row(group, s) for s in labels),
-        pred=tuple(left_row(group, group.inv(s)) for s in labels),
+        succ=tuple(group.row(s) for s in labels),
+        pred=tuple(group.row(group.inv(s)) for s in labels),
         vertex_names=group.names,
         basepoint=group.identity,
         provenance=f"{group.descriptor};{','.join(group.names[s] for s in elements)}",

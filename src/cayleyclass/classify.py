@@ -258,7 +258,10 @@ def _qualifying_leaves(group: FiniteGroup, root: StabilizerNode, length: int,
                 else:
                     yield from walk(node.child(m), prefix + (m,), grown, m + 1)
 
-    return walk(root, (), ({group.identity},), 0)
+    yield from walk(root, (), ({group.identity},), 0)
+    # walk refers to itself through its closure, which holds the group:
+    # drop that cycle, so the group is freed by reference counting
+    del walk
 
 
 def _grow(group: FiniteGroup, prefix: tuple[int, ...], spans: tuple, m: int,

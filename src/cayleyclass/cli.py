@@ -10,6 +10,7 @@ invocations produce byte-identical JSON/DOT, regardless of --jobs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -189,7 +190,10 @@ def cmd_info(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: built on the first call, since it
+    costs about a millisecond, and shared by every ``main`` call after."""
     parser = argparse.ArgumentParser(
         prog="cayleyclass",
         description="Classify generating sequences of finite groups by "

@@ -137,9 +137,11 @@ def applicable_variants(n: int) -> list[int]:
     return [1] if n % 2 == 0 else [0, 1, n]
 
 
-def check_morphism_variant(n: int, variant: int) -> bool:
+def check_morphism_variant(n: int, variant: int,
+                           classical: Optional[Presentation] = None) -> bool:
     """Enumerate the variant's presentation, check its order is 4n, and
-    verify the mutually inverse morphism pair."""
+    verify the mutually inverse morphism pair.  ``classical`` is
+    ``classical_presentation(n)``, parsed here when not given."""
     presentation = pi_presentation(n, variant)
     realized = todd_coxeter(presentation, expected_order=4 * n)
     if realized.order != 4 * n:
@@ -150,7 +152,7 @@ def check_morphism_variant(n: int, variant: int) -> bool:
         presentation,
         pair.phi,
         pair.psi,
-        group_presentation=classical_presentation(n),
+        group_presentation=classical or classical_presentation(n),
         realized=realized,
     )
 
@@ -213,7 +215,8 @@ def verify_theorem(n: int) -> TheoremVerification:
                    for text in prediction.representatives]
     distinct = -1 not in rep_classes and len(set(rep_classes)) == len(rep_classes)
 
-    morphisms = {v: check_morphism_variant(n, v) for v in applicable_variants(n)}
+    classical = classical_presentation(n)
+    morphisms = {v: check_morphism_variant(n, v, classical) for v in applicable_variants(n)}
     passed = profile_ok and distinct and all(morphisms.values())
     return TheoremVerification(
         n=n,

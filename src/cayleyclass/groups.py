@@ -3,19 +3,22 @@
 Every group exposes elements as ids ``0 .. order-1`` with id 0 the
 identity; the per-family normal forms (dicyclic exponent pairs,
 permutation images, product tuples) are mapped to ids at construction.
-Multiplication is closed-form index arithmetic; a full table is
-materialised lazily, only for groups up to TABLE_LIMIT elements, by
-``FiniteGroup.ensure_table``.  It builds the table column by column
-from right multiplication by the generators, so the family's
-multiplication runs order * |generators| times, not order^2.
+A family gives its group law as one multiplication and nothing else:
+``FiniteGroup`` derives the rest along one spanning tree of the Cayley
+graph of its generators, walked breadth-first from e over the steps
+v -> v*g (order * |generators| products).  Along that tree it builds the
+multiplication table column by column (``ensure_table``, groups up to
+TABLE_LIMIT elements), a row v -> s*v past the table with one lookup per
+element (``FiniteGroup.row``), and every inverse, so no family writes
+its own.
 
 The module also holds what follows Cayley edges and automorphisms:
-``left_row``, ``forced_map``, ``group_automorphisms`` and
-``StabilizerNode``, the one type that holds a group of automorphisms: a
-node of the tree of pointwise stabilizers of Aut(G) down prefixes of
-elements.  ``group_automorphisms`` returns its root, Aut(G), which is
-never listed.  Each node holds its group as a stabilizer chain along the
-same generating tuple, built by Schreier-Sims with known order from
+``forced_map``, ``group_automorphisms`` and ``StabilizerNode``, the one
+type that holds a group of automorphisms: a node of the tree of
+pointwise stabilizers of Aut(G) down prefixes of elements.
+``group_automorphisms`` returns its root, Aut(G), which is never listed.
+Each node holds its group as a stabilizer chain along the same
+generating tuple, built by Schreier-Sims with known order from
 automorphisms given as data (base images and the held maps they
 compose), and its orbit minima with a Schreier vector that carries a
 point to its minimum.  ``classify`` walks the tree from the root and
@@ -47,17 +50,22 @@ class ClosureLimitError(RuntimeError):
 
 
 class FiniteGroup:
-    """A finite group on element ids 0..order-1 (identity is 0).
+    """A finite group on element ids 0..order-1 (identity is 0), given by
+    its multiplication ``mul`` and generators that reach every element.
 
-    Instances are immutable after construction and safe for concurrent
-    reads; no operation mutates shared state.
+    Everything else follows one spanning tree, built on first use: the
+    steps v -> v*g_k for the generators (order * |generators| products),
+    walked breadth-first from e as edges (p, k, q) with q = p*g_k.  The
+    multiplication table (up to TABLE_LIMIT elements), the rows s*v past
+    it, the inverses and the element orders are derived along it and kept
+    on the group.  So a group is not immutable: these caches fill on
+    first use, and nothing else changes after construction.
     """
 
     def __init__(
         self,
         order: int,
         mul: Callable[[int, int], int],
-        inv: Callable[[int], int],
         names: Sequence[str],
         descriptor: str,
         generators: Sequence[tuple[str, int]],
@@ -78,10 +86,12 @@ class FiniteGroup:
         for name, g in generators:
             self.named_elements[name] = g
         self._mul_fn = mul
-        self._inv_fn = inv
         self._name_resolver = name_resolver
+        self._steps: Optional[list[list[int]]] = None
+        self._tree: Optional[list[tuple[int, int, int]]] = None
         self._table: Optional[list[tuple[int, ...]]] = None
         self._inv_table: Optional[tuple[int, ...]] = None
+        self._orders: Optional[tuple[int, ...]] = None
 
     def __repr__(self):
         return f"<FiniteGroup {self.descriptor} order {self.order}>"
@@ -95,9 +105,17 @@ class FiniteGroup:
         return self._mul_fn(a, b)
 
     def inv(self, a: int) -> int:
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        return self._inv_fn(a)
+        """a^-1; every inverse is filled on the first call, along the tree:
+        q = p*g_k gives q^-1 = g_k^-1 * p^-1, and g_k^-1 is the v with
+        v*g_k = e."""
+        if self._inv_table is None:
+            steps, tree = self._spanning_tree()
+            back = [step.index(0) for step in steps]
+            inverse = [0] * self.order
+            for p, k, q in tree:
+                inverse[q] = self.mul(back[k], inverse[p])
+            self._inv_table = tuple(inverse)
+        return self._inv_table[a]
 
     def pow(self, g: int, k: int) -> int:
         return words.power(g, k, self.mul, self.identity, self.inv)
@@ -111,34 +129,56 @@ class FiniteGroup:
             got = self._name_resolver(text)
         return got
 
-    def ensure_table(self) -> None:
-        """Materialise multiplication/inverse tables (small groups only).
+    def _spanning_tree(self) -> tuple[list[list[int]], list[tuple[int, int, int]]]:
+        """The steps v -> v*g_k and the tree edges (p, k, q), q = p*g_k,
+        breadth-first from e.  Raises ValueError when the generators do
+        not reach every element."""
+        if self._tree is None:
+            order = self.order
+            steps = [[self._mul_fn(v, g) for v in range(order)] for _, g in self.generators]
+            reached = [True] + [False] * (order - 1)
+            tree = []
+            queue = [0]
+            for p in queue:
+                for k, step in enumerate(steps):
+                    q = step[p]
+                    if not reached[q]:
+                        reached[q] = True
+                        tree.append((p, k, q))
+                        queue.append(q)
+            if len(queue) != order:
+                raise ValueError(
+                    f"the generators of {self.descriptor} reach {len(queue)} of {order} elements"
+                )
+            self._steps, self._tree = steps, tree
+        return self._steps, self._tree
 
-        The columns are built breadth-first from the identity along right
-        multiplication by each generator g: column p*g is column p mapped
-        through R_g = (v -> v*g), since a*(p*g) = (a*p)*g.  So the family's
-        ``mul`` runs order * |generators| times, not order^2.  Raises
+    def ensure_table(self) -> None:
+        """Materialise the multiplication table (small groups only).
+
+        Its columns follow the spanning tree: column q = p*g is column p
+        mapped through v -> v*g, since a*(p*g) = (a*p)*g.  Raises
         ValueError when the generators do not reach every element.
         """
         if self._table is not None or self.order > TABLE_LIMIT:
             return
-        mul, order = self._mul_fn, self.order
-        steps = [[mul(v, g) for v in range(order)] for _, g in self.generators]
-        columns: list[Optional[tuple[int, ...]]] = [None] * order
-        columns[0] = tuple(range(order))
-        queue = [0]
-        for p in queue:
-            for step in steps:
-                q = step[p]
-                if columns[q] is None:
-                    columns[q] = tuple(map(step.__getitem__, columns[p]))
-                    queue.append(q)
-        if len(queue) != order:
-            raise ValueError(
-                f"the generators of {self.descriptor} reach {len(queue)} of {order} elements"
-            )
+        steps, tree = self._spanning_tree()
+        columns: list[tuple[int, ...]] = [tuple(range(self.order))] * self.order
+        for p, k, q in tree:
+            columns[q] = tuple(map(steps[k].__getitem__, columns[p]))
         self._table = list(zip(*columns))
-        self._inv_table = tuple(self._inv_fn(a) for a in range(order))
+
+    def row(self, s: int) -> tuple[int, ...]:
+        """The row v -> s*v: the label-s edges of a Cayley graph.  With a
+        table this is the table's own row, not a copy; past it the row
+        follows the tree, s*q = (s*p)*g_k, one lookup per element."""
+        if self._table is not None:
+            return self._table[s]
+        steps, tree = self._spanning_tree()
+        row = [s] * self.order
+        for p, k, q in tree:
+            row[q] = steps[k][row[p]]
+        return tuple(row)
 
     def validate(self) -> None:
         """Check the group axioms; raises ValueError on any violation.
@@ -230,16 +270,8 @@ def dicyclic(n: int) -> FiniteGroup:
             return (i - k) % two_n + two_n
         return (i - k + n) % two_n
 
-    def inv(p: int) -> int:
-        i, j = p % two_n, p // two_n
-        if j == 0:
-            return (-i) % two_n
-        return (i + n) % two_n + two_n
-
     names = _exponent_names("a", two_n) + _exponent_names("a", two_n, suffix="x")
-    return FiniteGroup(
-        4 * n, mul, inv, names, f"dicyclic:{n}", [("a", 1), ("x", two_n)]
-    )
+    return FiniteGroup(4 * n, mul, names, f"dicyclic:{n}", [("a", 1), ("x", two_n)])
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -254,14 +286,8 @@ def dihedral(n: int) -> FiniteGroup:
             return (i + k) % n + n * l
         return (i - k) % n + n * (1 - l)
 
-    def inv(p: int) -> int:
-        i, j = p % n, p // n
-        if j == 0:
-            return (-i) % n
-        return p
-
     names = _exponent_names("a", n) + _exponent_names("a", n, suffix="x")
-    return FiniteGroup(2 * n, mul, inv, names, f"dihedral:{n}", [("a", 1), ("x", n)])
+    return FiniteGroup(2 * n, mul, names, f"dihedral:{n}", [("a", 1), ("x", n)])
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -270,9 +296,7 @@ def cyclic(n: int) -> FiniteGroup:
         raise ValueError(f"cyclic requires n >= 1, got {n}")
     names = _exponent_names("g", n)
     generators = [("g", 1)] if n > 1 else []
-    return FiniteGroup(
-        n, lambda a, b: (a + b) % n, lambda a: (-a) % n, names, f"cyclic:{n}", generators
-    )
+    return FiniteGroup(n, lambda a, b: (a + b) % n, names, f"cyclic:{n}", generators)
 
 
 def _rename_expression(text: str, mapping: dict[str, str]) -> str:
@@ -299,10 +323,6 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
         a1, a2 = divmod(a, order2)
         b1, b2 = divmod(b, order2)
         return g1.mul(a1, b1) * order2 + g2.mul(a2, b2)
-
-    def inv(a: int) -> int:
-        a1, a2 = divmod(a, order2)
-        return g1.inv(a1) * order2 + g2.inv(a2)
 
     combined = [name for name, _ in g1.generators] + [name for name, _ in g2.generators]
     if len(set(combined)) != len(combined):
@@ -336,7 +356,6 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(
         order,
         mul,
-        inv,
         names,
         f"product:{g1.descriptor},{g2.descriptor}",
         generators,
@@ -348,15 +367,19 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
 # permutation groups
 
 
-def perm_from_cycles(degree: int, text: str) -> tuple[int, ...]:
-    """Parse cycle notation like ``(1,2,3)`` or ``(1,2)(3,4)`` on 1..degree.
+def perm_from_cycles(degree: int, text: str, offset: int = 0) -> tuple[int, ...]:
+    """Parse cycle notation like ``(1,2,3)`` or ``(1,2)(3,4)`` on 1..degree,
+    as 0-based images; a syntax error is reported at its position plus
+    offset, where text starts in the source.
 
     Non-disjoint cycles compose left to right as functions (rightmost
     cycle applied first), matching group multiplication.
     """
-    tokens = words.tokenize(text)
+    if degree < 1:
+        raise ValueError(f"degree must be positive, got {degree}")
+    tokens = words.tokenize(text, offset)
     if len(tokens) != 1 or tokens[0].kind != "CYCLES":
-        raise ParseError(f"not a permutation in cycle notation: {text!r}", 0)
+        raise ParseError(f"not a permutation in cycle notation: {text!r}", offset)
     perm = tuple(range(degree))
     for cycle_text in words.CYCLE.findall(tokens[0].text):
         cycle = [int(v) for v in cycle_text[1:-1].split(",")]
@@ -440,13 +463,6 @@ def from_permutations(
     def mul(a: int, b: int) -> int:
         return index[_compose(perms[a], perms[b])]
 
-    def inv(a: int) -> int:
-        p = perms[a]
-        out = [0] * degree
-        for i, v in enumerate(p):
-            out[v] = i
-        return index[tuple(out)]
-
     names = [cycles_text(p) for p in perms]
     gen_text = ";".join(cycles_text(p) for p in gen_perms)
     descriptor = f"perm:{degree}:{gen_text}"
@@ -465,7 +481,6 @@ def from_permutations(
     return FiniteGroup(
         len(perms),
         mul,
-        inv,
         names,
         descriptor,
         list(generators_named.items()),
@@ -528,10 +543,13 @@ def _parse_descriptor(text: str, pos: int, max_order: Optional[int]) -> tuple[Fi
         if degree is None:
             raise ValueError(f"perm descriptor is perm:<degree>:<gen>;<gen>..., "
                              f"got {text[pos:]!r}")
+        points = int(degree[1])
         gens, cursor = _parse_perm_generators(text, degree.end())
+        # parsed here, so that a broken cycle is reported at its position in text
+        images = [[v + 1 for v in perm_from_cycles(points, gen, at)] for gen, at in gens]
         cap = DEFAULT_CLOSURE_CAP if max_order is None else max_order
         try:
-            return from_permutations(int(degree[1]), gens, cap), cursor
+            return from_permutations(points, images, cap), cursor
         except ClosureLimitError:
             if max_order is None:
                 raise
@@ -545,8 +563,10 @@ def _parse_descriptor(text: str, pos: int, max_order: Optional[int]) -> tuple[Fi
     return maker(int(n[0])), n.end()
 
 
-def _parse_perm_generators(text: str, cursor: int) -> tuple[list[str], int]:
-    gens: list[str] = []
+def _parse_perm_generators(text: str, cursor: int) -> tuple[list[tuple[str, int]], int]:
+    """The generators from cursor on, each with its position in text, and
+    the position after the last."""
+    gens: list[tuple[str, int]] = []
     while True:
         generator = _PERM_GENERATOR.match(text, cursor)
         end = generator.end(1)
@@ -554,7 +574,7 @@ def _parse_perm_generators(text: str, cursor: int) -> tuple[list[str], int]:
             raise ParseError("unbalanced parentheses in perm descriptor", end)
         if not generator[1]:
             raise ParseError("empty generator in perm descriptor", cursor)
-        gens.append(generator[1])
+        gens.append((generator[1], cursor))
         if generator[2] is None:
             return gens, end
         cursor = generator.end()
@@ -592,17 +612,12 @@ def sequence_text(group: FiniteGroup, elements: Iterable[int]) -> str:
 
 def element_order(group: FiniteGroup, g: int) -> int:
     """Least k >= 1 with g^k = e."""
-    k = 1
-    h = g
-    while h != group.identity:
-        h = group.mul(h, g)
-        k += 1
-    return k
+    return element_orders(group)[g]
 
 
 def closure(group: FiniteGroup, elements: Iterable[int]) -> frozenset[int]:
     """Subgroup generated by the elements (breadth-first products)."""
-    rows = [left_row(group, s) for s in sorted(set(elements))]
+    rows = [group.row(s) for s in sorted(set(elements))]
     seen = {group.identity}
     frontier = [group.identity]
     while frontier:
@@ -631,7 +646,7 @@ def extend_subgroup(group: FiniteGroup, subgroup, generators: Sequence[int], x: 
     if x in subgroup:
         return subgroup
     order, table = group.order, group._table
-    rows = [left_row(group, s) for s in (*generators, x)]
+    rows = [group.row(s) for s in (*generators, x)]
     reached = set(subgroup)
     representatives = [group.identity]
     for r in representatives:
@@ -668,14 +683,6 @@ def order_multiset(group: FiniteGroup, sequence: Iterable[int]) -> OrderMultiset
 
 # ---------------------------------------------------------------------------
 # Cayley rows, forced maps, orbits and automorphisms
-
-
-def left_row(group: FiniteGroup, s: int) -> tuple[int, ...]:
-    """The row v -> s*v: the label-s edges of a Cayley graph.  With a
-    table this is the table's own row, not a copy."""
-    if group._table is not None:
-        return group._table[s]
-    return tuple(group.mul(s, v) for v in range(group.order))
 
 
 def forced_map(count: int, rows1, rows2, sigma, base: int, start: int,
@@ -742,19 +749,21 @@ def _close(orbit: dict[int, int], gens, fresh: list[int]) -> None:
                 fresh.append(g[p])
 
 
-def element_orders(group: FiniteGroup) -> list[int]:
-    """The order of every element.  The powers of each element whose
-    order is not yet known are walked once, up to e, and g^k gets
-    o / gcd(k, o), o the order of g."""
-    orders = [0] * group.order
-    for g in group.elements():
-        if not orders[g]:
-            powers = [g]
-            while powers[-1] != group.identity:
-                powers.append(group.mul(powers[-1], g))
-            for k, h in enumerate(powers, 1):
-                orders[h] = len(powers) // math.gcd(k, len(powers))
-    return orders
+def element_orders(group: FiniteGroup) -> tuple[int, ...]:
+    """The order of every element, computed once per group and kept on
+    it.  The powers of each element whose order is not yet known are
+    walked once, up to e, and g^k gets o / gcd(k, o), o the order of g."""
+    if group._orders is None:
+        orders = [0] * group.order
+        for g in group.elements():
+            if not orders[g]:
+                powers = [g]
+                while powers[-1] != group.identity:
+                    powers.append(group.mul(powers[-1], g))
+                for k, h in enumerate(powers, 1):
+                    orders[h] = len(powers) // math.gcd(k, len(powers))
+        group._orders = tuple(orders)
+    return group._orders
 
 
 def group_automorphisms(group: FiniteGroup) -> StabilizerNode:
@@ -790,7 +799,7 @@ def group_automorphisms(group: FiniteGroup) -> StabilizerNode:
         base += (max((g for g in group.elements() if g not in reached), key=orders.__getitem__),)
     product_orders = [[orders[group.mul(p, q)] for q in base] for p in base]
     pools = [[g for g in group.elements() if orders[g] == orders[s]] for s in base]
-    row = functools.cache(functools.partial(left_row, group))
+    row = functools.cache(group.row)
     source = [row(s) for s in base]
 
     def candidates(images: list[int]):
@@ -830,6 +839,9 @@ def group_automorphisms(group: FiniteGroup) -> StabilizerNode:
             else:
                 failed[t] = -1
                 _close(failed, list(enumerate(auts.generators)), [t])
+    # complete refers to itself through its closure, which holds the group:
+    # drop that cycle, so the group is freed by reference counting
+    del complete
     return auts._walk_orbits(count)
 
 

@@ -426,42 +426,38 @@ def todd_coxeter(
     # breadth-first words over positive generator columns name the cosets;
     # a name extends its parent's, spelled as words.syllables_text spells
     # the whole word: the last syllable's exponent grows by one, or a new
-    # syllable follows; cut[c] is where c's last syllable starts
+    # syllable follows; cut[c] is where c's last syllable starts, and
+    # last[c] the last generator of c's word (-1 at e)
     gen_names = presentation.generator_names
-    coset_words: list[Optional[tuple[int, ...]]] = [None] * order
-    coset_words[0] = ()
-    names = [words.IDENTITY_NAME] * order
+    names: list[Optional[str]] = [words.IDENTITY_NAME] + [None] * (order - 1)
+    last = [-1] * order
     exps = [0] * order
     cut = [0] * order
     queue = [0]
     for c in queue:
-        word = coset_words[c]
-        last = word[-1] if word else -1
         for g in range(ngens):
             d = table[2 * g][c]
-            if coset_words[d] is None:
-                coset_words[d] = word + (g,)
-                if g == last:
+            if names[d] is None:
+                if g == last[c]:
                     head, e = names[c][: cut[c]], exps[c] + 1
                 else:
                     head, e = (names[c] + words.SYLLABLE_SEPARATOR if c else ""), 1
-                cut[d], exps[d] = len(head), e
+                cut[d], exps[d], last[d] = len(head), e, g
                 names[d] = head + words.power_text(gen_names[g], e)
                 queue.append(d)
     if len(queue) != order:
         raise RuntimeError("coset table is not transitive on live cosets")
 
     def mul(a: int, b: int) -> int:
-        cursor = a
-        for g in coset_words[b]:  # type: ignore[union-attr]
-            cursor = table[2 * g][cursor]
-        return cursor
-
-    def inv_element(a: int) -> int:
-        cursor = 0
-        for g in reversed(coset_words[a]):  # type: ignore[arg-type]
-            cursor = table[2 * g + 1][cursor]
-        return cursor
+        # b's word, read backwards through the inverse columns, applied to a
+        path = []
+        while b:
+            x = 2 * last[b]
+            path.append(table[x])
+            b = table[x + 1][b]
+        for column in reversed(path):
+            a = column[a]
+        return a
 
     generators = [(name, table[2 * g][0]) for g, name in enumerate(gen_names)]
     seen: dict[str, int] = {}
@@ -470,7 +466,6 @@ def todd_coxeter(
     return FiniteGroup(
         order,
         mul,
-        inv_element,
         names,
         f"coset:{presentation.text()}",
         list(seen.items()),
@@ -499,8 +494,8 @@ def check_homomorphism(
     return True
 
 
-def _evaluate_with(group: FiniteGroup, text: str, mapping: Mapping[str, int]) -> int:
-    ast = words.parse_word_ast(text)
+def _evaluate_with(group: FiniteGroup, ast, mapping: Mapping[str, int]) -> int:
+    """The word AST in the group, its names read through mapping."""
     return words.evaluate(
         ast,
         mul=group.mul,
@@ -527,15 +522,17 @@ def verify_mutual_inverse(
     enumeration).  Both maps must be relation-preserving: psi against
     P's relators in G, and phi against ``group_presentation`` (when
     given) in the realized group.  On success the two orders are
-    asserted equal.
+    asserted equal.  Each word of phi and psi is parsed once.
     """
     ph = realized or todd_coxeter(presentation, expected_order=group.order)
-    psi_assignment = {name: _evaluate_with(group, psi[name], group.named_elements)
-                      for name in presentation.generator_names}
+    psi_words = {name: words.parse_word_ast(psi[name]) for name in presentation.generator_names}
+    psi_assignment = {name: _evaluate_with(group, ast, group.named_elements)
+                      for name, ast in psi_words.items()}
     if not check_homomorphism(presentation, group, psi_assignment):
         return False
-    phi_assignment = {name: _evaluate_with(ph, phi[name], ph.named_elements)
-                      for name in (n for n, _ in group.generators)}
+    phi_words = {name: words.parse_word_ast(phi[name]) for name, _ in group.generators}
+    phi_assignment = {name: _evaluate_with(ph, ast, ph.named_elements)
+                      for name, ast in phi_words.items()}
     if group_presentation is not None:
         if list(group_presentation.generator_names) != [n for n, _ in group.generators]:
             raise ValueError("group presentation generators do not match the group's")
@@ -543,11 +540,11 @@ def verify_mutual_inverse(
             return False
     # psi(phi(g)) = g for G's generators, evaluated in G
     for name, g in group.generators:
-        if _evaluate_with(group, phi[name], psi_assignment) != g:
+        if _evaluate_with(group, phi_words[name], psi_assignment) != g:
             return False
     # phi(psi(p)) = p for P's generators, evaluated in the realized group
     for name in presentation.generator_names:
-        if _evaluate_with(ph, psi[name], phi_assignment) != ph.named_elements[name]:
+        if _evaluate_with(ph, psi_words[name], phi_assignment) != ph.named_elements[name]:
             return False
     if group.order != ph.order:
         raise AssertionError("mutually inverse morphisms forced equal orders")

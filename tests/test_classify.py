@@ -1,9 +1,11 @@
 import functools
+import gc
 import importlib
 import itertools
 import json
 import math
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -370,3 +372,18 @@ def test_dicyclic_128_at_the_order_guard():
         (ms(4, 4), 32768),
     ]
     assert report.total == 6 * 128 * 128
+
+
+def test_a_classified_group_is_freed_without_the_cycle_collector():
+    # the table, rows and tree of a group go when its last reference does,
+    # not at the next full collection: no reference cycle holds the group
+    gc.disable()
+    try:
+        for mode in ("directed", "undirected"):
+            group = cc.dicyclic(6)
+            freed = weakref.ref(group)
+            classify(group, 2, mode, minimal_only=True)
+            del group
+            assert freed() is None, mode
+    finally:
+        gc.enable()

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import shlex
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cayleyclass import dicyclic_theory, groups
+from cayleyclass import cli, dicyclic_theory, groups
 from cayleyclass.cli import main
 from conftest import coxeter_sn
 
@@ -374,17 +375,20 @@ S4 = "perm:4:(1,2);(1,2,3,4)"
 
 # malformed descriptors, sequences and presentations, each with the one
 # line it is refused with; a position counts from the start of the text
-# given, except that of a broken cycle in a perm descriptor, which counts
-# from the start of its generator
+# given, also inside a perm generator and a product factor
 MALFORMED = [
     (("info", "--group", "perm:3:(1,2;(2,3)"),
      "unbalanced parentheses in perm descriptor (at position 7)"),
     (("info", "--group", "perm:3:"), "empty generator in perm descriptor (at position 7)"),
-    (("info", "--group", "perm:3:(1,a)"), "invalid character 'a' in cycle (at position 3)"),
+    (("info", "--group", "perm:3:(1,a)"), "invalid character 'a' in cycle (at position 10)"),
+    (("info", "--group", "perm:3:(1,2);(1,a)"),
+     "invalid character 'a' in cycle (at position 16)"),
+    (("info", "--group", "product:cyclic:2,perm:3:(1,a)"),
+     "invalid character 'a' in cycle (at position 27)"),
     (("info", "--group", "perm:3:()"),
-     "not a permutation in cycle notation: '()' (at position 0)"),
+     "not a permutation in cycle notation: '()' (at position 7)"),
     (("info", "--group", "perm:3:(1,2)junk"),
-     "not a permutation in cycle notation: '(1,2)junk' (at position 0)"),
+     "not a permutation in cycle notation: '(1,2)junk' (at position 7)"),
     (("info", "--group", "perm:x:(1,2)"),
      "perm descriptor is perm:<degree>:<gen>;<gen>..., got 'perm:x:(1,2)'"),
     (("info", "--group", "dicyclic:"), "expected integer after 'dicyclic:' in descriptor"),
@@ -407,6 +411,23 @@ MALFORMED = [
 def test_malformed_input_is_refused_with_its_position(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_main_calls_share_one_parser(capsys, monkeypatch):
+    cli.build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    first = run(capsys, "info", "--group", "dicyclic:2")
+    per_parser = len(built)
+    second = run(capsys, "info", "--group", "dicyclic:2")
+    assert per_parser > 0 and len(built) == per_parser
+    assert first == second == (0, "group: dicyclic:2\norder 8\norders {1:1, 2:1, 4:6}\n", "")
 
 
 def test_usage_error_exit_code():

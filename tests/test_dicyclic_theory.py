@@ -3,7 +3,7 @@ import importlib
 import pytest
 
 import cayleyclass as cc
-from cayleyclass import dicyclic_theory as theory, groups
+from cayleyclass import dicyclic_theory as theory, groups, words
 from cayleyclass.groups import OrderMultiset
 from pairwise_oracle import pairwise_representative_classes
 
@@ -169,6 +169,42 @@ def test_verify_theorem_builds_aut_once_per_n(monkeypatch):
         calls.clear()
         theory.verify_theorem(n)
         assert calls == [f"dicyclic:{n}"], n
+
+
+def test_verify_theorem_parses_each_word_once(monkeypatch):
+    # every parse lexes its text once, through words._lex (words.tokenize
+    # too); the lexings of verify_theorem(n) are those of its parts, each
+    # word of a morphism pair counted once and the classical presentation
+    # parsed once for all variants
+    lexed = []
+    lex = words._lex
+
+    def counting(text, offset):
+        lexed.append(text)
+        return lex(text, offset)
+
+    monkeypatch.setattr(words, "_lex", counting)
+
+    def lexings(run):
+        lexed.clear()
+        run()
+        return len(lexed)
+
+    n = 5
+    group, classical = cc.dicyclic(n), theory.classical_presentation(n)
+    expected = lexings(lambda: theory.classical_presentation(n))
+    expected += lexings(lambda: [cc.parse_sequence(group, text)
+                                 for text in theory.predicted_classification(n).representatives])
+    for variant in theory.applicable_variants(n):
+        presentation = theory.pi_presentation(n, variant)
+        realized = cc.todd_coxeter(presentation, expected_order=4 * n)
+        pair = theory.morphism_pair(n, variant)
+        assert lexings(lambda: cc.verify_mutual_inverse(
+            group, presentation, pair.phi, pair.psi, group_presentation=classical,
+            realized=realized)) == len(pair.phi) + len(pair.psi)
+        expected += lexings(lambda: theory.pi_presentation(n, variant))
+        expected += len(pair.phi) + len(pair.psi)
+    assert lexings(lambda: theory.verify_theorem(n)) == expected == 37
 
 
 def test_verify_theorem_guards():

@@ -3,6 +3,7 @@ import importlib
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -14,7 +15,7 @@ import cayleyclass as cc
 from cayleyclass import groups
 from cayleyclass.presentations import parse_presentation, todd_coxeter
 from cayleyclass.words import ParseError
-from conftest import all_automorphisms, builtin_groups
+from conftest import all_automorphisms, builtin_groups, coxeter_sn
 from orbit_oracle import orbit_minima, set_orbit
 
 # the package re-exports the function classify under the module's name
@@ -58,10 +59,43 @@ PSL27 = "<a,b | a^2, b^3, (a*b)^7, (a^-1*b^-1*a*b)^4>"
 def test_table_matches_the_family_multiplication(group):
     order = group.order
     expected = [tuple(group._mul_fn(a, b) for b in range(order)) for a in range(order)]
-    expected_inv = tuple(group._inv_fn(a) for a in range(order))
+
+    def inverses_are_two_sided():
+        return all(group._mul_fn(a, group.inv(a)) == 0 == group._mul_fn(group.inv(a), a)
+                   for a in range(order))
+
+    assert inverses_are_two_sided()  # derived with the family's products
     group.ensure_table()
     assert group._table == expected
-    assert group._inv_table == expected_inv
+    group._inv_table = None
+    assert inverses_are_two_sided()  # derived again, with table lookups
+
+
+S7 = "perm:7:(1,2);(1,2,3,4,5,6,7)"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cc.from_descriptor(S7),
+    lambda: todd_coxeter(parse_presentation(coxeter_sn(8)), expected_order=40320),
+], ids=["S7", "coxeter-S8"])
+def test_rows_past_the_table_follow_the_spanning_tree(make):
+    group = make()
+    group.ensure_table()
+    assert group.order > groups.TABLE_LIMIT and group._table is None
+    for s in random.Random(0).sample(range(group.order), 3) + [0, group.order - 1]:
+        assert group.row(s) == tuple(group.mul(s, v) for v in group.elements()), s
+
+
+@pytest.mark.parametrize("group", builtin_groups(64), ids=lambda g: g.descriptor)
+def test_rows_agree_before_and_after_the_table(group):
+    before = [group.row(s) for s in group.elements()]
+    group.ensure_table()
+    assert [group.row(s) for s in group.elements()] == before
+
+
+def test_automorphisms_of_s7_past_the_table():
+    # every automorphism of S_n, n != 6, is inner, and S7 has trivial centre
+    assert cc.group_automorphisms(cc.from_descriptor(S7)).order == 5040
 
 
 def test_table_refuses_generators_that_do_not_generate():
@@ -71,7 +105,7 @@ def test_table_refuses_generators_that_do_not_generate():
         import cayleyclass as cc
 
         group = cc.FiniteGroup(  # cyclic of order 4, handed only g^2
-            4, lambda a, b: (a + b) % 4, lambda a: (-a) % 4, ["e", "g", "g^2", "g^3"],
+            4, lambda a, b: (a + b) % 4, ["e", "g", "g^2", "g^3"],
             "cyclic:4 by g^2", [("g^2", 2)],
         )
         try:
@@ -306,10 +340,18 @@ def test_chain_completes_from_generators_alone():
 
 
 @pytest.mark.parametrize("group", builtin_groups(24) + [
-    cc.from_descriptor("perm:7:(1,2);(1,2,3,4,5,6,7)")], ids=lambda g: g.descriptor)
+    cc.from_descriptor(S7)], ids=lambda g: g.descriptor)
 def test_element_orders_from_powers(group):
-    assert groups.element_orders(group) == [
-        cc.element_order(group, g) for g in group.elements()]
+    def walked(g):
+        k, h = 1, g
+        while h != group.identity:
+            h, k = group.mul(h, g), k + 1
+        return k
+
+    orders = groups.element_orders(group)
+    assert orders == tuple(walked(g) for g in group.elements())
+    assert groups.element_orders(group) is orders  # computed once per group
+    assert [cc.element_order(group, g) for g in group.elements()] == list(orders)
 
 
 @pytest.mark.parametrize("group", builtin_groups(16), ids=lambda g: g.descriptor)

@@ -103,3 +103,18 @@ def test_only_words_reads_its_private_names():
                          if isinstance(node, ast.Attribute) and node.attr.startswith("_")
                          and isinstance(node.value, ast.Name) and node.value.id == "words")
         assert not private, (name, private)
+
+
+def test_only_groups_reads_the_private_fields_of_a_group():
+    # the table, the inverses, the spanning tree and the element orders are
+    # derived inside groups; other modules ask the group (row, inv, mul)
+    fields = {"_table", "_inv_table", "_mul_fn", "_steps", "_tree", "_orders"}
+    for path in sorted(PACKAGE.parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {getattr(node, "attr", None) for node in ast.walk(tree)}
+        names |= {getattr(node, "id", None) for node in ast.walk(tree)}
+        names |= {getattr(node, "name", None) for node in ast.walk(tree)}
+        where = str(path.relative_to(PACKAGE.parent))
+        assert not names & {"left_row", "_inv_fn"}, where
+        if path != PACKAGE / "groups.py":
+            assert not names & fields, where
