@@ -13,12 +13,25 @@ letters of (s*t)^m over involutions, a and a^-1 in a^m): the smaller
 coset was scanned completely, so the relator already holds on a defined
 path and the scan would change nothing.  For the Coxeter presentation
 of S8 that leaves 193,968 of 846,720 scans, with the same cosets
-defined.  ``max_cosets`` counts every coset defined, including merged
-ones.
+defined (55,119).  ``max_cosets`` counts every coset defined, including
+merged ones.
+
+The table is held column by column, one list per column, and each
+relator is scanned through prebuilt lists of its letters' columns and
+of their inverses', so a scan step reads its entry from a column list
+with no letter-to-column or inverse lookup.  The closed table
+keeps each column's live entries, renumbered, one column at a time.
+Two layers sit on it: ``coset_table`` enumerates and checks the closed
+table (mutually inverse columns, every relator traced, every coset
+reached from the identity coset), which is all an order needs, and
+``todd_coxeter`` names the cosets along that walk and builds a
+``FiniteGroup``.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -141,17 +154,20 @@ def pi_presentation(n: int, variant: int) -> Presentation:
 
 
 class _Enumeration:
-    """HLT coset enumeration state over the trivial subgroup.
+    """HLT coset enumeration state over the trivial subgroup, held column
+    by column: ``columns[col][c]`` is coset c times the letter of column
+    ``col``, or None while undefined; the cosets defined are those of
+    the union-find list ``p``, and the columns may be longer.
 
-    ``inv[col]`` is the column of the inverse letter of column ``col``;
-    an involution's one column is its own inverse.
+    ``inv[col]`` is the column of the inverse letter of column ``col``,
+    and ``pairs`` holds each column beside that one; an involution's
+    one column is its own inverse.
     """
 
     def __init__(self, inv: list[int], max_cosets: int):
-        self.inv = inv
-        self.ncols = len(inv)
         self.max_cosets = max_cosets
-        self.table: list[list[Optional[int]]] = [[None] * self.ncols]
+        self.columns: list[list[Optional[int]]] = [[None] for _ in inv]
+        self.pairs = [(column, self.columns[back]) for column, back in zip(self.columns, inv)]
         self.p = [0]  # union-find, p[i] <= i
 
     def rep(self, k: int) -> int:
@@ -162,14 +178,19 @@ class _Enumeration:
             self.p[k], k = root, self.p[k]
         return root
 
-    def define(self, alpha: int, col: int) -> None:
-        if len(self.table) >= self.max_cosets:
+    def define(self, alpha: int, column: list, back: list) -> None:
+        """A new coset beta = alpha * x, where column is x's and back is
+        the column of x^-1."""
+        beta = len(self.p)
+        if beta >= self.max_cosets:
             raise CosetLimitExceeded(self.max_cosets)
-        beta = len(self.table)
-        self.table.append([None] * self.ncols)
+        if beta == len(column):
+            # every column doubles when full, so a definition appends to p only
+            for each in self.columns:
+                each.extend([None] * beta)
         self.p.append(beta)
-        self.table[alpha][col] = beta
-        self.table[beta][self.inv[col]] = alpha
+        column[alpha] = beta
+        back[beta] = alpha
 
     def _merge(self, a: int, b: int, queue: list[int]) -> None:
         a, b = self.rep(a), self.rep(b)
@@ -180,55 +201,53 @@ class _Enumeration:
         queue.append(hi)
 
     def coincidence(self, a: int, b: int) -> None:
-        table, inv = self.table, self.inv
         queue: list[int] = []
         self._merge(a, b, queue)
         head = 0
         while head < len(queue):
             gamma = queue[head]
             head += 1
-            row = table[gamma]
-            for col in range(self.ncols):
-                delta = row[col]
+            for column, back in self.pairs:
+                delta = column[gamma]
                 if delta is None:
                     continue
                 # detach the mirror entry, then re-route through representatives
-                back = inv[col]
-                table[delta][back] = None
+                back[delta] = None
                 mu, nu = self.rep(gamma), self.rep(delta)
-                existing = table[mu][col]
+                existing = column[mu]
                 if existing is not None:
                     self._merge(nu, existing, queue)
-                elif table[nu][back] is not None:
-                    self._merge(mu, table[nu][back], queue)
+                elif back[nu] is not None:
+                    self._merge(mu, back[nu], queue)
                 else:
-                    table[mu][col] = nu
-                    table[nu][back] = mu
+                    column[mu] = nu
+                    back[nu] = mu
 
-    def scan_and_fill(self, alpha: int, word_cols: Sequence[int]) -> None:
-        table, inv = self.table, self.inv
+    def scan_and_fill(self, alpha: int, forward: Sequence[list], backward: Sequence[list]) -> None:
+        """Scan a relator at alpha, given as the columns of its letters
+        (forward) and of their inverses (backward), position by position."""
         f, i = alpha, 0
-        b, j = alpha, len(word_cols) - 1
+        b, j = alpha, len(forward) - 1
         while True:
-            while i <= j and table[f][word_cols[i]] is not None:
-                f = table[f][word_cols[i]]
+            while i <= j and (step := forward[i][f]) is not None:
+                f = step
                 i += 1
             if i > j:
                 if f != b:
                     self.coincidence(f, b)
                 return
-            while j >= i and table[b][inv[word_cols[j]]] is not None:
-                b = table[b][inv[word_cols[j]]]
+            while j >= i and (step := backward[j][b]) is not None:
+                b = step
                 j -= 1
             if j < i:
                 self.coincidence(f, b)
                 return
             if j == i:
                 # deduction closes the scan
-                table[f][word_cols[i]] = b
-                table[b][inv[word_cols[i]]] = f
+                forward[i][f] = b
+                backward[i][b] = f
                 return
-            self.define(f, word_cols[i])
+            self.define(f, forward[i], backward[i])
 
 
 def _letter_indices(letters: Sequence[tuple[int, int]]) -> list[int]:
@@ -297,30 +316,110 @@ def _relator_trace(table: Sequence[list[int]], letters: Sequence[int]) -> list[i
         cursor = list(map(cursor.__getitem__, cursor))
 
 
-def todd_coxeter(
+def _enumerate(
+    inv: list[int], scan_cols: Sequence[list[int]], max_cosets: int
+) -> tuple[list[list[Optional[int]]], list[int]]:
+    """Run the HLT enumeration to its end: the enumeration columns and
+    the union-find parents of every coset defined.
+
+    The relators in ``scan_cols`` (as columns) are scanned at each live
+    coset in ascending order, in their order, except those that the
+    coset's steps down to smaller cosets cover; the coset's undefined
+    entries are defined after its scans.
+    """
+    # covers[col]: the relators (indices into scan_cols) that hold at a
+    # coset as soon as they hold at the coset one col-step away
+    covers: dict[int, set[int]] = {}
+    for r, cols in enumerate(scan_cols):
+        for col in _symmetry_columns(cols, inv):
+            covers.setdefault(col, set()).add(r)
+    enum = _Enumeration(inv, max_cosets)
+    columns, p = enum.columns, enum.p
+    scan, define = enum.scan_and_fill, enum.define
+    # each relator as the lists of its letters' columns and of their
+    # inverses', so that a scan step needs no letter-to-column or inverse
+    # lookup
+    relators = [
+        ([columns[c] for c in cols], [columns[inv[c]] for c in cols]) for cols in scan_cols
+    ]
+    covering = [(columns[col], 1 << k, rs) for k, (col, rs) in enumerate(covers.items())]
+    # a coset's key has the bit of each covering column that steps down
+    # to a smaller coset; keys below 256 are cached ints, so the loop
+    # allocates nothing per coset
+    pending: dict[int, list] = {}  # key -> relators to scan
+    alpha = 0
+    while alpha < len(p):
+        if p[alpha] == alpha:
+            # a relator covered by a step to a smaller coset (live, as every
+            # entry of a live row is), which was scanned completely, holds
+            # at alpha on a defined path: skip it
+            key = 0
+            for column, bit, _ in covering:
+                delta = column[alpha]
+                if delta is not None and delta < alpha:
+                    key |= bit
+            todo = pending.get(key)
+            if todo is None:
+                skip = set().union(*(rs for _, bit, rs in covering if key & bit))
+                todo = pending[key] = [
+                    relator for r, relator in enumerate(relators) if r not in skip
+                ]
+            for forward, backward in todo:
+                scan(alpha, forward, backward)
+                if p[alpha] != alpha:
+                    break
+            else:
+                for column, back in enum.pairs:
+                    if column[alpha] is None:
+                        define(alpha, column, back)
+        alpha += 1
+    return columns, p
+
+
+@dataclass(frozen=True)
+class CosetTable:
+    """The closed coset table of a presentation over the trivial
+    subgroup, checked: its columns are mutually inverse, every relator
+    traces home at every coset, and a breadth-first walk over the
+    generators reaches every coset from coset 0.
+
+    ``columns[x][c]`` is coset c times letter x, where letter 2g is
+    generator g and 2g+1 its inverse; an involution's two letters share
+    one list.  ``reached`` lists the cosets in the order the walk
+    reached them, and ``last[c]`` is the generator of the step that
+    first reached c (-1 at coset 0).
+    """
+
+    columns: list[list[int]]
+    reached: list[int]
+    last: list[int]
+
+    @property
+    def order(self) -> int:
+        return len(self.last)
+
+
+def coset_table(
     presentation: Presentation,
     max_cosets: Optional[int] = None,
     expected_order: Optional[int] = None,
-) -> FiniteGroup:
-    """Realize a finite presentation as a concrete group.
+) -> CosetTable:
+    """Enumerate the cosets of the trivial subgroup and check the closed
+    table; ``todd_coxeter`` names its cosets and makes it a group.
 
-    Elements are the live cosets of the trivial subgroup; element names
-    are shortest positive words from the identity coset, so generator
-    images are available by name.  A generator with a relator that
-    cyclically reduces to g^2 or g^-2 gets one table column for g and
-    g^-1, and that relator is neither scanned nor traced.  Scans
-    that a relator's own symmetry already closes are skipped (see the
-    module docstring); they would define and deduce nothing, so the
-    table and the point where max_cosets trips are those of scanning
-    every relator at every coset.  The closed table's columns are
+    A generator with a relator that cyclically reduces to g^2 or g^-2
+    gets one column for g and g^-1, and that relator is neither scanned
+    nor traced.  Scans that a relator's own symmetry already closes are
+    skipped (see the module docstring); they would define and deduce
+    nothing, so the table and the point where max_cosets trips are those
+    of scanning every relator at every coset.  Live cosets are numbered
+    in the order they were defined, so the numbers depend on the table's
+    columns: an involution's shared column numbers the cosets
+    differently from a two-column enumeration.  The closed columns are
     checked to be mutually inverse, which for an involution's shared
-    column is g^2 = e, and every other relator is traced, as a power of
-    its shortest root.
-    Element indices follow the order in which the live cosets were
-    defined, so they depend on the table's columns: an involution's
-    shared column numbers the elements differently from a two-column
-    enumeration.  Names and the action of each generator on them do not
-    depend on it; the identity is always element 0.  Raises
+    column is g^2 = e, every other relator is traced, as a power of its
+    shortest root, and a breadth-first walk from coset 0 must reach
+    every coset; a failed check raises RuntimeError.  Raises
     CosetLimitExceeded once max_cosets cosets have been defined, live
     or not (default 16x the expected order when given, else 65536) --
     a retryable signal, not a failure.
@@ -352,101 +451,83 @@ def todd_coxeter(
         for letters, square in zip(relator_letters, squares)
         if square is None  # a g^2 relator holds by construction
     ]
-    # covers[col]: the relators (indices into scan_cols) that hold at a
-    # coset as soon as they hold at the coset one col-step away
-    covers: dict[int, set[int]] = {}
-    for r, cols in enumerate(scan_cols):
-        for col in _symmetry_columns(cols, inv):
-            covers.setdefault(col, set()).add(r)
-    covering = [(col, 1 << k) for k, col in enumerate(covers)]
-    # a coset's key has the bit of each covering column that steps down
-    # to a smaller coset; keys below 256 are cached ints, so the loop
-    # allocates nothing per coset
-    pending: dict[int, list[list[int]]] = {}  # key -> relators to scan
-    enum = _Enumeration(inv, max_cosets)
-    table, p = enum.table, enum.p
-    scan, define = enum.scan_and_fill, enum.define
-    alpha = 0
-    while alpha < len(table):
-        if p[alpha] == alpha:
-            # a relator covered by a step to a smaller coset (live, as every
-            # entry of a live row is), which was scanned completely, holds
-            # at alpha on a defined path: skip it
-            row = table[alpha]
-            key = 0
-            for col, bit in covering:
-                delta = row[col]
-                if delta is not None and delta < alpha:
-                    key |= bit
-            todo = pending.get(key)
-            if todo is None:
-                skip = set().union(*(covers[col] for col, bit in covering if key & bit))
-                todo = pending[key] = [
-                    cols for r, cols in enumerate(scan_cols) if r not in skip
-                ]
-            for cols in todo:
-                scan(alpha, cols)
-                if p[alpha] != alpha:
-                    break
-            else:
-                for col in range(enum.ncols):
-                    if row[col] is None:
-                        define(alpha, col)
-        alpha += 1
+    columns, p = _enumerate(inv, scan_cols, max_cosets)
 
-    live: list[int] = []
     renumber: list[int] = []  # a dead coset takes its representative's number
+    order = 0
     for k, parent in enumerate(p):
         if parent == k:
-            renumber.append(len(live))
-            live.append(k)
+            renumber.append(order)
+            order += 1
         else:
             renumber.append(renumber[parent])
-    order = len(live)
-    columns = [
-        list(map(renumber.__getitem__, column))
-        for column in zip(*(table[k] for k in live))
-    ]
-    # free the enumeration before the column-wise checks build their lists
-    del enum, table, p, scan, define, row, live, renumber
-    # column-major closed table by letter index; an involution's two
-    # letters share one list
-    table = [columns[col] for col in letter_col]
+    alive = list(map(operator.eq, p, range(len(p))))
+    del p
+    # each column keeps its live entries, renumbered, and the enumeration
+    # column goes before the next one is built
+    for col, column in enumerate(columns):
+        columns[col] = list(map(renumber.__getitem__, itertools.compress(column, alive)))
     # closed-table sanity: well-defined inverses and every relator tracing home
     identity = list(range(order))
     for col, column in enumerate(columns):
         if list(map(columns[inv[col]].__getitem__, column)) != identity:
             raise RuntimeError("coset table is not closed under inverses")
+    # column-major closed table by letter index
+    table = [columns[col] for col in letter_col]
     for letters, square in zip(relator_letters, squares):
         # a g^2 relator, up to conjugation, holds once g's shared column
         # passed the inverse check, which maps it through itself
         if square is None and _relator_trace(table, letters) != identity:
             raise RuntimeError("closed coset table fails a relator trace")
+    # breadth-first over the generators from coset 0; last doubles as
+    # the mark of a reached coset
+    last: list[Optional[int]] = [-1] + [None] * (order - 1)
+    reached = [0]
+    steps = list(enumerate(table[::2]))
+    for c in reached:
+        for g, column in steps:
+            d = column[c]
+            if last[d] is None:
+                last[d] = g
+                reached.append(d)
+    if len(reached) != order:
+        raise RuntimeError("coset table is not transitive on live cosets")
+    return CosetTable(table, reached, last)
 
-    # breadth-first words over positive generator columns name the cosets;
+
+def todd_coxeter(
+    presentation: Presentation,
+    max_cosets: Optional[int] = None,
+    expected_order: Optional[int] = None,
+) -> FiniteGroup:
+    """Realize a finite presentation as a concrete group.
+
+    Elements are the live cosets of the trivial subgroup, numbered as
+    ``coset_table`` numbers them (which also raises what it raises); the
+    identity is always element 0.  Element names are shortest positive
+    words from the identity coset along the table's breadth-first walk,
+    so generator images are available by name.  Names and the action of
+    each generator on them do not depend on whether an involution has a
+    shared column, while element indices do.
+    """
+    closed = coset_table(presentation, max_cosets, expected_order)
+    table, last, order = closed.columns, closed.last, closed.order
     # a name extends its parent's, spelled as words.syllables_text spells
     # the whole word: the last syllable's exponent grows by one, or a new
-    # syllable follows; cut[c] is where c's last syllable starts, and
-    # last[c] the last generator of c's word (-1 at e)
+    # syllable follows; cut[c] is where c's last syllable starts
     gen_names = presentation.generator_names
-    names: list[Optional[str]] = [words.IDENTITY_NAME] + [None] * (order - 1)
-    last = [-1] * order
+    names = [words.IDENTITY_NAME] * order
     exps = [0] * order
     cut = [0] * order
-    queue = [0]
-    for c in queue:
-        for g in range(ngens):
-            d = table[2 * g][c]
-            if names[d] is None:
-                if g == last[c]:
-                    head, e = names[c][: cut[c]], exps[c] + 1
-                else:
-                    head, e = (names[c] + words.SYLLABLE_SEPARATOR if c else ""), 1
-                cut[d], exps[d], last[d] = len(head), e, g
-                names[d] = head + words.power_text(gen_names[g], e)
-                queue.append(d)
-    if len(queue) != order:
-        raise RuntimeError("coset table is not transitive on live cosets")
+    for d in closed.reached[1:]:
+        g = last[d]
+        c = table[2 * g + 1][d]  # the coset that d was reached from
+        if g == last[c]:
+            head, e = names[c][: cut[c]], exps[c] + 1
+        else:
+            head, e = (names[c] + words.SYLLABLE_SEPARATOR if c else ""), 1
+        cut[d], exps[d] = len(head), e
+        names[d] = head + words.power_text(gen_names[g], e)
 
     def mul(a: int, b: int) -> int:
         # b's word, read backwards through the inverse columns, applied to a

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cayleyclass import cli, dicyclic_theory, groups
+from cayleyclass import cli, dicyclic_theory, groups, presentations, words
 from cayleyclass.cli import main
 from conftest import coxeter_sn
 
@@ -274,6 +274,18 @@ def test_check_presentation_coxeter_s6_within_small_cap(capsys):
     )
     assert code == 0
     assert "order 720" in out and "PASS" in out
+
+
+def test_check_presentation_builds_no_group_and_names_no_element(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("check-presentation needs only the checked table")
+
+    monkeypatch.setattr(presentations, "FiniteGroup", refuse)
+    monkeypatch.setattr(words, "power_text", refuse)
+    with pytest.raises(AssertionError):  # the guard bites on the group path
+        presentations.todd_coxeter(presentations.parse_presentation("<g | g^5>"))
+    code, out, _ = run(capsys, "check-presentation", coxeter_sn(7), "--expect", "5040")
+    assert (code, out) == (0, "order 5040\nPASS\n")
 
 
 def test_check_presentation_syntax_error(capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cayleyclass as cc
-from cayleyclass import presentations
+from cayleyclass import cli, presentations
 from cayleyclass.dicyclic_theory import applicable_variants, classical_presentation
 from cayleyclass.presentations import CosetLimitExceeded, parse_presentation, todd_coxeter
 from cayleyclass.words import ParseError
@@ -223,7 +223,7 @@ def counted_scans(monkeypatch, module):
     monkeypatch.setattr(
         module._Enumeration,
         "scan_and_fill",
-        lambda enum, alpha, cols: scans.append(alpha) or scan_and_fill(enum, alpha, cols),
+        lambda enum, alpha, *cols: scans.append(alpha) or scan_and_fill(enum, alpha, *cols),
     )
     return scans
 
@@ -299,21 +299,56 @@ def test_involutions_share_a_column(square):
     assert todd_coxeter(P, max_cosets=8000).order == 5040
 
 
+def hand_closed_table(monkeypatch, columns):
+    """Make the enumeration end at the given closed columns, each coset
+    live, without a scan changing them."""
+    class Handed(presentations._Enumeration):
+        def __init__(self, inv, max_cosets):
+            super().__init__(inv, max_cosets)
+            # filled in place: the enumeration scans through these lists
+            for column, entries in zip(self.columns, columns):
+                column[:] = entries
+            self.p = list(range(len(columns[0])))
+
+        def scan_and_fill(self, alpha, forward, backward):
+            pass
+
+    monkeypatch.setattr(presentations, "_Enumeration", Handed)
+
+
 def test_shared_column_that_is_no_involution_is_refused(monkeypatch):
     # s^2 gives s one shared column (column 0), and no scan touches it;
     # an enumeration handed a closed table where that column is a 3-cycle
     # (and t is trivial) must still be refused, by the inverse check,
     # since the s^2 relator is not traced
-    class ThreeCycle(presentations._Enumeration):
-        def __init__(self, inv, max_cosets):
-            super().__init__(inv, max_cosets)
-            self.table = [[(c + 1) % 3] + [c] * (self.ncols - 1) for c in range(3)]
-            self.p = [0, 1, 2]
-
-    monkeypatch.setattr(presentations, "_Enumeration", ThreeCycle)
+    hand_closed_table(monkeypatch, [[1, 2, 0], [0, 1, 2], [0, 1, 2]])
     for text in ("<s | s^2>", "<s | s^-2>", "<s,t | t*s^2*t^-1, t>"):
         with pytest.raises(RuntimeError, match="inverses"):
             todd_coxeter(parse_presentation(text))
+
+
+# the library's group and the CLI's order both stop at a refused table
+BOTH_PATHS = pytest.mark.parametrize("realize", [
+    todd_coxeter,
+    lambda P: cli.main(["check-presentation", P.descriptor]),
+], ids=["todd_coxeter", "check-presentation"])
+
+
+@BOTH_PATHS
+def test_closed_table_that_breaks_a_relator_is_refused(monkeypatch, realize):
+    # g and g^-1 swap two cosets: mutually inverse columns, but g^3 = g
+    hand_closed_table(monkeypatch, [[1, 0], [1, 0]])
+    with pytest.raises(RuntimeError, match="fails a relator trace"):
+        realize(parse_presentation("<g | g^3>"))
+
+
+@BOTH_PATHS
+def test_closed_table_that_is_not_transitive_is_refused(monkeypatch, realize):
+    # the involution g fixes both cosets: g^2 holds, and coset 1 is out
+    # of reach from coset 0
+    hand_closed_table(monkeypatch, [[0, 1]])
+    with pytest.raises(RuntimeError, match="not transitive"):
+        realize(parse_presentation("<g | g^2>"))
 
 
 def test_expected_order_below_one_is_refused():

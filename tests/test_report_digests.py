@@ -15,7 +15,8 @@ import pytest
 
 import cayleyclass as cc
 from cayleyclass import cli
-from conftest import builtin_groups
+from cayleyclass.dicyclic_theory import applicable_variants
+from conftest import builtin_groups, coxeter_sn
 
 SETTINGS = [(length, mode, minimal_only)
             for length in (1, 2)
@@ -67,6 +68,20 @@ PARSE_RUNS = [
     ("check-presentation", "<u,v | u^2=v^2, u^4, u^2*(u^3*v)^3>", "--expect", "12"),
 ]
 
+# Todd-Coxeter through the CLI: the benchmark's three presentations, S6
+# under a small coset cap, an order that fails, an enumeration that
+# exceeds its cap, and every morphism check the benchmark runs
+PRESENTATION_RUNS = [
+    ("check-presentation", coxeter_sn(8), "--expect", "40320"),
+    ("check-presentation", "<a,x | a^512, x^2=a^256, x^-1*a*x=a^-1>", "--expect", "1024"),
+    ("check-presentation", "<a,b | a^2, b^3, (a*b)^7, (a^-1*b^-1*a*b)^4>", "--expect", "168"),
+    ("check-presentation", coxeter_sn(6), "--max-cosets", "1000", "--expect", "720"),
+    ("check-presentation", "<g|g^5>", "--expect", "6"),
+    ("check-presentation", "<u,v|>", "--max-cosets", "50"),
+    *(("check-morphisms", "--n", str(n), "--variant", "n" if v == n else str(v))
+      for n in range(3, 13) for v in applicable_variants(n)),
+]
+
 
 def digest(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -110,7 +125,7 @@ def current_digests():
     found["verify-theorem 2..12 json"] = digest(verify_theorem_output())
     for run in DOT_RUNS:
         found[dot_key(*run)] = digest(export_dot_output(*run))
-    for argv in PARSE_RUNS:
+    for argv in PARSE_RUNS + PRESENTATION_RUNS:
         found[" ".join(argv)] = digest(cli_output(*argv))
     return found
 
@@ -194,6 +209,33 @@ DIGESTS = {
     'export-dot --group product:dicyclic:2,dicyclic:2 --seq g1*g3,g2': '5fcff2063edf18a12a89ab9156f8d14b502867bfe5477583b8f20b383f0e171b',
     'export-dot --group perm:4:(1,2);(1,2,3,4) --seq (1,2),(1, 2,3,4) --undirected': '71b97e9e8e7458d79043733268ee16eae6e708f8b0fd21679bd1a3d251f27cd0',
     'check-presentation <u,v | u^2=v^2, u^4, u^2*(u^3*v)^3> --expect 12': '85c97c1d911746cd7b59b3746369b9525229996736cee1973a0658c27f5af286',
+    # recorded from the code that enumerated cosets over a list of rows
+    'check-presentation <s1,s2,s3,s4,s5,s6,s7 | s1^2, s2^2, s3^2, s4^2, s5^2, s6^2, s7^2, (s1*s2)^3, (s2*s3)^3, (s3*s4)^3, (s4*s5)^3, (s5*s6)^3, (s6*s7)^3, (s1*s3)^2, (s1*s4)^2, (s1*s5)^2, (s1*s6)^2, (s1*s7)^2, (s2*s4)^2, (s2*s5)^2, (s2*s6)^2, (s2*s7)^2, (s3*s5)^2, (s3*s6)^2, (s3*s7)^2, (s4*s6)^2, (s4*s7)^2, (s5*s7)^2> --expect 40320': '0f73176f6c4c7d5c0492987e87e05579431589811a75853603dca128c9be97cd',
+    'check-presentation <a,x | a^512, x^2=a^256, x^-1*a*x=a^-1> --expect 1024': 'b0cd2accc32b451925645dc7c0d3ad524aee9433f7899f1b1bc113bc7a68e856',
+    'check-presentation <a,b | a^2, b^3, (a*b)^7, (a^-1*b^-1*a*b)^4> --expect 168': 'a34ecdc30a35958b8eb3dcdfc2845dc8605b4ffbac97ce8660b66cd81271f44b',
+    'check-presentation <s1,s2,s3,s4,s5 | s1^2, s2^2, s3^2, s4^2, s5^2, (s1*s2)^3, (s2*s3)^3, (s3*s4)^3, (s4*s5)^3, (s1*s3)^2, (s1*s4)^2, (s1*s5)^2, (s2*s4)^2, (s2*s5)^2, (s3*s5)^2> --max-cosets 1000 --expect 720': '5da6ee016f5755be7d55ae3b8ffa78143e0cb848b5f24c9628ea17ac28ecc46e',
+    'check-presentation <g|g^5> --expect 6': '0000f86108a2b4846b4b0c5e433c52833741da742c4ee825f000565a637ada80',
+    'check-presentation <u,v|> --max-cosets 50': '77c462c8164d647ca9adc9ba484ffaba68c17260023870f64608f76311a91651',
+    'check-morphisms --n 3 --variant 0': '7f6df49ee52994bb7b977ae3eeea5f9d8acb001952d7784c194b6986590cc3cd',
+    'check-morphisms --n 3 --variant 1': '62d402f1cfc61eb207450071ea12b917f05f7fabf9776f6021d6ccc039382369',
+    'check-morphisms --n 3 --variant n': '4cefdac66cec99f36f4721ecd6ddbc45dc9f9880596f257e8a535f20803f3ca8',
+    'check-morphisms --n 4 --variant 1': '6258a5454beafedc2ce5ca5a112a2c1ec018df8695cd23ef1e9b53fa9d1649e6',
+    'check-morphisms --n 5 --variant 0': '12ab433acdb4374d1d6fc27c94f971c7e92b4568f90492d758403e0ecc64e6b6',
+    'check-morphisms --n 5 --variant 1': '3145d967d9eabb4619097534edbb49444be09febfed0152140ffa293dbf50ed9',
+    'check-morphisms --n 5 --variant n': '7da4053397228ef67518770cb3692fd596bb385ae336d96dbfb73406d2b0f4de',
+    'check-morphisms --n 6 --variant 1': 'af664d4d7ebeab08ddfd76d83f37e81ab9684fb23f66599fe1ae7609ded62beb',
+    'check-morphisms --n 7 --variant 0': '73c7b704ac6bdecdca495371e5a453732f2ed2ac759c8240aba01270040ad833',
+    'check-morphisms --n 7 --variant 1': '89950ef1b116fb74e2be558ddace99c9f6b8b11b4455014b35a4a3d098cbbde1',
+    'check-morphisms --n 7 --variant n': '78eabafd92aef44ad466d6e8642160c8f766c71767e18b19aa06b60387378ea9',
+    'check-morphisms --n 8 --variant 1': '88833cdd3d5fdb62b70a5fffa06a0770b5a37f0b084e1bcabe54b6f51010a010',
+    'check-morphisms --n 9 --variant 0': '2fc8ce138cffe6d67395c1e85a80d21aa94e64e852b8f8cb1ea9031bcd17478b',
+    'check-morphisms --n 9 --variant 1': 'e2c74de05e254be029a07a4d83f02891666bd568470d46657d03877f65cdf75d',
+    'check-morphisms --n 9 --variant n': '06936b0cc3d8669a7740408feffa056ff843ff24ba133f6e96dc2e6998da3d50',
+    'check-morphisms --n 10 --variant 1': 'cdf3b38fe3562a9c399ae17d508c88267eeec1429d7777dbf886582a3337a60d',
+    'check-morphisms --n 11 --variant 0': '6bc4d284534956f63823c730d9cfa977c0e2be7723e51cd44eb9a28e9388628d',
+    'check-morphisms --n 11 --variant 1': '7f019960944c1a5223d17f7013d44f9deef59e6ecd7fe4bc1514bcf68d64f700',
+    'check-morphisms --n 11 --variant n': '84db1c50f9b87db3f36d2f0267093f10d6f09a15b21879b689a2e1583df9f514',
+    'check-morphisms --n 12 --variant 1': 'd3dd2794ef792c4374604101963078b48c2fc612cdc613f0a200fff6692cdc79',
 }
 
 
@@ -227,6 +269,11 @@ def test_export_dot_output_is_byte_identical(group, seq, flags):
 
 @pytest.mark.parametrize("argv", PARSE_RUNS, ids=" ".join)
 def test_parse_runs_are_byte_identical(argv):
+    assert digest(cli_output(*argv)) == DIGESTS[" ".join(argv)]
+
+
+@pytest.mark.parametrize("argv", PRESENTATION_RUNS, ids=" ".join)
+def test_presentation_runs_are_byte_identical(argv):
     assert digest(cli_output(*argv)) == DIGESTS[" ".join(argv)]
 
 
