@@ -19,8 +19,15 @@ merged ones.
 The table is held column by column, one list per column, and each
 relator is scanned through prebuilt lists of its letters' columns and
 of their inverses', so a scan step reads its entry from a column list
-with no letter-to-column or inverse lookup.  The closed table
-keeps each column's live entries, renumbered, one column at a time.
+with no letter-to-column or inverse lookup.  A live coset's relators
+are scanned in one call, and its undefined entries are then looked for
+only in the columns that no relator starts with and that invert no
+relator's last letter: a completed scan at a coset that stays alive
+defines those two entries, and a skipped relator holds on a defined
+path, so the other columns are defined already (S8, a^512 and
+PSL(2,7) look in none).  The closed table keeps each column's live
+entries, renumbered, one column at a time, and a relator is traced
+one syllable at a time, each power by repeated squaring.
 Two layers sit on it: ``coset_table`` enumerates and checks the closed
 table (mutually inverse columns, every relator traced, every coset
 reached from the identity coset), which is all an order needs, and
@@ -33,7 +40,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from . import words
 from .groups import FiniteGroup
@@ -223,31 +230,38 @@ class _Enumeration:
                     column[mu] = nu
                     back[nu] = mu
 
-    def scan_and_fill(self, alpha: int, forward: Sequence[list], backward: Sequence[list]) -> None:
-        """Scan a relator at alpha, given as the columns of its letters
-        (forward) and of their inverses (backward), position by position."""
-        f, i = alpha, 0
-        b, j = alpha, len(forward) - 1
-        while True:
-            while i <= j and (step := forward[i][f]) is not None:
-                f = step
-                i += 1
-            if i > j:
-                if f != b:
+    def scan_coset(self, alpha: int, todo: Iterable[tuple[list, list, int]]) -> bool:
+        """Scan the relators of todo at alpha in their order, each given
+        as the columns of its letters (forward), the columns of their
+        inverses (backward) and its last position, until one of them
+        merges alpha away; whether alpha still lives."""
+        p = self.p
+        for forward, backward, last in todo:
+            f, i = alpha, 0
+            b, j = alpha, last
+            while True:
+                while i <= j and (step := forward[i][f]) is not None:
+                    f = step
+                    i += 1
+                if i > j:
+                    if f != b:
+                        self.coincidence(f, b)
+                    break
+                while j >= i and (step := backward[j][b]) is not None:
+                    b = step
+                    j -= 1
+                if j < i:
                     self.coincidence(f, b)
-                return
-            while j >= i and (step := backward[j][b]) is not None:
-                b = step
-                j -= 1
-            if j < i:
-                self.coincidence(f, b)
-                return
-            if j == i:
-                # deduction closes the scan
-                forward[i][f] = b
-                backward[i][b] = f
-                return
-            self.define(f, forward[i], backward[i])
+                    break
+                if j == i:
+                    # deduction closes the scan
+                    forward[i][f] = b
+                    backward[i][b] = f
+                    break
+                self.define(f, forward[i], backward[i])
+            if p[alpha] != alpha:
+                return False
+        return True
 
 
 def _letter_indices(letters: Sequence[tuple[int, int]]) -> list[int]:
@@ -291,29 +305,34 @@ def _symmetry_columns(cols: Sequence[int], inv: Sequence[int]) -> set[int]:
     return found
 
 
+def _power(cursor: list[int], m: int, power: Optional[list[int]] = None) -> list[int]:
+    """The map power (the identity when None) followed by cursor m >= 1
+    times, by squaring."""
+    while True:
+        if m & 1:
+            power = cursor if power is None else [cursor[c] for c in power]
+        m >>= 1
+        if not m:
+            return power
+        cursor = [cursor[c] for c in cursor]
+
+
 def _relator_trace(table: Sequence[list[int]], letters: Sequence[int]) -> list[int]:
     """The map c -> c*w of a closed column-major table, for the relator w
     given by letter indices (``table[x][c]`` is c times letter x).
 
     w = u^m with u its shortest root is traced as u once, and that map
     is raised to the m-th power by squaring: a^512 takes 9 column maps
-    instead of 511.
+    instead of 511.  Each run x^e in u is a power of x's column, taken
+    by squaring too: x^2*a^-256 takes 10 column maps instead of 257.
     """
     # the least rotation that maps a word onto itself is its root's length
     spelled = "".join(map(chr, letters))
     root = (spelled + spelled).find(spelled, 1)
-    cursor = table[letters[0]]
-    for x in letters[1:root]:
-        cursor = list(map(table[x].__getitem__, cursor))
-    power = None
-    m = len(letters) // root
-    while True:
-        if m & 1:
-            power = cursor if power is None else list(map(cursor.__getitem__, power))
-        m >>= 1
-        if not m:
-            return power
-        cursor = list(map(cursor.__getitem__, cursor))
+    cursor = None
+    for x, run in itertools.groupby(letters[:root]):
+        cursor = _power(table[x], len(list(run)), cursor)
+    return _power(cursor, len(letters) // root)
 
 
 def _enumerate(
@@ -325,7 +344,12 @@ def _enumerate(
     The relators in ``scan_cols`` (as columns) are scanned at each live
     coset in ascending order, in their order, except those that the
     coset's steps down to smaller cosets cover; the coset's undefined
-    entries are defined after its scans.
+    entries are defined after its scans.  Only the columns that no
+    relator starts with and that invert no relator's last letter can
+    still be undefined there: every relator, scanned or covered, holds
+    at a coset that outlived its scans on a defined path, and that path
+    defines the coset's entries for its first letter and for the inverse
+    of its last.
     """
     # covers[col]: the relators (indices into scan_cols) that hold at a
     # coset as soon as they hold at the coset one col-step away
@@ -335,13 +359,16 @@ def _enumerate(
             covers.setdefault(col, set()).add(r)
     enum = _Enumeration(inv, max_cosets)
     columns, p = enum.columns, enum.p
-    scan, define = enum.scan_and_fill, enum.define
+    scan, define = enum.scan_coset, enum.define
     # each relator as the lists of its letters' columns and of their
-    # inverses', so that a scan step needs no letter-to-column or inverse
-    # lookup
+    # inverses', and its last position, so that a scan step needs no
+    # letter-to-column or inverse lookup
     relators = [
-        ([columns[c] for c in cols], [columns[inv[c]] for c in cols]) for cols in scan_cols
+        ([columns[c] for c in cols], [columns[inv[c]] for c in cols], len(cols) - 1)
+        for cols in scan_cols
     ]
+    ends = {cols[0] for cols in scan_cols} | {inv[cols[-1]] for cols in scan_cols}
+    fill = [pair for col, pair in enumerate(enum.pairs) if col not in ends]
     covering = [(columns[col], 1 << k, rs) for k, (col, rs) in enumerate(covers.items())]
     # a coset's key has the bit of each covering column that steps down
     # to a smaller coset; keys below 256 are cached ints, so the loop
@@ -364,12 +391,8 @@ def _enumerate(
                 todo = pending[key] = [
                     relator for r, relator in enumerate(relators) if r not in skip
                 ]
-            for forward, backward in todo:
-                scan(alpha, forward, backward)
-                if p[alpha] != alpha:
-                    break
-            else:
-                for column, back in enum.pairs:
+            if scan(alpha, todo):
+                for column, back in fill:
                     if column[alpha] is None:
                         define(alpha, column, back)
         alpha += 1
@@ -387,12 +410,14 @@ class CosetTable:
     generator g and 2g+1 its inverse; an involution's two letters share
     one list.  ``reached`` lists the cosets in the order the walk
     reached them, and ``last[c]`` is the generator of the step that
-    first reached c (-1 at coset 0).
+    first reached c (-1 at coset 0).  ``defined`` counts the cosets the
+    enumeration defined, live or merged.
     """
 
     columns: list[list[int]]
     reached: list[int]
     last: list[int]
+    defined: int
 
     @property
     def order(self) -> int:
@@ -416,9 +441,10 @@ def coset_table(
     in the order they were defined, so the numbers depend on the table's
     columns: an involution's shared column numbers the cosets
     differently from a two-column enumeration.  The closed columns are
-    checked to be mutually inverse, which for an involution's shared
-    column is g^2 = e, every other relator is traced, as a power of its
-    shortest root, and a breadth-first walk from coset 0 must reach
+    checked to be defined at every live coset and mutually inverse,
+    which for an involution's shared column is g^2 = e, every other
+    relator is traced, as a power of its shortest root, one syllable at
+    a time, and a breadth-first walk from coset 0 must reach
     every coset; a failed check raises RuntimeError.  Raises
     CosetLimitExceeded once max_cosets cosets have been defined, live
     or not (default 16x the expected order when given, else 65536) --
@@ -452,6 +478,7 @@ def coset_table(
         if square is None  # a g^2 relator holds by construction
     ]
     columns, p = _enumerate(inv, scan_cols, max_cosets)
+    defined = len(p)
 
     renumber: list[int] = []  # a dead coset takes its representative's number
     order = 0
@@ -461,16 +488,23 @@ def coset_table(
             order += 1
         else:
             renumber.append(renumber[parent])
-    alive = list(map(operator.eq, p, range(len(p))))
+    alive = list(map(operator.eq, p, range(defined)))
     del p
     # each column keeps its live entries, renumbered, and the enumeration
-    # column goes before the next one is built
+    # column goes before the next one is built; a live entry still
+    # undefined stops the renumbering at renumber[None]
     for col, column in enumerate(columns):
-        columns[col] = list(map(renumber.__getitem__, itertools.compress(column, alive)))
-    # closed-table sanity: well-defined inverses and every relator tracing home
-    identity = list(range(order))
+        try:
+            columns[col] = [renumber[c] for c in itertools.compress(column, alive)]
+        except TypeError:
+            raise RuntimeError("coset table has an undefined entry") from None
+    # closed-table sanity: well-defined inverses and every relator tracing
+    # home; the identity holds the renumbered int objects, so comparing
+    # with it mostly compares identities
+    identity = list(itertools.compress(renumber, alive))
     for col, column in enumerate(columns):
-        if list(map(columns[inv[col]].__getitem__, column)) != identity:
+        back = columns[inv[col]]
+        if [back[c] for c in column] != identity:
             raise RuntimeError("coset table is not closed under inverses")
     # column-major closed table by letter index
     table = [columns[col] for col in letter_col]
@@ -492,7 +526,7 @@ def coset_table(
                 reached.append(d)
     if len(reached) != order:
         raise RuntimeError("coset table is not transitive on live cosets")
-    return CosetTable(table, reached, last)
+    return CosetTable(table, reached, last, defined)
 
 
 def todd_coxeter(

@@ -153,6 +153,10 @@ def oracle_cases():
             "<a,b | a^2, b^2, a=b>",
             "<a,b | a^-2, b^3, (a*b)^2>",
             "<g | g^2=g>",
+            # no scanned relator starts with b or ends with b^-1, so b's
+            # column is filled after the scans
+            "<a,b | a^6, b^2, a*b*a>",
+            "<a,b | a^4, b^2, a*b*a>",
         )
     ]
     return cases
@@ -216,26 +220,62 @@ def test_enumeration_matches_one_column_oracle_on_random_presentations(presentat
     assert_matches_one_column_oracle(presentation, max_cosets=2000)
 
 
-def counted_scans(monkeypatch, module):
-    """The cosets at which module's enumeration scans, one per scan."""
+def counted_scans(monkeypatch):
+    """The cosets at which the enumeration scans, one per relator scanned."""
     scans = []
-    scan_and_fill = module._Enumeration.scan_and_fill
+    scan_coset = presentations._Enumeration.scan_coset
+
+    def counted(enum, alpha, todo):
+        # a relator counts as it is taken from todo, so a scan that merges
+        # alpha away ends the count too
+        def each():
+            for relator in todo:
+                scans.append(alpha)
+                yield relator
+
+        return scan_coset(enum, alpha, each())
+
+    monkeypatch.setattr(presentations._Enumeration, "scan_coset", counted)
+    return scans
+
+
+def counted_oracle_scans(monkeypatch):
+    """The cosets at which the one-column oracle scans, one per scan."""
+    scans = []
+    scan_and_fill = coset_oracle._Enumeration.scan_and_fill
     monkeypatch.setattr(
-        module._Enumeration,
+        coset_oracle._Enumeration,
         "scan_and_fill",
-        lambda enum, alpha, *cols: scans.append(alpha) or scan_and_fill(enum, alpha, *cols),
+        lambda enum, alpha, cols: scans.append(alpha) or scan_and_fill(enum, alpha, cols),
     )
     return scans
 
 
 def test_symmetric_relators_skip_most_scans(monkeypatch):
-    scans = counted_scans(monkeypatch, presentations)
-    oracle_scans = counted_scans(monkeypatch, coset_oracle)
+    scans = counted_scans(monkeypatch)
+    oracle_scans = counted_oracle_scans(monkeypatch)
     P = parse_presentation(coxeter_sn(7))
     assert todd_coxeter(P).order == 5040
     oracle_enumerate(P, share_involutions=True)
     # 17,088 of the one-column loop's 75,600 scans are left
     assert 4 * len(scans) < len(oracle_scans)
+
+
+@pytest.mark.parametrize("text, defined, scanned", [
+    (coxeter_sn(6), 825, 1589),
+    (coxeter_sn(7), 6411, 17088),
+    (coxeter_sn(8), 55119, 193968),
+    ("<a,x | a^512, x^2=a^256, x^-1*a*x=a^-1>", 1024, 2051),
+    # b's column is filled after the scans: one coset each
+    ("<a,b | a^6, b^2, a*b*a>", 7, 4),
+    ("<a,b | a^4, b^2, a*b*a>", 5, 5),
+])
+def test_enumeration_counts(monkeypatch, text, defined, scanned):
+    # the cosets defined, and the relators scanned, each counted as
+    # scan_coset takes it
+    scans = counted_scans(monkeypatch)
+    assert presentations.coset_table(parse_presentation(text)).defined == defined
+    assert len(scans) == scanned
 
 
 @pytest.mark.parametrize(
@@ -290,6 +330,18 @@ def test_relator_trace_matches_letter_by_letter():
         assert got == expected, letters
         nontrivial += got != list(range(degree))
     assert nontrivial > 100  # most traces are not the identity
+    # words of long runs, each traced as a power of its letter's column
+    for _ in range(60):
+        degree = rng.randint(1, 12)
+        table = []
+        for _ in range(2):
+            perm = rng.sample(range(degree), degree)
+            table += [perm, sorted(range(degree), key=perm.__getitem__)]
+        runs = [[rng.randrange(4)] * rng.randint(1, 300) for _ in range(rng.randint(1, 4))]
+        root = [x for run in runs for x in run]
+        letters = root * rng.choice((1, rng.randint(2, 5)))
+        expected = [functools.reduce(lambda c, x: table[x][c], letters, c) for c in range(degree)]
+        assert presentations._relator_trace(table, letters) == expected, letters
 
 
 @pytest.mark.parametrize("square", ["{}^2", "{}^-2", "{}^2=e"])
@@ -310,8 +362,8 @@ def hand_closed_table(monkeypatch, columns):
                 column[:] = entries
             self.p = list(range(len(columns[0])))
 
-        def scan_and_fill(self, alpha, forward, backward):
-            pass
+        def scan_coset(self, alpha, todo):
+            return True
 
     monkeypatch.setattr(presentations, "_Enumeration", Handed)
 
@@ -339,6 +391,15 @@ def test_closed_table_that_breaks_a_relator_is_refused(monkeypatch, realize):
     # g and g^-1 swap two cosets: mutually inverse columns, but g^3 = g
     hand_closed_table(monkeypatch, [[1, 0], [1, 0]])
     with pytest.raises(RuntimeError, match="fails a relator trace"):
+        realize(parse_presentation("<g | g^3>"))
+
+
+@BOTH_PATHS
+def test_closed_table_with_an_undefined_entry_is_refused(monkeypatch, realize):
+    # g^3 starts with g and ends with it, so the enumeration fills no
+    # column after the scans, and the entries left undefined stay so
+    hand_closed_table(monkeypatch, [[1, None], [None, 0]])
+    with pytest.raises(RuntimeError, match="undefined entry"):
         realize(parse_presentation("<g | g^3>"))
 
 
