@@ -17,6 +17,7 @@ from .dicyclic_theory import (
     generates_pair_xx,
     morphism_pair,
     order_constraint_ax,
+    pi_presentation,
     predicted_classification,
     same_class_xx,
     verify_theorem,
@@ -48,7 +49,6 @@ from .presentations import (
     Word,
     check_homomorphism,
     parse_presentation,
-    pi_presentation,
     todd_coxeter,
     verify_mutual_inverse,
 )

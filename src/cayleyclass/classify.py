@@ -27,7 +27,8 @@ minimal mode also the subgroup of each prefix without one of its
 elements), so at most k*k subgroups of at most |G| elements are held.
 A leaf (prefix, x) fails at once when x lies in <prefix>; otherwise
 <prefix> is extended by x coset by coset (``groups.extend_subgroup``,
-Dimino's method), until it is known to be the group or not.  In minimal
+Dimino's method), each new coset a generator's row applied to an earlier
+coset, until it is known to be the group or not.  In minimal
 mode a node whose prefix generates the group, or has an element in the
 subgroup of the others, is pruned: no leaf below it is minimal, and its
 children are never built.  In the other mode every leaf below a prefix

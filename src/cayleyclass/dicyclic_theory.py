@@ -1,7 +1,9 @@
 """Closed-form generation and equivalence predicates for dicyclic
-groups, the explicit morphism pairs onto the two-generator
-presentations, and the end-to-end verifier that confronts the
-closed-form predictions with brute-force classification.
+groups, the two-generator presentation variants with their explicit
+morphism pairs, and the end-to-end verifier that confronts the
+closed-form predictions with brute-force classification.  Which
+variants exist for n, their presentations and their morphism pairs
+are decided in one place, ``_variants``.
 
 Conventions: the dicyclic group of order 4n is <a,x | a^(2n)=e,
 x^2=a^n, x^(-1)ax=a^(-1)>; elements a^k*x all have order 4.
@@ -15,36 +17,32 @@ from typing import Optional
 
 from .classify import ClassificationReport, classify, classify_summary_equal
 from .groups import OrderMultiset, dicyclic, group_automorphisms, parse_sequence
-from .presentations import (
-    Presentation,
-    parse_presentation,
-    pi_presentation,
-    todd_coxeter,
-    verify_mutual_inverse,
-)
+from .presentations import Presentation, parse_presentation, todd_coxeter, verify_mutual_inverse
 
 # the n that verify_theorem (and so `verify-theorem --n-range`) accepts
 MIN_N = 2
 MAX_N = 12
 
 
-def classical_presentation(n: int) -> Presentation:
+def _require_n(n: int) -> None:
     if n < 2:
         raise ValueError(f"requires n >= 2, got {n}")
+
+
+def classical_presentation(n: int) -> Presentation:
+    _require_n(n)
     return parse_presentation(f"<a,x | a^{2 * n}, x^2=a^{n}, x^-1*a*x=a^-1>")
 
 
 def generates_pair_xx(n: int, k: int, m: int) -> bool:
     """Does (a^k*x, a^m*x) generate the order-4n dicyclic group?"""
-    if n < 2:
-        raise ValueError(f"requires n >= 2, got {n}")
+    _require_n(n)
     return math.gcd(n, k - m) == 1
 
 
 def generates_pair_ax(n: int, k: int, m: int) -> bool:
     """Does (a^k, a^m*x) generate?  Depends only on gcd(n, k)."""
-    if n < 2:
-        raise ValueError(f"requires n >= 2, got {n}")
+    _require_n(n)
     return math.gcd(n, k) == 1
 
 
@@ -63,8 +61,7 @@ def order_constraint_ax(n: int, k: int) -> Optional[int]:
     """Order of a^k in a generating pair (a^k, a^m*x), or None when no
     such pair generates: 2n when gcd(2n,k)=1, n when gcd(2n,k)=2 and n
     is odd."""
-    if n < 2:
-        raise ValueError(f"requires n >= 2, got {n}")
+    _require_n(n)
     g = math.gcd(2 * n, k)
     if g == 1:
         return 2 * n
@@ -86,8 +83,7 @@ class TheoremPrediction:
 def predicted_classification(n: int) -> TheoremPrediction:
     """Two classes for even n, four for odd n, with representatives
     (a,x); (a*x,x); and for odd n also (a^2*x,x) and (a^2,x)."""
-    if n < 2:
-        raise ValueError(f"requires n >= 2, got {n}")
+    _require_n(n)
     multisets = [OrderMultiset.of((2 * n, 4)), OrderMultiset.of((4, 4))]
     representatives = ["a,x", "a*x,x"]
     if n % 2 == 1:
@@ -107,6 +103,37 @@ class MorphismPair:
     psi: dict[str, str]
 
 
+def _variants(n: int) -> dict[int, tuple[str, MorphismPair]]:
+    """The presentation variants attached to the dicyclic group of order
+    4n, each with its presentation text and its morphism pair: variant 1
+    for every n, variants 0 and n for odd n only."""
+    _require_n(n)
+    variants = {1: (f"<u,v | u^2=v^2, u^4, u^2*(u^3*v)^{n}>",
+                    MorphismPair(1, {"a": "u^3*v", "x": "v"}, {"u": "a*x", "v": "x"}))}
+    if n % 2 == 1:
+        q = (n + 1) // 2
+        variants[0] = (f"<u,v | u^2=v^2, u^4, u^2*(u*v)^{n}>",
+                       MorphismPair(0, {"a": "v*u", "x": "v"}, {"u": f"a^{n - 1}*x", "v": "x"}))
+        variants[n] = (f"<b,y | b^{n}, y^4, y^-1*b*y=b^-1>",
+                       MorphismPair(n, {"a": f"b^{q}*y^2", "x": "y"}, {"b": "a^2", "y": "x"}))
+    return variants
+
+
+def _variant(n: int, variant: int) -> tuple[str, MorphismPair]:
+    variants = _variants(n)
+    if variant in variants:
+        return variants[variant]
+    if variant in (0, n):
+        raise ValueError(f"variant {'0' if variant == 0 else 'n'} requires odd n")
+    raise ValueError(f"variant must be 0, 1 or n={n}, got {variant}")
+
+
+def pi_presentation(n: int, variant: int) -> Presentation:
+    """The two-generator presentations attached to the dicyclic group of
+    order 4n: variant 1 for every n, variants 0 and n for odd n only."""
+    return parse_presentation(_variant(n, variant)[0])
+
+
 def morphism_pair(n: int, variant: int) -> MorphismPair:
     """The explicit mutually inverse generator assignments per variant.
 
@@ -115,26 +142,11 @@ def morphism_pair(n: int, variant: int) -> MorphismPair:
     Variant n (odd n): phi(a)=b^q*y^2 with q=(n+1)/2, phi(x)=y;
     psi(b)=a^2, psi(y)=x.
     """
-    if n < 2:
-        raise ValueError(f"requires n >= 2, got {n}")
-    if variant == 1:
-        return MorphismPair(1, {"a": "u^3*v", "x": "v"}, {"u": "a*x", "v": "x"})
-    if variant == 0:
-        if n % 2 == 0:
-            raise ValueError("variant 0 requires odd n")
-        return MorphismPair(0, {"a": "v*u", "x": "v"}, {"u": f"a^{n - 1}*x", "v": "x"})
-    if variant == n:
-        if n % 2 == 0:
-            raise ValueError("variant n requires odd n")
-        q = (n + 1) // 2
-        return MorphismPair(n, {"a": f"b^{q}*y^2", "x": "y"}, {"b": "a^2", "y": "x"})
-    raise ValueError(f"variant must be 0, 1 or n={n}, got {variant}")
+    return _variant(n, variant)[1]
 
 
 def applicable_variants(n: int) -> list[int]:
-    if n < 2:
-        raise ValueError(f"requires n >= 2, got {n}")
-    return [1] if n % 2 == 0 else [0, 1, n]
+    return sorted(_variants(n))
 
 
 def check_morphism_variant(n: int, variant: int,

@@ -23,7 +23,9 @@ automorphisms given as data (base images and the held maps they
 compose), and its orbit minima with a Schreier vector that carries a
 point to its minimum.  ``classify`` walks the tree from the root and
 takes least set images down it.  ``extend_subgroup`` grows a subgroup
-by one element, coset by coset, for the generation tests of that walk.
+by one element, coset by coset, for the generation tests of that walk:
+the coset of g*r is g's row applied to the coset of r, with or without
+a table.
 """
 
 from __future__ import annotations
@@ -637,28 +639,27 @@ def extend_subgroup(group: FiniteGroup, subgroup, generators: Sequence[int], x: 
     the identity, built as a union of left cosets y*subgroup (Dimino's
     method; see G. Butler, "Fundamental Algorithms for Permutation
     Groups", 1991): the coset of each generator times a known coset
-    representative is added until none is new.  So an element costs one
-    product (with a table, one lookup in a row), not one per generator.
-    Returns subgroup itself when x lies in it, and group.elements() as
-    soon as more than half the group is reached, since no proper subgroup
-    is that large.
+    representative is added until none is new.  The coset of y = g*r is
+    g's row applied to the coset of r, since y*h = g*(r*h), so an element
+    costs one lookup in a row, not one product per generator.  Returns
+    subgroup itself when x lies in it, and group.elements() as soon as
+    more than half the group is reached, since no proper subgroup is that
+    large.
     """
     if x in subgroup:
         return subgroup
-    order, table = group.order, group._table
     rows = [group.row(s) for s in (*generators, x)]
     reached = set(subgroup)
-    representatives = [group.identity]
-    for r in representatives:
+    cosets = [(group.identity, subgroup)]  # (r, r*subgroup)
+    for r, coset in cosets:
         for row in rows:
             y = row[r]
             if y not in reached:
-                coset = map(table[y].__getitem__ if table is not None
-                            else functools.partial(group.mul, y), subgroup)
-                reached.update(coset)
-                if 2 * len(reached) > order:
+                image = [row[v] for v in coset]
+                reached.update(image)
+                if 2 * len(reached) > group.order:
                     return group.elements()
-                representatives.append(y)
+                cosets.append((y, image))
     return reached
 
 

@@ -136,26 +136,6 @@ def parse_presentation(text: str) -> Presentation:
     return Presentation(tuple(names), tuple(relators), text.strip())
 
 
-def pi_presentation(n: int, variant: int) -> Presentation:
-    """The two-generator presentations attached to the dicyclic group of
-    order 4n: variant 1 for every n, variants 0 and n for odd n only."""
-    if n < 2:
-        raise ValueError(f"requires n >= 2, got {n}")
-    if variant == 1:
-        text = f"<u,v | u^2=v^2, u^4, u^2*(u^3*v)^{n}>"
-    elif variant == 0:
-        if n % 2 == 0:
-            raise ValueError("variant 0 requires odd n")
-        text = f"<u,v | u^2=v^2, u^4, u^2*(u*v)^{n}>"
-    elif variant == n:
-        if n % 2 == 0:
-            raise ValueError("variant n requires odd n")
-        text = f"<b,y | b^{n}, y^4, y^-1*b*y=b^-1>"
-    else:
-        raise ValueError(f"variant must be 0, 1 or n={n}, got {variant}")
-    return parse_presentation(text)
-
-
 # ---------------------------------------------------------------------------
 # Todd-Coxeter
 

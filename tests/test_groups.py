@@ -98,6 +98,53 @@ def test_automorphisms_of_s7_past_the_table():
     assert cc.group_automorphisms(cc.from_descriptor(S7)).order == 5040
 
 
+@functools.cache
+def group_past_the_table(name):
+    if name == "S7":
+        return cc.from_descriptor(S7)
+    return todd_coxeter(parse_presentation(coxeter_sn(8)))
+
+
+# (prefix, x, |<prefix, x>|): x in <prefix>, <prefix, x> proper, and
+# <prefix, x> the whole group, which returns as soon as half is passed
+@pytest.mark.parametrize("name, prefix, x, order", [
+    ("S7", "(1,2,3)", "(1,3,2)", 3),
+    ("S7", "(1,2),(1,2,3,4,5)", "(6,7)", 240),
+    ("S7", "(1,2,3,4,5,6,7)", "(1,2)", 5040),
+    ("coxeter-S8", "s1,s2", "s1*s2*s1", 6),
+    ("coxeter-S8", "s1,s2,s3,s4,s5", "s7", 1440),
+    ("coxeter-S8", "s1,s2,s3,s4,s5,s6", "s7", 40320),
+])
+def test_extend_subgroup_past_the_table(name, prefix, x, order):
+    # each coset is a generator's row applied to an earlier coset, the
+    # same map with or without a table
+    group = group_past_the_table(name)
+    group.ensure_table()
+    assert group.order > groups.TABLE_LIMIT
+    prefix = cc.parse_sequence(group, prefix).elements
+    x = elem(group, x)
+    subgroup = cc.closure(group, prefix)
+    grown = groups.extend_subgroup(group, subgroup, prefix, x)
+    expected = cc.closure(group, prefix + (x,))
+    assert set(grown) == expected and len(expected) == order
+    if x in subgroup:
+        assert grown is subgroup
+    if order == group.order:
+        assert grown == group.elements()
+
+
+@pytest.mark.parametrize("descriptor, sizes", [("cyclic:5000", [2000]), (S7, [])])
+def test_classify_singletons_past_the_table(descriptor, sizes):
+    # C(order, 1) is the one k-set count past the table under MAX_SETS;
+    # phi(5000) = 2000 generators of cyclic:5000 make one class, and no
+    # single element generates S7
+    group = cc.from_descriptor(descriptor)
+    assert group.order > groups.TABLE_LIMIT
+    for minimal_only in (False, True):
+        report = cc.classify(group, 1, "directed", minimal_only, max_order=group.order)
+        assert [c.size for c in report.classes] == sizes
+
+
 def test_table_refuses_generators_that_do_not_generate():
     # an explicit raise, not an assert that -O strips; the group stays usable
     code = textwrap.dedent("""

@@ -118,3 +118,18 @@ def test_only_groups_reads_the_private_fields_of_a_group():
         assert not names & {"left_row", "_inv_fn"}, where
         if path != PACKAGE / "groups.py":
             assert not names & fields, where
+
+
+def test_only_the_group_class_reads_its_table():
+    # extend_subgroup maps a coset through a row, with or without a table,
+    # so nothing outside FiniteGroup branches on the table
+    tree = ast.parse((PACKAGE / "groups.py").read_text(encoding="utf-8"))
+    inside = set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == "FiniteGroup":
+            inside = {id(n) for n in ast.walk(node)}
+    reads = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "_table"]
+    assert inside and reads
+    outside = [node.lineno for node in reads if id(node) not in inside]
+    assert not outside, outside
