@@ -11,7 +11,13 @@ edge (``groups.forced_map``).  That normalization is the correctness
 crux; the brute-force oracle below does not rely on it.
 
 The undirected matcher takes the same ``CayleyGraph``s and reads both
-rows of a label, ``succ`` (v -> s*v) and ``pred`` (v -> s^-1*v).
+rows of a label, ``succ`` (v -> s*v) and ``pred`` (v -> s^-1*v).  With
+directions forgotten, f(basepoint) no longer forces the map: each
+neighbour pair {s*v, s^-1*v} may go to its image pair either way round.
+The search propagates breadth-first to a fixpoint, holding the pairs
+with neither end mapped open, and branches on an open pair only when
+propagation has nothing left to settle, so a wrong choice is refuted
+close to where it was made.
 """
 
 from __future__ import annotations
@@ -149,11 +155,17 @@ def undirected_iso(g1: CayleyGraph, g2: CayleyGraph) -> Optional[IsoWitness]:
     """Witness of undirected labeled isomorphism, or None.
 
     Backtracking with constraint propagation from f(basepoint) =
-    basepoint: for an assigned vertex g and label s, the unordered
-    neighbor pair {s*g, s^-1*g} must map onto the sigma(s)-pair of
-    f(g); an unresolved pair branches two ways.  Basepoint fixing is
-    justified as in the directed case (right multiplications remain
-    automorphisms of the undirected view).
+    basepoint, once per order-compatible label bijection sigma: for a
+    mapped vertex v and label s, the unordered neighbour pair
+    {s*v, s^-1*v} must map onto the sigma(s)-pair of f(v).  The pairs
+    are settled breadth-first from the basepoint, and a pair with
+    neither end mapped is held open while propagation goes on; the
+    search branches two ways on an open pair only at a fixpoint, where
+    no open pair has had an end mapped since it was opened (refine
+    before individualizing, as in B. D. McKay and A. Piperno, "Practical
+    graph isomorphism, II", J. Symb. Comput. 60, 2014).  Basepoint
+    fixing is justified as in the directed case (right multiplications
+    remain automorphisms of the undirected view).
     """
     _require_connected(g1, "undirected_iso")
     _require_connected(g2, "undirected_iso")
@@ -161,11 +173,12 @@ def undirected_iso(g1: CayleyGraph, g2: CayleyGraph) -> Optional[IsoWitness]:
         return None
     n = g1.vertex_count
     for sigma in _label_bijections(g1, g2, order_compatible=True):
+        rows = [(g1.succ[k], g1.pred[k], g2.succ[k2], g2.pred[k2]) for k, k2 in enumerate(sigma)]
         f = [-1] * n
         used = [False] * n
         f[g1.basepoint] = g2.basepoint
         used[g2.basepoint] = True
-        result = _undirected_search(g1, g2, sigma, f, used, [g1.basepoint])
+        result = _undirected_search(rows, f, used, [g1.basepoint], [])
         if result is not None:
             witness = IsoWitness(result, tuple(sigma))
             if _validate_undirected(g1, g2, witness):
@@ -174,67 +187,70 @@ def undirected_iso(g1: CayleyGraph, g2: CayleyGraph) -> Optional[IsoWitness]:
     return None
 
 
-def _undirected_search(g1, g2, sigma, f, used, pending) -> Optional[tuple[int, ...]]:
-    succ1, pred1, succ2, pred2 = g1.succ, g1.pred, g2.succ, g2.pred
-    while pending:
-        v = pending.pop()
-        fv = f[v]
-        for k in range(len(sigma)):
-            k2 = sigma[k]
-            a, b = succ1[k][v], pred1[k][v]
-            c, d = succ2[k2][fv], pred2[k2][fv]
-            if a == b:
-                # order <= 2 label: a single undirected neighbor
-                if c != d:
+def _undirected_search(rows, f, used, pending, open_pairs) -> Optional[tuple[int, ...]]:
+    """Extend the partial map f, whose image ``used`` marks, from the
+    mapped vertices in pending; the whole map, or None.
+
+    rows holds, per label s and its image t = sigma(s), the rows
+    v -> s*v, v -> s^-1*v, w -> t*w and w -> t^-1*w, so a vertex v
+    mapped to w asks, per label, that {f(s*v), f(s^-1*v)} be
+    {t*w, t^-1*w}: the pair (s*v, s^-1*v, t*w, t^-1*w).  Pending
+    vertices are taken first-in first-out, so the vertices mapped from
+    one vertex come after those mapped before it.  A pair with one end
+    mapped maps the other, and so does a pair of one vertex (a label of
+    order at most 2, whose image then has one vertex too, because sigma
+    keeps label orders).  A pair with neither end mapped is held open
+    as (v, *pair), unless an image in it belongs to another vertex.
+    When pending runs out, the vertex of each open pair that has had an
+    end mapped or an image used since it was opened is taken again, and
+    its open pairs with it.  Only when no open pair has, the search
+    branches two ways on the first one and hands the others to each
+    branch.
+    """
+    while True:
+        for v in pending:
+            w = f[v]
+            for s1, p1, s2, p2 in rows:
+                a, b, c, d = s1[v], p1[v], s2[w], p2[w]
+                fa, fb = f[a], f[b]
+                if fa == -1:
+                    if fb == -1:
+                        if a != b:
+                            if used[c] or used[d]:
+                                return None
+                            open_pairs.append((v, a, b, c, d))
+                            continue
+                        x, y = a, c
+                    else:
+                        x, y = a, d if fb == c else c if fb == d else -1
+                elif fb == -1:
+                    x, y = b, d if fa == c else c if fa == d else -1
+                elif fa == c and fb == d or fa == d and fb == c:
+                    continue
+                else:
                     return None
-                if f[a] == -1:
-                    if used[c]:
-                        return None
-                    f[a] = c
-                    used[c] = True
-                    pending.append(a)
-                elif f[a] != c:
+                if y == -1 or used[y]:
                     return None
-                continue
-            if c == d:
-                return None
-            fa, fb = f[a], f[b]
-            if fa != -1 and fb != -1:
-                if {fa, fb} != {c, d}:
-                    return None
-            elif fa != -1:
-                target = d if fa == c else (c if fa == d else None)
-                if target is None or used[target]:
-                    return None
-                f[b] = target
-                used[target] = True
-                pending.append(b)
-            elif fb != -1:
-                target = d if fb == c else (c if fb == d else None)
-                if target is None or used[target]:
-                    return None
-                f[a] = target
-                used[target] = True
-                pending.append(a)
-            else:
-                # unresolved pair: branch, smaller source to smaller target first
-                lo, hi = (a, b) if a < b else (b, a)
-                c_lo, c_hi = (c, d) if c < d else (d, c)
-                for t_lo, t_hi in ((c_lo, c_hi), (c_hi, c_lo)):
-                    if used[t_lo] or used[t_hi]:
-                        continue
-                    f2 = list(f)
-                    used2 = list(used)
-                    f2[lo] = t_lo
-                    f2[hi] = t_hi
-                    used2[t_lo] = True
-                    used2[t_hi] = True
-                    result = _undirected_search(
-                        g1, g2, sigma, f2, used2, pending + [lo, hi, v]
-                    )
-                    if result is not None:
-                        return result
-                return None
+                f[x] = y
+                used[y] = True
+                pending.append(x)
+        again = dict.fromkeys(v for v, a, b, c, d in open_pairs
+                              if f[a] != -1 or f[b] != -1 or used[c] or used[d])
+        if not again:
+            break
+        open_pairs = [pair for pair in open_pairs if pair[0] not in again]
+        pending = list(again)
+    if open_pairs:
+        _, a, b, c, d = open_pairs[0]
+        for t_a, t_b in ((c, d), (d, c)):
+            f2 = list(f)
+            used2 = list(used)
+            f2[a], f2[b] = t_a, t_b
+            used2[c] = used2[d] = True
+            result = _undirected_search(rows, f2, used2, [a, b], open_pairs[1:])
+            if result is not None:
+                return result
+        return None
     if -1 in f:
         return None
     return tuple(f)

@@ -289,6 +289,16 @@ def test_dicyclic_length_three_minimal_class_counts(n, count):
     assert len(report.classes) == count
 
 
+# Undirected, minimal, length 3: inverting labels and colour-permuting
+# isomorphisms that no automorphism gives join directed classes
+@pytest.mark.parametrize("n, count", [
+    (6, 3), (10, 3), (12, 8), (15, 8), (18, 8), (20, 8), (21, 8), (24, 12),
+])
+def test_dicyclic_length_three_minimal_undirected_class_counts(n, count):
+    report = classify(cc.dicyclic(n), 3, "undirected", minimal_only=True)
+    assert len(report.classes) == count
+
+
 # S5 is Aut(A5): both groups have 120 automorphisms
 @pytest.mark.parametrize("descriptor", ["perm:5:(1,2);(1,2,3,4,5)", "perm:5:(1,2,3);(1,2,3,4,5)"])
 def test_order_120_directed_classes_against_burnside_and_enumeration(descriptor):

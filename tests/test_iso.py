@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 import cayleyclass as cc
 from cayleyclass import iso
 from conftest import builtin_groups
+from undirected_oracle import exhaustive_undirected_iso, undirected_iso as depth_first_undirected_iso
 
 
 def graph_of(group, text):
@@ -203,6 +205,72 @@ def test_brute_force_agrees_on_random_pairs_up_to_order_24():
         slow = iso.brute_force_iso(g1, g2, limit=24)
         assert (fast is None) == (slow is None)
         checked += 1
+
+
+def orbit_graphs(length, max_order):
+    """The Cayley graphs of one generating set per Aut(G)-orbit (the
+    least set of each directed class) of the conftest groups, bucketed
+    by group order and order multiset."""
+    buckets = {}
+    for group in builtin_groups(max_order):
+        for cls in cc.classify(group, length).classes:
+            elements = cls.representative.elements
+            key = (group.order, length, cc.order_multiset(group, elements))
+            buckets.setdefault(key, []).append(cc.build(group, elements))
+    return buckets
+
+
+def test_undirected_search_agrees_with_both_oracles():
+    # The graph of a set is directed-isomorphic to that of its orbit's
+    # leader, so the pairs of leaders give every answer; all 41,381
+    # pairs of generating sets take the exhaustive oracle alone about
+    # 35 s on a 2-vCPU Xeon VM.  Pairs of different groups of one order
+    # are included.
+    buckets = {**orbit_graphs(2, 16), **orbit_graphs(3, 16)}
+    pairs = [(g1, g2) for bucket in buckets.values() for g1, g2 in itertools.combinations(bucket, 2)]
+    assert len(pairs) == 1469
+    misses = 0
+    for g1, g2 in pairs:
+        found = [iso.undirected_iso(g1, g2), depth_first_undirected_iso(g1, g2),
+                 exhaustive_undirected_iso(g1, g2)]
+        assert len({w is None for w in found}) == 1, (g1.provenance, g2.provenance)
+        for w in found:
+            if w is not None:
+                assert iso._validate_undirected(g1, g2, w)
+        misses += found[0] is None
+    # hits and misses both occur, so neither answer can pass unchecked
+    assert misses == 1078
+
+
+def test_exhaustive_undirected_oracle_guard():
+    g = graph_of(cc.cyclic(17), "g")
+    with pytest.raises(ValueError):
+        exhaustive_undirected_iso(g, g)
+
+
+# _undirected_search calls of the depth-first search in
+# tests/undirected_oracle.py, which branched at the first unresolved
+# pair: S5 1,154,048; dicyclic:20 524,926; dicyclic:24 9,546,556.  The
+# fixpoint search makes 837, 8,190 and 1,576; each bound is under 5x that.
+@pytest.mark.parametrize("descriptor, length, bound", [
+    ("perm:5:(1,2);(1,2,3,4,5)", 2, 4_000),
+    ("dicyclic:20", 3, 40_000),
+    ("dicyclic:24", 3, 7_500),
+])
+def test_undirected_search_work_is_bounded(monkeypatch, descriptor, length, bound):
+    search = iso._undirected_search
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        if calls > bound:
+            raise RuntimeError(f"more than {bound} undirected search calls")
+        return search(*args)
+
+    monkeypatch.setattr(iso, "_undirected_search", counted)
+    cc.classify(cc.from_descriptor(descriptor), length, "undirected", minimal_only=True)
+    assert calls > 0
 
 
 def test_witness_json():

@@ -38,6 +38,15 @@ DEEP_TREE = [
     ("dihedral:10", 3, "undirected", False),
 ]
 
+# undirected reports whose classes only the pairwise undirected search
+# can join: (descriptor, length, minimal_only, class count, total)
+UNDIRECTED_SEARCH = [
+    ("perm:5:(1,2);(1,2,3,4,5)", 2, False, 20, 6840),
+    ("perm:5:(1,2);(1,2,3,4,5)", 2, True, 20, 6840),
+    ("dicyclic:20", 3, True, 8, 30720),
+    ("dicyclic:24", 3, True, 12, 73728),
+]
+
 
 # (group, sequence) pairs for export-dot, each run directed and undirected:
 # labels of order > 2, order-2 labels, a loop, and a permutation group
@@ -122,6 +131,9 @@ def current_digests():
     for descriptor, length, mode, minimal_only in LENGTH_THREE + DEEP_TREE:
         report = cc.classify(cc.from_descriptor(descriptor), length, mode, minimal_only)
         found[f"{descriptor} {length} {mode} {minimal_only}"] = digest(report.to_json())
+    for descriptor, length, minimal_only, _, _ in UNDIRECTED_SEARCH:
+        report = cc.classify(cc.from_descriptor(descriptor), length, "undirected", minimal_only)
+        found[f"{descriptor} {length} undirected {minimal_only}"] = digest(report.to_json())
     found["verify-theorem 2..12 json"] = digest(verify_theorem_output())
     for run in DOT_RUNS:
         found[dot_key(*run)] = digest(export_dot_output(*run))
@@ -187,6 +199,12 @@ DIGESTS = {
     'product:dicyclic:2,dicyclic:2 3 directed False': '285e6be8f19f0433bfe21d9ed91b1bbfd7e71d02433d8152cdca91863c17faf8',
     'perm:4:(1,2);(1,2,3,4) 3 undirected True': '26e52c33174416e30fefb347c58594da258cffcdf0de8c3809ae408d83049f53',
     'dihedral:10 3 undirected False': 'd35820628340e479545b142801665a36dcaef945832fa2c99530c0930089c60b',
+    # recorded from the code whose undirected search branched at the
+    # first pair with neither end mapped
+    'perm:5:(1,2);(1,2,3,4,5) 2 undirected False': '1617c2fb0a1fd20a18e2f91ca579f265e450d18288ee38af48e0a0cf72d08216',
+    'perm:5:(1,2);(1,2,3,4,5) 2 undirected True': '232bd0d4b3b49ec80522864cc51ec5c58fba3bae937985307ae0b8907250e2e1',
+    'dicyclic:20 3 undirected True': '5353fd4a5a8f4dc51979b2c188281d2311bb0a870e0f98ded1f955bd841ecc25',
+    'dicyclic:24 3 undirected True': 'a2b6a618d279079c8ac45783d6499eb3aad4669d11929edd99e9f0f31a70fda2',
     'verify-theorem 2..12 json': 'd1ad8c410ed866c2da605c53dad5c324769a11c86f4e6ad9cb68e37851a45b6f',
     # recorded from the code that held undirected graphs as a second type
     'export-dot dicyclic:3 a*x,x': '8fb03e475173f961052b304978230808f0ffa391811f453441b35cc8f40681c0',
@@ -255,6 +273,15 @@ def test_length_three_reports_are_byte_identical(descriptor, length, mode, minim
 def test_deep_tree_reports_are_byte_identical(descriptor, length, mode, minimal_only):
     report = cc.classify(cc.from_descriptor(descriptor), length, mode, minimal_only)
     key = f"{descriptor} {length} {mode} {minimal_only}"
+    assert digest(report.to_json()) == DIGESTS[key]
+
+
+@pytest.mark.parametrize("descriptor, length, minimal_only, count, total", UNDIRECTED_SEARCH)
+def test_undirected_search_reports_are_byte_identical(descriptor, length, minimal_only, count,
+                                                      total):
+    report = cc.classify(cc.from_descriptor(descriptor), length, "undirected", minimal_only)
+    assert (len(report.classes), report.total) == (count, total)
+    key = f"{descriptor} {length} undirected {minimal_only}"
     assert digest(report.to_json()) == DIGESTS[key]
 
 
