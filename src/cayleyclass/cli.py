@@ -140,10 +140,10 @@ def cmd_export_dot(args) -> int:
 def cmd_check_presentation(args) -> int:
     presentation = presentations.parse_presentation(args.presentation)
     try:
-        # the order needs the checked table only, not names or a group
-        order = presentations.coset_table(
+        # the order needs a checked table only, not names or a group
+        order = presentations.group_order(
             presentation, max_cosets=args.max_cosets, expected_order=args.expect
-        ).order
+        )
     except presentations.CosetLimitExceeded as exc:
         print(f"EXCEEDED: {exc}")
         return 1

@@ -1,5 +1,5 @@
-"""Group presentations: parsing, Todd-Coxeter coset enumeration over the
-trivial subgroup, and homomorphism / mutual-inverse verification.
+"""Group presentations: parsing, Todd-Coxeter coset enumeration, and
+homomorphism / mutual-inverse verification.
 
 The enumeration is the HLT (relator-tracing) strategy with immediate
 coincidence processing via union-find on cosets; scan order is
@@ -30,13 +30,28 @@ entries, renumbered, one column at a time, and a relator is traced
 one syllable at a time, each power by repeated squaring.
 Two layers sit on it: ``coset_table`` enumerates and checks the closed
 table (mutually inverse columns, every relator traced, every coset
-reached from the identity coset), which is all an order needs, and
-``todd_coxeter`` names the cosets along that walk and builds a
-``FiniteGroup``.
+reached from coset 0, and the subgroup word, if any, fixing coset 0),
+and ``todd_coxeter`` names the cosets of the trivial subgroup along that
+walk and builds a ``FiniteGroup``.
+
+``group_order``, which check-presentation prints, enumerates over a
+cyclic subgroup H = <u> of known order where one serves: u^m is the
+relator with the largest exponent m >= 2 (the first on ties) and u its
+shortest root.  Its table's checks show that G acts transitively on the
+n cosets with u fixing coset 0, so |G| >= n*|<u>| >= n*ord(u's
+permutation); u^m = e bounds |<u>| by m, and the enumeration gives
+n = [G:H].  So once u's permutation has order exactly m, |G| = n*m.
+For the Coxeter presentation of S8, u = s1*s2 and m = 3: the table has
+13,440 cosets, and 18,320 are defined against 55,119 over the trivial
+subgroup.  The trivial subgroup's table decides when no relator is a
+proper power, when u's permutation has a smaller order (<a> in a^512 is
+normal, and g^6 with g^4 gives g order 2), or when the enumeration over
+H exceeds max_cosets; a failed check raises and never falls back.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -141,10 +156,10 @@ def parse_presentation(text: str) -> Presentation:
 
 
 class _Enumeration:
-    """HLT coset enumeration state over the trivial subgroup, held column
-    by column: ``columns[col][c]`` is coset c times the letter of column
-    ``col``, or None while undefined; the cosets defined are those of
-    the union-find list ``p``, and the columns may be longer.
+    """HLT coset enumeration state, held column by column:
+    ``columns[col][c]`` is coset c times the letter of column ``col``,
+    or None while undefined; the cosets defined are those of the
+    union-find list ``p``, and the columns may be longer.
 
     ``inv[col]`` is the column of the inverse letter of column ``col``,
     and ``pairs`` holds each column beside that one; an involution's
@@ -297,6 +312,15 @@ def _power(cursor: list[int], m: int, power: Optional[list[int]] = None) -> list
         cursor = [cursor[c] for c in cursor]
 
 
+def _root(letters: Sequence[int]) -> tuple[int, int]:
+    """The length of the shortest root u of a nonempty word w = u^m,
+    given by letter indices, and the exponent m."""
+    # the least rotation that maps a word onto itself is its root's length
+    spelled = "".join(map(chr, letters))
+    root = (spelled + spelled).find(spelled, 1)
+    return root, len(letters) // root
+
+
 def _relator_trace(table: Sequence[list[int]], letters: Sequence[int]) -> list[int]:
     """The map c -> c*w of a closed column-major table, for the relator w
     given by letter indices (``table[x][c]`` is c times letter x).
@@ -306,22 +330,25 @@ def _relator_trace(table: Sequence[list[int]], letters: Sequence[int]) -> list[i
     instead of 511.  Each run x^e in u is a power of x's column, taken
     by squaring too: x^2*a^-256 takes 10 column maps instead of 257.
     """
-    # the least rotation that maps a word onto itself is its root's length
-    spelled = "".join(map(chr, letters))
-    root = (spelled + spelled).find(spelled, 1)
+    root, m = _root(letters)
     cursor = None
     for x, run in itertools.groupby(letters[:root]):
         cursor = _power(table[x], len(list(run)), cursor)
-    return _power(cursor, len(letters) // root)
+    return _power(cursor, m)
 
 
 def _enumerate(
-    inv: list[int], scan_cols: Sequence[list[int]], max_cosets: int
+    inv: list[int],
+    scan_cols: Sequence[list[int]],
+    max_cosets: int,
+    subgroup_cols: Sequence[int] = (),
 ) -> tuple[list[list[Optional[int]]], list[int]]:
     """Run the HLT enumeration to its end: the enumeration columns and
     the union-find parents of every coset defined.
 
-    The relators in ``scan_cols`` (as columns) are scanned at each live
+    The subgroup word in ``subgroup_cols`` (as columns; none for the
+    trivial subgroup) is scanned once at coset 0 first.  Then the
+    relators in ``scan_cols`` (as columns) are scanned at each live
     coset in ascending order, in their order, except those that the
     coset's steps down to smaller cosets cover; the coset's undefined
     entries are defined after its scans.  Only the columns that no
@@ -343,10 +370,12 @@ def _enumerate(
     # each relator as the lists of its letters' columns and of their
     # inverses', and its last position, so that a scan step needs no
     # letter-to-column or inverse lookup
-    relators = [
-        ([columns[c] for c in cols], [columns[inv[c]] for c in cols], len(cols) - 1)
-        for cols in scan_cols
-    ]
+    def scanned(cols):
+        return [columns[c] for c in cols], [columns[inv[c]] for c in cols], len(cols) - 1
+
+    relators = [scanned(cols) for cols in scan_cols]
+    if subgroup_cols:
+        scan(0, [scanned(subgroup_cols)])
     ends = {cols[0] for cols in scan_cols} | {inv[cols[-1]] for cols in scan_cols}
     fill = [pair for col, pair in enumerate(enum.pairs) if col not in ends]
     covering = [(columns[col], 1 << k, rs) for k, (col, rs) in enumerate(covers.items())]
@@ -381,17 +410,20 @@ def _enumerate(
 
 @dataclass(frozen=True)
 class CosetTable:
-    """The closed coset table of a presentation over the trivial
-    subgroup, checked: its columns are mutually inverse, every relator
-    traces home at every coset, and a breadth-first walk over the
-    generators reaches every coset from coset 0.
+    """The closed coset table of a presentation over a subgroup (the
+    trivial one unless a subgroup word is given), checked: its columns
+    are mutually inverse, every relator traces home at every coset, a
+    breadth-first walk over the generators reaches every coset from
+    coset 0, and the subgroup word fixes coset 0.
 
     ``columns[x][c]`` is coset c times letter x, where letter 2g is
     generator g and 2g+1 its inverse; an involution's two letters share
     one list.  ``reached`` lists the cosets in the order the walk
     reached them, and ``last[c]`` is the generator of the step that
     first reached c (-1 at coset 0).  ``defined`` counts the cosets the
-    enumeration defined, live or merged.
+    enumeration defined, live or merged.  ``order`` counts the live
+    cosets: the group order over the trivial subgroup, the subgroup's
+    index over another.
     """
 
     columns: list[list[int]]
@@ -408,9 +440,17 @@ def coset_table(
     presentation: Presentation,
     max_cosets: Optional[int] = None,
     expected_order: Optional[int] = None,
+    subgroup: Optional[Word] = None,
 ) -> CosetTable:
-    """Enumerate the cosets of the trivial subgroup and check the closed
-    table; ``todd_coxeter`` names its cosets and makes it a group.
+    """Enumerate the cosets of the subgroup generated by the word
+    ``subgroup`` (the trivial subgroup when None) and check the closed
+    table; ``todd_coxeter`` names the trivial subgroup's cosets and makes
+    them a group, and ``group_order`` reads an order off a cyclic
+    subgroup's table.
+
+    The subgroup word is scanned once at coset 0 before the relators are
+    scanned at each coset; the cover skip, the fill and the renumbering
+    hold for any coset table.
 
     A generator with a relator that cyclically reduces to g^2 or g^-2
     gets one column for g and g^-1, and that relator is neither scanned
@@ -424,8 +464,9 @@ def coset_table(
     checked to be defined at every live coset and mutually inverse,
     which for an involution's shared column is g^2 = e, every other
     relator is traced, as a power of its shortest root, one syllable at
-    a time, and a breadth-first walk from coset 0 must reach
-    every coset; a failed check raises RuntimeError.  Raises
+    a time, a breadth-first walk from coset 0 must reach every coset,
+    and the subgroup word must lead from coset 0 back to it; a failed
+    check raises RuntimeError.  Raises
     CosetLimitExceeded once max_cosets cosets have been defined, live
     or not (default 16x the expected order when given, else 65536) --
     a retryable signal, not a failure.
@@ -457,7 +498,10 @@ def coset_table(
         for letters, square in zip(relator_letters, squares)
         if square is None  # a g^2 relator holds by construction
     ]
-    columns, p = _enumerate(inv, scan_cols, max_cosets)
+    subgroup_letters = _letter_indices(subgroup.letters()) if subgroup else []
+    columns, p = _enumerate(
+        inv, scan_cols, max_cosets, [letter_col[x] for x in subgroup_letters]
+    )
     defined = len(p)
 
     renumber: list[int] = []  # a dead coset takes its representative's number
@@ -506,7 +550,79 @@ def coset_table(
                 reached.append(d)
     if len(reached) != order:
         raise RuntimeError("coset table is not transitive on live cosets")
+    if functools.reduce(lambda c, x: table[x][c], subgroup_letters, 0) != 0:
+        raise RuntimeError("subgroup word does not fix coset 0")
     return CosetTable(table, reached, last, defined)
+
+
+def _cyclic_subgroup(presentation: Presentation) -> Optional[tuple[Word, int]]:
+    """(u, m) for the relator u^m with the largest exponent m >= 2, the
+    first on ties, where u is its shortest root; None when no relator is
+    a proper power."""
+    found = None
+    for relator in presentation.relators:
+        letters = relator.letters()
+        if not letters:
+            continue
+        root, m = _root(_letter_indices(letters))
+        if m >= 2 and (found is None or m > found[1]):
+            found = Word(words.letters_to_syllables(letters[:root])), m
+    return found
+
+
+def _prime_factors(m: int) -> list[int]:
+    """The distinct primes dividing m >= 1."""
+    primes = []
+    q = 2
+    while q * q <= m:
+        if m % q == 0:
+            primes.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    if m > 1:
+        primes.append(m)
+    return primes
+
+
+def group_order(
+    presentation: Presentation,
+    max_cosets: Optional[int] = None,
+    expected_order: Optional[int] = None,
+) -> int:
+    """The order of the group a presentation defines, from a checked
+    coset table over a cyclic subgroup of known order where one serves,
+    else over the trivial subgroup.
+
+    u^m is the relator with the largest exponent m >= 2 (the first on
+    ties) and u its shortest root.  ``coset_table`` enumerates the n
+    cosets of H = <u> and checks the closed table as it checks any, and
+    that u fixes coset 0.  When u's permutation of the cosets has order
+    exactly m, the order is n*m: G acts transitively on n points with u
+    in the stabilizer of point 0, so |G| >= n*|<u>| >= n*m, while u^m = e
+    gives |<u>| <= m, and the enumeration gives n = [G:<u>].  Otherwise
+    (no proper power among the relators, a permutation of smaller order
+    because <u> has a normal core or u's order is below m, or the
+    enumeration over H grows past max_cosets) ``coset_table`` over the
+    trivial subgroup decides.  The cap applies to each enumeration on
+    its own; a failed check raises RuntimeError and never falls back.
+    """
+    found = _cyclic_subgroup(presentation)
+    if found is not None:
+        u, m = found
+        try:
+            closed = coset_table(presentation, max_cosets, expected_order, subgroup=u)
+        except CosetLimitExceeded:
+            pass
+        else:
+            # u^m traced home at every coset, so the order of u's
+            # permutation divides m; it is m when no m/q-th power for a
+            # prime q is the identity
+            cycle = _relator_trace(closed.columns, _letter_indices(u.letters()))
+            identity = list(range(closed.order))
+            if all(_power(cycle, m // q) != identity for q in _prime_factors(m)):
+                return closed.order * m
+    return coset_table(presentation, max_cosets, expected_order).order
 
 
 def todd_coxeter(

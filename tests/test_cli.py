@@ -276,6 +276,17 @@ def test_check_presentation_coxeter_s6_within_small_cap(capsys):
     assert "order 720" in out and "PASS" in out
 
 
+def test_check_presentation_cap_applies_to_each_enumeration(capsys):
+    # the trivial subgroup's table of S7 defines 6,411 cosets, the table
+    # over <s1*s2> 2,132: the cap holds the order back from neither
+    code, out, _ = run(
+        capsys, "check-presentation", coxeter_sn(7), "--max-cosets", "3000", "--expect", "5040"
+    )
+    assert (code, out) == (0, "order 5040\nPASS\n")
+    code, out, _ = run(capsys, "check-presentation", coxeter_sn(7), "--max-cosets", "2000")
+    assert (code, out) == (1, "EXCEEDED: coset enumeration exceeded 2000 cosets\n")
+
+
 def test_check_presentation_builds_no_group_and_names_no_element(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("check-presentation needs only the checked table")

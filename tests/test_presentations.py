@@ -412,12 +412,162 @@ def test_closed_table_that_is_not_transitive_is_refused(monkeypatch, realize):
         realize(parse_presentation("<g | g^2>"))
 
 
+def test_subgroup_word_that_moves_coset_0_is_refused(monkeypatch):
+    # g is a 3-cycle: mutually inverse columns, g^3 traced home at every
+    # coset and a transitive table, but g is the subgroup's generator
+    # and moves coset 0; the trivial subgroup takes the same table
+    hand_closed_table(monkeypatch, [[1, 2, 0], [2, 0, 1]])
+    P = parse_presentation("<g | g^3>")
+    assert presentations.coset_table(P).order == 3
+    with pytest.raises(RuntimeError, match="does not fix coset 0"):
+        presentations.coset_table(P, subgroup=presentations.Word(((0, 1),)))
+    # a failed check raises; it does not fall back to the trivial subgroup
+    with pytest.raises(RuntimeError, match="does not fix coset 0"):
+        cli.main(["check-presentation", P.descriptor])
+
+
 def test_expected_order_below_one_is_refused():
     P = parse_presentation("<g | g^5>")
     for bad in (0, -2):
         with pytest.raises(ValueError, match="expected_order"):
             todd_coxeter(P, expected_order=bad)
     assert todd_coxeter(P, expected_order=1, max_cosets=10).order == 5
+
+
+# ---------------------------------------------------------------------------
+# the order over a cyclic subgroup
+
+
+def traced_tables(monkeypatch):
+    """The (subgroup word, cap) of each coset_table call that group_order
+    makes, with the word None over the trivial subgroup."""
+    calls = []
+    coset_table = presentations.coset_table
+
+    def traced(presentation, max_cosets=None, expected_order=None, subgroup=None):
+        calls.append((subgroup, max_cosets))
+        return coset_table(presentation, max_cosets, expected_order, subgroup)
+
+    monkeypatch.setattr(presentations, "coset_table", traced)
+    return calls
+
+
+@pytest.mark.parametrize("letters, expected", [
+    ([0], (1, 1)),
+    ([0] * 512, (1, 512)),
+    ([0, 2] * 3, (2, 3)),
+    ([0, 2, 0], (3, 1)),  # x*y*x has period 2 and is no power
+    ([1, 3, 0, 2] * 4, (4, 4)),
+])
+def test_root(letters, expected):
+    assert presentations._root(letters) == expected
+
+
+@pytest.mark.parametrize("text, u, m", [
+    (coxeter_sn(8), "s1*s2", 3),
+    ("<a,b | a^2, b^3, (a*b)^7, (a^-1*b^-1*a*b)^4>", "a*b", 7),
+    ("<a,x | a^512, x^2=a^256, x^-1*a*x=a^-1>", "a", 512),
+    ("<g | g^-2, g^3>", "g", 3),
+    ("<a,b | a^-2, b^2, (a*b)^2>", "a^-1", 2),  # the first of three squares
+    ("<a,b | a*b*a, b*a*b>", None, None),
+    ("<u,v |>", None, None),
+])
+def test_cyclic_subgroup_is_the_root_of_the_largest_power(text, u, m):
+    P = parse_presentation(text)
+    found = presentations._cyclic_subgroup(P)
+    if u is None:
+        assert found is None
+    else:
+        assert (found[0].text(P.generator_names), found[1]) == (u, m)
+
+
+@pytest.mark.parametrize("text, index, defined", [
+    (coxeter_sn(6), 240, 271),
+    (coxeter_sn(7), 1680, 2132),
+    # a third of the 55,119 cosets of the trivial subgroup
+    (coxeter_sn(8), 13440, 18320),
+    ("<a,b | a^2, b^3, (a*b)^7, (a^-1*b^-1*a*b)^4>", 24, 42),
+])
+def test_order_over_the_cyclic_subgroup(monkeypatch, text, index, defined):
+    P = parse_presentation(text)
+    u, m = presentations._cyclic_subgroup(P)
+    closed = presentations.coset_table(P, subgroup=u)
+    assert (closed.order, closed.defined) == (index, defined)
+    calls = traced_tables(monkeypatch)
+    assert presentations.group_order(P) == index * m
+    assert calls == [(u, None)]  # no fallback
+
+
+@pytest.mark.parametrize("presentation", oracle_cases(), ids=lambda p: p.descriptor)
+def test_group_order_agrees_with_the_trivial_subgroup(presentation):
+    assert presentations.group_order(presentation) == presentations.coset_table(presentation).order
+
+
+def assert_group_order_agrees(presentation, max_cosets):
+    # where the trivial subgroup's table exceeds the cap, the route over a
+    # cyclic subgroup may still finish, but has nothing to agree with
+    try:
+        expected = presentations.coset_table(presentation, max_cosets).order
+    except CosetLimitExceeded:
+        return
+    assert presentations.group_order(presentation, max_cosets) == expected
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(small_presentations())
+def test_group_order_agrees_with_the_trivial_subgroup_on_random_presentations(presentation):
+    assert_group_order_agrees(presentation, max_cosets=2000)
+
+
+@st.composite
+def coxeter_quotients(draw):
+    """Coxeter presentations on 2-4 involutions, each pair's product of
+    order 2-6, with the product of all of them raised to a power 2-6 on
+    3-4 generators; small_presentations gives few orders that the route
+    over a cyclic subgroup decides, these give both routes."""
+    names = [f"s{i}" for i in range(1, draw(st.integers(2, 4)) + 1)]
+    relators = [f"{s}^2" for s in names]
+    relators += [f"({s}*{t})^{draw(st.integers(2, 6))}"
+                 for i, s in enumerate(names) for t in names[i + 1:]]
+    if len(names) > 2:
+        relators.append(f"({'*'.join(names)})^{draw(st.integers(2, 6))}")
+    return parse_presentation(f"<{','.join(names)} | {', '.join(relators)}>")
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(coxeter_quotients())
+def test_group_order_agrees_with_the_trivial_subgroup_on_coxeter_quotients(presentation):
+    assert_group_order_agrees(presentation, max_cosets=2000)
+
+
+@pytest.mark.parametrize("text, order", [
+    ("<g | g^6, g^4>", 2),  # <g> is the whole group, and g's order is 2
+    ("<a,x | a^512, x^2=a^256, x^-1*a*x=a^-1>", 1024),  # <a> is normal
+    ("<a,b | a^6, b^4, a^-1*b^-1*a*b>", 24),  # abelian: <a> is normal
+    # b has order 2, not 4: it swaps two of the three cosets of <b>
+    ("<a,b | a^3, b^4, b^2, (a*b)^2>", 6),
+])
+def test_group_order_falls_back_when_u_acts_with_a_smaller_order(monkeypatch, capsys, text,
+                                                                  order):
+    calls = traced_tables(monkeypatch)
+    assert cli.main(["check-presentation", text]) == 0
+    assert capsys.readouterr().out == f"order {order}\n"
+    assert [subgroup is None for subgroup, _ in calls] == [False, True]
+
+
+def test_subgroup_enumeration_past_the_cap_falls_back_under_the_same_cap(monkeypatch, capsys):
+    # over <a*b^-1> the enumeration defines 5 cosets, over the trivial
+    # subgroup 4
+    text = "<a,b | (a^-1*b)^2, a, (a*b^-1)^6>"
+    calls = traced_tables(monkeypatch)
+    assert cli.main(["check-presentation", text, "--max-cosets", "4"]) == 0
+    assert capsys.readouterr().out == "order 2\n"
+    assert [(subgroup is None, cap) for subgroup, cap in calls] == [(False, 4), (True, 4)]
+    # an infinite group exceeds the cap on both routes
+    calls.clear()
+    assert cli.main(["check-presentation", "<a,b | a^3>", "--max-cosets", "50"]) == 1
+    assert capsys.readouterr().out == "EXCEEDED: coset enumeration exceeded 50 cosets\n"
+    assert [(subgroup is None, cap) for subgroup, cap in calls] == [(False, 50), (True, 50)]
 
 
 # ---------------------------------------------------------------------------

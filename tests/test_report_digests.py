@@ -1,15 +1,18 @@
-"""Byte identity of classify reports, verify-theorem output and DOT export.
+"""Byte identity of classify reports, verify-theorem output, DOT export
+and check-presentation output.
 
 The SHA-256 digests below pin the exact bytes of a corpus of reports and
-of ``export-dot`` runs, so a change to how classes are found or how
-graphs are held cannot change what is printed.  To
-re-record them after an intended change of output, run this file as a
-script (``PYTHONPATH=src:tests python tests/test_report_digests.py``)
-and paste what it prints.
+of ``export-dot`` and ``check-presentation`` runs, so a change to how
+classes are found, how graphs are held or how an order is enumerated
+cannot change what is printed.  To re-record them after an intended
+change of output, run this file as a script
+(``PYTHONPATH=src:tests python tests/test_report_digests.py``) and paste
+what it prints.
 """
 import contextlib
 import hashlib
 import io
+import math
 
 import pytest
 
@@ -91,6 +94,16 @@ PRESENTATION_RUNS = [
       for n in range(3, 13) for v in applicable_variants(n)),
 ]
 
+# orders that check-presentation finds over a cyclic subgroup (the
+# Coxeter presentations, PSL(2,7) above) or over the trivial one (a^512,
+# g^5 and the free group above): the Coxeter presentations of S4-S7 with
+# no cap, and the README example as the README spells it
+ORDER_RUNS = [
+    *(("check-presentation", coxeter_sn(n), "--expect", str(math.factorial(n)))
+      for n in range(4, 8)),
+    ("check-presentation", "<u,v|u^2=v^2,u^4,u^2*(u^3*v)^3>", "--expect", "12"),
+]
+
 
 def digest(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -137,7 +150,7 @@ def current_digests():
     found["verify-theorem 2..12 json"] = digest(verify_theorem_output())
     for run in DOT_RUNS:
         found[dot_key(*run)] = digest(export_dot_output(*run))
-    for argv in PARSE_RUNS + PRESENTATION_RUNS:
+    for argv in PARSE_RUNS + PRESENTATION_RUNS + ORDER_RUNS:
         found[" ".join(argv)] = digest(cli_output(*argv))
     return found
 
@@ -234,6 +247,13 @@ DIGESTS = {
     'check-presentation <s1,s2,s3,s4,s5 | s1^2, s2^2, s3^2, s4^2, s5^2, (s1*s2)^3, (s2*s3)^3, (s3*s4)^3, (s4*s5)^3, (s1*s3)^2, (s1*s4)^2, (s1*s5)^2, (s2*s4)^2, (s2*s5)^2, (s3*s5)^2> --max-cosets 1000 --expect 720': '5da6ee016f5755be7d55ae3b8ffa78143e0cb848b5f24c9628ea17ac28ecc46e',
     'check-presentation <g|g^5> --expect 6': '0000f86108a2b4846b4b0c5e433c52833741da742c4ee825f000565a637ada80',
     'check-presentation <u,v|> --max-cosets 50': '77c462c8164d647ca9adc9ba484ffaba68c17260023870f64608f76311a91651',
+    # recorded from the code that enumerated every order over the
+    # trivial subgroup
+    'check-presentation <s1,s2,s3 | s1^2, s2^2, s3^2, (s1*s2)^3, (s2*s3)^3, (s1*s3)^2> --expect 24': '5e48e22cd1ebe1f8491cdd5e0f0cbd9b3ccb9d0a1f4751036a31bf810fe19f0e',
+    'check-presentation <s1,s2,s3,s4 | s1^2, s2^2, s3^2, s4^2, (s1*s2)^3, (s2*s3)^3, (s3*s4)^3, (s1*s3)^2, (s1*s4)^2, (s2*s4)^2> --expect 120': '916da2857e84a3d568081ac3043601e0d3e9de8a647f9854f17cd86908985718',
+    'check-presentation <s1,s2,s3,s4,s5 | s1^2, s2^2, s3^2, s4^2, s5^2, (s1*s2)^3, (s2*s3)^3, (s3*s4)^3, (s4*s5)^3, (s1*s3)^2, (s1*s4)^2, (s1*s5)^2, (s2*s4)^2, (s2*s5)^2, (s3*s5)^2> --expect 720': '5da6ee016f5755be7d55ae3b8ffa78143e0cb848b5f24c9628ea17ac28ecc46e',
+    'check-presentation <s1,s2,s3,s4,s5,s6 | s1^2, s2^2, s3^2, s4^2, s5^2, s6^2, (s1*s2)^3, (s2*s3)^3, (s3*s4)^3, (s4*s5)^3, (s5*s6)^3, (s1*s3)^2, (s1*s4)^2, (s1*s5)^2, (s1*s6)^2, (s2*s4)^2, (s2*s5)^2, (s2*s6)^2, (s3*s5)^2, (s3*s6)^2, (s4*s6)^2> --expect 5040': '7e16298300130e9256724f6fab6f811c6490477e77fda72571d1e6f1e4f40e01',
+    'check-presentation <u,v|u^2=v^2,u^4,u^2*(u^3*v)^3> --expect 12': '85c97c1d911746cd7b59b3746369b9525229996736cee1973a0658c27f5af286',
     'check-morphisms --n 3 --variant 0': '7f6df49ee52994bb7b977ae3eeea5f9d8acb001952d7784c194b6986590cc3cd',
     'check-morphisms --n 3 --variant 1': '62d402f1cfc61eb207450071ea12b917f05f7fabf9776f6021d6ccc039382369',
     'check-morphisms --n 3 --variant n': '4cefdac66cec99f36f4721ecd6ddbc45dc9f9880596f257e8a535f20803f3ca8',
@@ -301,6 +321,11 @@ def test_parse_runs_are_byte_identical(argv):
 
 @pytest.mark.parametrize("argv", PRESENTATION_RUNS, ids=" ".join)
 def test_presentation_runs_are_byte_identical(argv):
+    assert digest(cli_output(*argv)) == DIGESTS[" ".join(argv)]
+
+
+@pytest.mark.parametrize("argv", ORDER_RUNS, ids=" ".join)
+def test_order_runs_are_byte_identical(argv):
     assert digest(cli_output(*argv)) == DIGESTS[" ".join(argv)]
 
 
