@@ -167,7 +167,7 @@ def cmd_check_morphisms(args) -> int:
     variant = args.n if args.variant == "n" else int(args.variant)
     # parity or range violations raise ValueError and exit 2
     ok = dicyclic_theory.check_morphism_variant(args.n, variant)
-    label = "n" if variant not in (0, 1) else str(variant)
+    label = dicyclic_theory.variant_label(variant)
     print(f"n={args.n} variant={label}: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 

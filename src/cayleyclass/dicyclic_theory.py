@@ -149,6 +149,11 @@ def applicable_variants(n: int) -> list[int]:
     return sorted(_variants(n))
 
 
+def variant_label(variant: int) -> str:
+    """The variant as reports name it: "0", "1", or "n" for the variant n."""
+    return str(variant) if variant in (0, 1) else "n"
+
+
 def check_morphism_variant(n: int, variant: int,
                            classical: Optional[Presentation] = None) -> bool:
     """Enumerate the variant's presentation, check its order is 4n, and
@@ -195,7 +200,7 @@ class TheoremVerification:
                 "representatives_distinct": self.representatives_distinct,
             },
             "morphisms_checked": {
-                ("n" if v not in (0, 1) else str(v)): ok
+                variant_label(v): ok
                 for v, ok in sorted(self.morphisms_checked.items())
             },
             "pass": self.passed,

@@ -618,20 +618,11 @@ def element_order(group: FiniteGroup, g: int) -> int:
 
 
 def closure(group: FiniteGroup, elements: Iterable[int]) -> frozenset[int]:
-    """Subgroup generated by the elements (breadth-first products)."""
-    rows = [group.row(s) for s in sorted(set(elements))]
-    seen = {group.identity}
-    frontier = [group.identity]
-    while frontier:
-        next_frontier = []
-        for u in frontier:
-            for row in rows:
-                v = row[u]
-                if v not in seen:
-                    seen.add(v)
-                    next_frontier.append(v)
-        frontier = next_frontier
-    return frozenset(seen)
+    """Subgroup generated by the elements: the identity's orbit under
+    their rows, closed breadth-first."""
+    orbit = {group.identity: -1}
+    _close(orbit, list(enumerate(group.row(s) for s in sorted(set(elements)))), [group.identity])
+    return frozenset(orbit)
 
 
 def extend_subgroup(group: FiniteGroup, subgroup, generators: Sequence[int], x: int):
@@ -745,9 +736,9 @@ def _close(orbit: dict[int, int], gens, fresh: list[int]) -> None:
     it, under the indexed maps gens, from the points of fresh."""
     for p in fresh:
         for j, g in gens:
-            if g[p] not in orbit:
-                orbit[g[p]] = j
-                fresh.append(g[p])
+            if (q := g[p]) not in orbit:
+                orbit[q] = j
+                fresh.append(q)
 
 
 def element_orders(group: FiniteGroup) -> tuple[int, ...]:
@@ -970,13 +961,7 @@ class StabilizerNode:
     def carry(self, p: int, values: Iterable[int]) -> list[int]:
         """values under an element of H that maps p to least[p]: the
         inverses of the generators on p's Schreier path, last one first."""
-        values = list(values)
-        edge, inverses = self.edge, self.inverses
-        while edge[p] != -1:
-            h = inverses[edge[p]]
-            p = h[p]
-            values = [h[v] for v in values]
-        return values
+        return _apply(self.inverses, _path(self.edge, self.inverses, p), values)
 
     def child(self, r: int) -> StabilizerNode:
         """The stabilizer of r in H, for r an orbit minimum, of order

@@ -27,7 +27,7 @@ defines those two entries, and a skipped relator holds on a defined
 path, so the other columns are defined already (S8, a^512 and
 PSL(2,7) look in none).  The closed table keeps each column's live
 entries, renumbered, one column at a time, and a relator is traced
-one syllable at a time, each power by repeated squaring.
+one run of a letter at a time, each power by repeated squaring.
 Two layers sit on it: ``coset_table`` enumerates and checks the closed
 table (mutually inverse columns, every relator traced, every coset
 reached from coset 0, and the subgroup word, if any, fixing coset 0),
@@ -75,15 +75,13 @@ class CosetLimitExceeded(Exception):
 
 @dataclass(frozen=True)
 class Word:
-    """Word in the generators, as (generator index, exponent) syllables."""
+    """Word in the generators, as its letters: 2g for generator g and
+    2g+1 for its inverse, the index of ``CosetTable.columns``."""
 
-    syllables: tuple[tuple[int, int], ...]
-
-    def letters(self) -> list[tuple[int, int]]:
-        return words.syllables_to_letters(self.syllables)
+    letters: tuple[int, ...]
 
     def text(self, names: Sequence[str]) -> str:
-        return words.syllables_text(self.syllables, names)
+        return words.word_text(self.letters, names)
 
 
 @dataclass(frozen=True)
@@ -146,8 +144,7 @@ def parse_presentation(text: str) -> Presentation:
             right_text, right_off = sides[1]
             rhs = words.ast_to_letters(words.parse_word_ast(right_text, right_off), gen_index)
             letters = letters + words.invert_letters(rhs)
-        reduced = words.cyclically_reduce(letters)
-        relators.append(Word(words.letters_to_syllables(reduced)))
+        relators.append(Word(tuple(words.cyclically_reduce(letters))))
     return Presentation(tuple(names), tuple(relators), text.strip())
 
 
@@ -259,16 +256,10 @@ class _Enumeration:
         return True
 
 
-def _letter_indices(letters: Sequence[tuple[int, int]]) -> list[int]:
-    """Letter indices of a word: 2g for generator g, 2g+1 for its inverse."""
-    return [2 * g if s > 0 else 2 * g + 1 for g, s in letters]
-
-
-def _involution(letters: Sequence[tuple[int, int]]) -> Optional[int]:
-    """The generator g if the word cyclically reduces to g^2 or g^-2."""
-    reduced = words.cyclically_reduce(letters)
-    if len(reduced) == 2 and reduced[0] == reduced[1]:
-        return reduced[0][0]
+def _involution(letters: Sequence[int]) -> Optional[int]:
+    """The generator g if the cyclically reduced relator is g^2 or g^-2."""
+    if len(letters) == 2 and letters[0] == letters[1]:
+        return letters[0] >> 1
     return None
 
 
@@ -463,10 +454,10 @@ def coset_table(
     differently from a two-column enumeration.  The closed columns are
     checked to be defined at every live coset and mutually inverse,
     which for an involution's shared column is g^2 = e, every other
-    relator is traced, as a power of its shortest root, one syllable at
-    a time, a breadth-first walk from coset 0 must reach every coset,
-    and the subgroup word must lead from coset 0 back to it; a failed
-    check raises RuntimeError.  Raises
+    relator is traced, as a power of its shortest root, one run of a
+    letter at a time, a breadth-first walk from coset 0 must reach every
+    coset, and the subgroup word must lead from coset 0 back to it; a
+    failed check raises RuntimeError.  Raises
     CosetLimitExceeded once max_cosets cosets have been defined, live
     or not (default 16x the expected order when given, else 65536) --
     a retryable signal, not a failure.
@@ -480,7 +471,7 @@ def coset_table(
     if max_cosets < 1:
         raise ValueError(f"max_cosets must be >= 1, got {max_cosets}")
     ngens = len(presentation.generator_names)
-    relators = [r.letters() for r in presentation.relators if r.syllables]
+    relators = [r.letters for r in presentation.relators if r.letters]
     squares = [_involution(letters) for letters in relators]
     letter_col: list[int] = []  # letter index -> enumeration column
     inv: list[int] = []
@@ -492,13 +483,12 @@ def coset_table(
         else:
             letter_col += [col, col + 1]
             inv += [col + 1, col]
-    relator_letters = [_letter_indices(letters) for letters in relators]
     scan_cols = [
         [letter_col[x] for x in letters]
-        for letters, square in zip(relator_letters, squares)
+        for letters, square in zip(relators, squares)
         if square is None  # a g^2 relator holds by construction
     ]
-    subgroup_letters = _letter_indices(subgroup.letters()) if subgroup else []
+    subgroup_letters = subgroup.letters if subgroup else ()
     columns, p = _enumerate(
         inv, scan_cols, max_cosets, [letter_col[x] for x in subgroup_letters]
     )
@@ -532,7 +522,7 @@ def coset_table(
             raise RuntimeError("coset table is not closed under inverses")
     # column-major closed table by letter index
     table = [columns[col] for col in letter_col]
-    for letters, square in zip(relator_letters, squares):
+    for letters, square in zip(relators, squares):
         # a g^2 relator, up to conjugation, holds once g's shared column
         # passed the inverse check, which maps it through itself
         if square is None and _relator_trace(table, letters) != identity:
@@ -561,12 +551,12 @@ def _cyclic_subgroup(presentation: Presentation) -> Optional[tuple[Word, int]]:
     a proper power."""
     found = None
     for relator in presentation.relators:
-        letters = relator.letters()
+        letters = relator.letters
         if not letters:
             continue
-        root, m = _root(_letter_indices(letters))
+        root, m = _root(letters)
         if m >= 2 and (found is None or m > found[1]):
-            found = Word(words.letters_to_syllables(letters[:root])), m
+            found = Word(letters[:root]), m
     return found
 
 
@@ -618,7 +608,7 @@ def group_order(
             # u^m traced home at every coset, so the order of u's
             # permutation divides m; it is m when no m/q-th power for a
             # prime q is the identity
-            cycle = _relator_trace(closed.columns, _letter_indices(u.letters()))
+            cycle = _relator_trace(closed.columns, u.letters)
             identity = list(range(closed.order))
             if all(_power(cycle, m // q) != identity for q in _prime_factors(m)):
                 return closed.order * m
@@ -642,9 +632,9 @@ def todd_coxeter(
     """
     closed = coset_table(presentation, max_cosets, expected_order)
     table, last, order = closed.columns, closed.last, closed.order
-    # a name extends its parent's, spelled as words.syllables_text spells
-    # the whole word: the last syllable's exponent grows by one, or a new
-    # syllable follows; cut[c] is where c's last syllable starts
+    # a name extends its parent's, spelled as words.word_text spells the
+    # whole word: the last power's exponent grows by one, or a new power
+    # follows; cut[c] is where c's last power starts
     gen_names = presentation.generator_names
     names = [words.IDENTITY_NAME] * order
     exps = [0] * order
@@ -695,11 +685,12 @@ def check_homomorphism(
     missing = [n for n in presentation.generator_names if n not in assignment]
     if missing:
         raise ValueError(f"assignment missing generators: {missing}")
+    images = [assignment[name] for name in presentation.generator_names]
     for relator in presentation.relators:
         value = group.identity
-        for g, s in relator.letters():
-            image = assignment[presentation.generator_names[g]]
-            value = group.mul(value, image if s > 0 else group.inv(image))
+        for x in relator.letters:
+            image = images[x >> 1]
+            value = group.mul(value, group.inv(image) if x & 1 else image)
         if value != group.identity:
             return False
     return True
@@ -722,7 +713,7 @@ def verify_mutual_inverse(
     phi: Mapping[str, str],
     psi: Mapping[str, str],
     *,
-    group_presentation: Optional[Presentation] = None,
+    group_presentation: Presentation,
     realized: Optional[FiniteGroup] = None,
 ) -> bool:
     """Certify that phi: G -> <P> and psi: <P> -> G are mutually inverse.
@@ -731,9 +722,10 @@ def verify_mutual_inverse(
     P's generator names to words in G's generators.  The presentation
     is realized via todd_coxeter (pass ``realized`` to reuse an
     enumeration).  Both maps must be relation-preserving: psi against
-    P's relators in G, and phi against ``group_presentation`` (when
-    given) in the realized group.  On success the two orders are
-    asserted equal.  Each word of phi and psi is parsed once.
+    P's relators in G, and phi against ``group_presentation``, G's
+    presentation on its generator names, in the realized group.  On
+    success the two orders are asserted equal.  Each word of phi and psi
+    is parsed once.
     """
     ph = realized or todd_coxeter(presentation, expected_order=group.order)
     psi_words = {name: words.parse_word_ast(psi[name]) for name in presentation.generator_names}
@@ -744,11 +736,10 @@ def verify_mutual_inverse(
     phi_words = {name: words.parse_word_ast(phi[name]) for name, _ in group.generators}
     phi_assignment = {name: _evaluate_with(ph, ast, ph.named_elements)
                       for name, ast in phi_words.items()}
-    if group_presentation is not None:
-        if list(group_presentation.generator_names) != [n for n, _ in group.generators]:
-            raise ValueError("group presentation generators do not match the group's")
-        if not check_homomorphism(group_presentation, ph, phi_assignment):
-            return False
+    if list(group_presentation.generator_names) != [n for n, _ in group.generators]:
+        raise ValueError("group presentation generators do not match the group's")
+    if not check_homomorphism(group_presentation, ph, phi_assignment):
+        return False
     # psi(phi(g)) = g for G's generators, evaluated in G
     for name, g in group.generators:
         if _evaluate_with(group, phi_words[name], psi_assignment) != g:

@@ -23,6 +23,7 @@ tokens are skipped.  The name ``e`` is reserved for the identity.
 
 from __future__ import annotations
 
+import itertools
 import re
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -193,8 +194,9 @@ def power(value, exponent: int, mul, identity, inv):
     return result
 
 
-def ast_to_letters(ast, generator_index: Mapping[str, int]) -> list[tuple[int, int]]:
-    """Flatten a word AST to (generator index, +-1) letters.
+def ast_to_letters(ast, generator_index: Mapping[str, int]) -> list[int]:
+    """Flatten a word AST to letters: 2g for generator g and 2g+1 for its
+    inverse, so ``x ^ 1`` inverts a letter.
 
     Cycle tokens are rejected: presentation words are over declared
     generator names only.  The reserved name ``e`` is the empty word.
@@ -202,7 +204,7 @@ def ast_to_letters(ast, generator_index: Mapping[str, int]) -> list[tuple[int, i
     kind = ast[0]
     if kind != "word":
         raise ValueError(f"not a word AST: {kind}")
-    letters: list[tuple[int, int]] = []
+    letters: list[int] = []
     for node, exponent, pos in ast[1]:
         base = _atom_letters(node, generator_index)
         if exponent < 0:
@@ -212,7 +214,7 @@ def ast_to_letters(ast, generator_index: Mapping[str, int]) -> list[tuple[int, i
     return letters
 
 
-def _atom_letters(node, generator_index: Mapping[str, int]) -> list[tuple[int, int]]:
+def _atom_letters(node, generator_index: Mapping[str, int]) -> list[int]:
     kind = node[0]
     if kind == "word":
         return ast_to_letters(node, generator_index)
@@ -220,65 +222,47 @@ def _atom_letters(node, generator_index: Mapping[str, int]) -> list[tuple[int, i
     if kind == "cycles":
         raise ParseError("cycle notation is not a generator name", pos)
     if text in generator_index:
-        return [(generator_index[text], 1)]
+        return [2 * generator_index[text]]
     if text == IDENTITY_NAME:
         return []
     raise ParseError(f"unknown generator {text!r}", pos)
 
 
-def invert_letters(letters: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-    return [(g, -s) for g, s in reversed(letters)]
+def invert_letters(letters: Sequence[int]) -> list[int]:
+    return [x ^ 1 for x in reversed(letters)]
 
 
-def free_reduce(letters: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-    out: list[tuple[int, int]] = []
-    for letter in letters:
-        if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
+def free_reduce(letters: Sequence[int]) -> list[int]:
+    out: list[int] = []
+    for x in letters:
+        if out and out[-1] == x ^ 1:
             out.pop()
         else:
-            out.append(letter)
+            out.append(x)
     return out
 
 
-def cyclically_reduce(letters: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+def cyclically_reduce(letters: Sequence[int]) -> list[int]:
     out = free_reduce(letters)
-    while len(out) >= 2 and out[0][0] == out[-1][0] and out[0][1] == -out[-1][1]:
+    while len(out) >= 2 and out[0] == out[-1] ^ 1:
         out = out[1:-1]
     return out
 
 
-def letters_to_syllables(letters: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """Collapse a letter sequence into (generator, exponent) syllables."""
-    syllables: list[tuple[int, int]] = []
-    for g, s in letters:
-        if syllables and syllables[-1][0] == g:
-            merged = syllables[-1][1] + s
-            if merged == 0:
-                syllables.pop()
-            else:
-                syllables[-1] = (g, merged)
-        else:
-            syllables.append((g, s))
-    return tuple(syllables)
-
-
-def syllables_to_letters(syllables: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-    letters: list[tuple[int, int]] = []
-    for g, exp in syllables:
-        sign = 1 if exp > 0 else -1
-        letters.extend([(g, sign)] * abs(exp))
-    return letters
-
-
 def power_text(name: str, exp: int) -> str:
-    """One syllable: ``name`` for exponent 1, else ``name^exp``."""
+    """One power: ``name`` for exponent 1, else ``name^exp``."""
     return name if exp == 1 else f"{name}^{exp}"
 
 
-def syllables_text(syllables: Sequence[tuple[int, int]], names: Sequence[str]) -> str:
-    if not syllables:
+def word_text(letters: Sequence[int], names: Sequence[str]) -> str:
+    """A freely reduced word spelled with each run of one letter as a
+    power of its generator, ``u^2*v^-3*u``; the empty word is ``e``."""
+    if not letters:
         return IDENTITY_NAME
-    return SYLLABLE_SEPARATOR.join(power_text(names[g], exp) for g, exp in syllables)
+    return SYLLABLE_SEPARATOR.join(
+        power_text(names[x >> 1], len(list(run)) * (-1 if x & 1 else 1))
+        for x, run in itertools.groupby(letters)
+    )
 
 
 def split_top_level(text: str, sep: str, offset: int = 0) -> list[tuple[str, int]]:

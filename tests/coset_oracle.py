@@ -9,7 +9,7 @@ g^-1, and that relator is not scanned, so it defines the same cosets as
 ``todd_coxeter``, which skips only scans that cannot change the table.
 The closed table is a dict-renumbered list of rows.  Elements are named
 by breadth-first words over the generator columns, spelled with
-``words.syllables_text``.  It shares no code with ``todd_coxeter``
+``words.word_text``.  It shares no code with ``todd_coxeter``
 beyond the presentation types and the word helpers.
 """
 
@@ -104,9 +104,9 @@ class _Enumeration:
 
 def _square_of(relator):
     """The generator g if the relator cyclically reduces to g^2 or g^-2."""
-    letters = words.cyclically_reduce(relator.letters())
+    letters = words.cyclically_reduce(relator.letters)
     if len(letters) == 2 and letters[0] == letters[1]:
-        return letters[0][0]
+        return letters[0] >> 1
     return None
 
 
@@ -114,7 +114,7 @@ def oracle_enumerate(presentation, max_cosets=65536, share_involutions=False):
     """(names, action) of the presentation's group: ``names`` lists the
     element names by closed-table row, ``action`` maps each generator
     name to the row list of x*g."""
-    relators = [r for r in presentation.relators if r.syllables]
+    relators = [r for r in presentation.relators if r.letters]
     squares = [_square_of(r) if share_involutions else None for r in relators]
     letter_col, inv = [], []  # letter 2g is generator g, 2g+1 its inverse
     for g in range(len(presentation.generator_names)):
@@ -125,9 +125,7 @@ def oracle_enumerate(presentation, max_cosets=65536, share_involutions=False):
         else:
             letter_col += [col, col + 1]
             inv += [col + 1, col]
-    relator_cols = [
-        [letter_col[2 * g if s > 0 else 2 * g + 1] for g, s in r.letters()] for r in relators
-    ]
+    relator_cols = [[letter_col[x] for x in r.letters] for r in relators]
     scanned = [cols for cols, square in zip(relator_cols, squares) if square is None]
     enum = _Enumeration(inv, max_cosets)
     alpha = 0
@@ -174,12 +172,8 @@ def oracle_enumerate(presentation, max_cosets=65536, share_involutions=False):
                 queue.append(d)
     if any(w is None for w in coset_words):
         raise RuntimeError("oracle table is not transitive")
-    names = [
-        words.syllables_text(
-            words.letters_to_syllables([(g, 1) for g in w]), presentation.generator_names
-        )
-        for w in coset_words
-    ]
+    names = [words.word_text([2 * g for g in w], presentation.generator_names)
+             for w in coset_words]
     action = {
         name: [table[c][letter_col[2 * g]] for c in range(order)]
         for g, name in enumerate(presentation.generator_names)

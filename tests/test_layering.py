@@ -120,6 +120,19 @@ def test_only_groups_reads_the_private_fields_of_a_group():
             assert not names & fields, where
 
 
+def test_a_word_is_its_letters_everywhere():
+    # a word is held as its letters, 2g and 2g+1, from the parser to the
+    # coset table: no module converts to or from (generator, exponent)
+    # syllables
+    banned = {"letters_to_syllables", "syllables_to_letters", "_letter_indices", "syllables"}
+    for path in sorted(PACKAGE.parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = set()
+        for node in ast.walk(tree):
+            names |= {getattr(node, field, None) for field in ("id", "attr", "name", "arg")}
+        assert not names & banned, str(path.relative_to(PACKAGE.parent))
+
+
 def test_only_the_group_class_reads_its_table():
     # extend_subgroup maps a coset through a row, with or without a table,
     # so nothing outside FiniteGroup branches on the table

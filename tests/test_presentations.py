@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cayleyclass as cc
-from cayleyclass import cli, presentations
+from cayleyclass import cli, presentations, words
 from cayleyclass.dicyclic_theory import applicable_variants, classical_presentation
 from cayleyclass.presentations import CosetLimitExceeded, parse_presentation, todd_coxeter
 from cayleyclass.words import ParseError
@@ -19,9 +19,9 @@ def test_parse_basic():
     assert P.generator_names == ("u", "v")
     assert len(P.relators) == 3
     # u^2=v^2 stored as u^2*v^-2
-    assert P.relators[0].syllables == ((0, 2), (1, -2))
+    assert P.relators[0].letters == (0, 0, 3, 3)
     # exponents expanded before tracing: u^2*(u^3*v)^3 flattens and reduces cyclically
-    assert P.relators[2].syllables == ((0, 5), (1, 1), (0, 3), (1, 1), (0, 3), (1, 1))
+    assert P.relators[2].letters == (0,) * 5 + (2,) + (0,) * 3 + (2,) + (0,) * 3 + (2,)
 
 
 def test_parse_single_generator():
@@ -37,8 +37,8 @@ def test_parse_empty_relator_list():
 
 def test_relators_normalized():
     P = parse_presentation("<u,v | v*u^2*v^-1, u*u^-1>")
-    assert P.relators[0].syllables == ((0, 2),)  # cyclic reduction strips v ... v^-1
-    assert P.relators[1].syllables == ()
+    assert P.relators[0].letters == (0, 0)  # cyclic reduction strips v ... v^-1
+    assert P.relators[1].letters == ()
 
 
 def test_parse_errors():
@@ -61,7 +61,7 @@ def test_parse_errors():
 
 def test_identity_in_relations():
     P = parse_presentation("<g | g^3=e>")
-    assert P.relators[0].syllables == ((0, 3),)
+    assert P.relators[0].letters == (0, 0, 0)
 
 
 def test_text_round_trip():
@@ -70,6 +70,20 @@ def test_text_round_trip():
         again = parse_presentation(P.text())
         assert again.generator_names == P.generator_names
         assert again.relators == P.relators
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.integers(1, 3), st.lists(st.lists(st.integers(0, 5), max_size=12), max_size=4))
+def test_text_round_trip_of_random_relators(ngens, letter_lists):
+    # letters 2g and 2g+1 on the first ngens generators, each relator
+    # cyclically reduced as the parser leaves it
+    relators = tuple(
+        presentations.Word(tuple(words.cyclically_reduce([x % (2 * ngens) for x in w])))
+        for w in letter_lists
+    )
+    P = presentations.Presentation(("a", "b", "c")[:ngens], relators, "")
+    again = parse_presentation(P.text())
+    assert [r.letters for r in again.relators] == [r.letters for r in relators]
 
 
 def test_pi_presentation_texts():
@@ -420,7 +434,7 @@ def test_subgroup_word_that_moves_coset_0_is_refused(monkeypatch):
     P = parse_presentation("<g | g^3>")
     assert presentations.coset_table(P).order == 3
     with pytest.raises(RuntimeError, match="does not fix coset 0"):
-        presentations.coset_table(P, subgroup=presentations.Word(((0, 1),)))
+        presentations.coset_table(P, subgroup=presentations.Word((0,)))
     # a failed check raises; it does not fall back to the trivial subgroup
     with pytest.raises(RuntimeError, match="does not fix coset 0"):
         cli.main(["check-presentation", P.descriptor])
@@ -601,6 +615,16 @@ def test_verify_mutual_inverse_examples():
             pair.psi,
             group_presentation=classical_presentation(3),
         )
+
+
+def test_verify_mutual_inverse_needs_the_group_presentation():
+    # phi is always checked against G's relators, so G's presentation is
+    # a required keyword
+    from cayleyclass.dicyclic_theory import morphism_pair
+
+    pair = morphism_pair(3, 1)
+    with pytest.raises(TypeError, match="group_presentation"):
+        cc.verify_mutual_inverse(cc.dicyclic(3), cc.pi_presentation(3, 1), pair.phi, pair.psi)
 
 
 def test_verify_mutual_inverse_rejects_wrong_maps():

@@ -95,9 +95,9 @@ def _letters(text, gens):
 
 
 def test_letters_expansion():
-    assert _letters("u^2*v", "uv") == [(0, 1), (0, 1), (1, 1)]
-    assert _letters("u^-2", "uv") == [(0, -1), (0, -1)]
-    assert _letters("(u^3*v)^2", "uv") == [(0, 1)] * 3 + [(1, 1)] + [(0, 1)] * 3 + [(1, 1)]
+    assert _letters("u^2*v", "uv") == [0, 0, 2]
+    assert _letters("u^-2", "uv") == [1, 1]
+    assert _letters("(u^3*v)^2", "uv") == [0, 0, 0, 2, 0, 0, 0, 2]
     assert _letters("e", "uv") == []
 
 
@@ -114,18 +114,26 @@ def test_cycles_rejected_in_generator_words():
 
 def test_reduction():
     raw = _letters("u*v*v^-1*u^-1*v", "uv")
-    assert words.free_reduce(raw) == [(1, 1)]
-    assert words.cyclically_reduce(_letters("v*u^2*v^-1", "uv")) == [(0, 1), (0, 1)]
+    assert words.free_reduce(raw) == [2]
+    assert words.cyclically_reduce(_letters("v*u^2*v^-1", "uv")) == [0, 0]
     assert words.cyclically_reduce(_letters("u*u^-1", "uv")) == []
 
 
-def test_syllables_round_trip():
+def test_word_text():
     letters = _letters("u^2*v^-3*u", "uv")
-    syl = words.letters_to_syllables(letters)
-    assert syl == ((0, 2), (1, -3), (0, 1))
-    assert words.syllables_to_letters(syl) == letters
-    assert words.syllables_text(syl, ["u", "v"]) == "u^2*v^-3*u"
-    assert words.syllables_text((), ["u", "v"]) == "e"
+    assert letters == [0, 0, 3, 3, 3, 0]
+    assert words.word_text(letters, ["u", "v"]) == "u^2*v^-3*u"
+    assert words.word_text((), ["u", "v"]) == "e"
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.integers(0, 5), max_size=16))
+def test_reductions_and_inversion(w):
+    # letters on up to 3 generators: 2g for generator g, 2g+1 for its inverse
+    reduced = words.cyclically_reduce(w)
+    assert words.cyclically_reduce(reduced) == reduced
+    assert words.invert_letters(words.invert_letters(w)) == w
+    assert words.free_reduce(w + words.invert_letters(w)) == []
 
 
 def test_evaluate_integers():
