@@ -960,8 +960,16 @@ class StabilizerNode:
 
     def carry(self, p: int, values: Iterable[int]) -> list[int]:
         """values under an element of H that maps p to least[p]: the
-        inverses of the generators on p's Schreier path, last one first."""
-        return _apply(self.inverses, _path(self.edge, self.inverses, p), values)
+        inverses of the generators on p's Schreier path, last one first,
+        walked in one loop with no path list: most carried sets have an
+        empty or one-step path."""
+        values = list(values)
+        edge, inverses = self.edge, self.inverses
+        while (k := edge[p]) != -1:
+            h = inverses[k]
+            p = h[p]
+            values = [h[v] for v in values]
+        return values
 
     def child(self, r: int) -> StabilizerNode:
         """The stabilizer of r in H, for r an orbit minimum, of order

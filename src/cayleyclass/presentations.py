@@ -30,29 +30,30 @@ entries, renumbered, one column at a time, and a relator is traced
 one run of a letter at a time, each power by repeated squaring.
 Two layers sit on it: ``coset_table`` enumerates and checks the closed
 table (mutually inverse columns, every relator traced, every coset
-reached from coset 0, and the subgroup word, if any, fixing coset 0),
+reached from coset 0, and each subgroup word, if any, fixing coset 0),
 and ``todd_coxeter`` names the cosets of the trivial subgroup along that
 walk and builds a ``FiniteGroup``.
 
-``group_order``, which check-presentation prints, enumerates over a
-cyclic subgroup H = <u> of known order where one serves: u^m is the
-relator with the largest exponent m >= 2 (the first on ties) and u its
-shortest root.  Its table's checks show that G acts transitively on the
-n cosets with u fixing coset 0, so |G| >= n*|<u>| >= n*ord(u's
-permutation); u^m = e bounds |<u>| by m, and the enumeration gives
-n = [G:H].  So once u's permutation has order exactly m, |G| = n*m.
-For the Coxeter presentation of S8, u = s1*s2 and m = 3: the table has
-13,440 cosets, and 18,320 are defined against 55,119 over the trivial
-subgroup.  The trivial subgroup's table decides when no relator is a
-proper power, when u's permutation has a smaller order (<a> in a^512 is
-normal, and g^6 with g^4 gives g order 2), or when the enumeration over
-H exceeds max_cosets; a failed check raises and never falls back.
+``group_order``, which check-presentation prints, enumerates over
+H = <s_1, ..., s_{k-1}>, all generators but the last, where a proof
+serves (C. C. Sims, 1970; D. F. Holt, B. Eick and E. A. O'Brien,
+Handbook of Computational Group Theory, 2005, ch. 5).  H is a quotient
+of P', the first k-1 generators with the relators in them alone, so
+|H| <= b = |P'|, taken from the gcd of the exponent sums for one
+generator and from ``group_order(P')`` otherwise.  The table gives
+n = [G:H], and when n <= b, Schreier-Sims on the generators'
+permutations of the n cosets reaching n*b proves |G| = n*b.  For the
+Coxeter presentation of S8 that makes 7 tables (S3 over <s1> and over
+the trivial subgroup, then S_m over S_{m-1} for m = 4, ..., 8), which
+define 39 cosets in all against 55,119 over the trivial subgroup.  The trivial subgroup's table decides in every
+other case; a failed check raises and never falls back.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
@@ -332,12 +333,12 @@ def _enumerate(
     inv: list[int],
     scan_cols: Sequence[list[int]],
     max_cosets: int,
-    subgroup_cols: Sequence[int] = (),
+    subgroup_cols: Sequence[Sequence[int]] = (),
 ) -> tuple[list[list[Optional[int]]], list[int]]:
     """Run the HLT enumeration to its end: the enumeration columns and
     the union-find parents of every coset defined.
 
-    The subgroup word in ``subgroup_cols`` (as columns; none for the
+    Each subgroup word in ``subgroup_cols`` (as columns; none for the
     trivial subgroup) is scanned once at coset 0 first.  Then the
     relators in ``scan_cols`` (as columns) are scanned at each live
     coset in ascending order, in their order, except those that the
@@ -366,7 +367,7 @@ def _enumerate(
 
     relators = [scanned(cols) for cols in scan_cols]
     if subgroup_cols:
-        scan(0, [scanned(subgroup_cols)])
+        scan(0, [scanned(cols) for cols in subgroup_cols])
     ends = {cols[0] for cols in scan_cols} | {inv[cols[-1]] for cols in scan_cols}
     fill = [pair for col, pair in enumerate(enum.pairs) if col not in ends]
     covering = [(columns[col], 1 << k, rs) for k, (col, rs) in enumerate(covers.items())]
@@ -402,10 +403,10 @@ def _enumerate(
 @dataclass(frozen=True)
 class CosetTable:
     """The closed coset table of a presentation over a subgroup (the
-    trivial one unless a subgroup word is given), checked: its columns
+    trivial one unless subgroup words are given), checked: its columns
     are mutually inverse, every relator traces home at every coset, a
     breadth-first walk over the generators reaches every coset from
-    coset 0, and the subgroup word fixes coset 0.
+    coset 0, and each subgroup word fixes coset 0.
 
     ``columns[x][c]`` is coset c times letter x, where letter 2g is
     generator g and 2g+1 its inverse; an involution's two letters share
@@ -431,17 +432,17 @@ def coset_table(
     presentation: Presentation,
     max_cosets: Optional[int] = None,
     expected_order: Optional[int] = None,
-    subgroup: Optional[Word] = None,
+    subgroup: Sequence[Word] = (),
 ) -> CosetTable:
-    """Enumerate the cosets of the subgroup generated by the word
-    ``subgroup`` (the trivial subgroup when None) and check the closed
-    table; ``todd_coxeter`` names the trivial subgroup's cosets and makes
-    them a group, and ``group_order`` reads an order off a cyclic
-    subgroup's table.
+    """Enumerate the cosets of the subgroup generated by the words of
+    ``subgroup`` (the trivial subgroup when there are none) and check
+    the closed table; ``todd_coxeter`` names the trivial subgroup's
+    cosets and makes them a group, and ``group_order`` reads an index
+    off the table over all generators but the last.
 
-    The subgroup word is scanned once at coset 0 before the relators are
-    scanned at each coset; the cover skip, the fill and the renumbering
-    hold for any coset table.
+    Each subgroup word is scanned once at coset 0, in order, before the
+    relators are scanned at each coset; the cover skip, the fill and the
+    renumbering hold for any coset table.
 
     A generator with a relator that cyclically reduces to g^2 or g^-2
     gets one column for g and g^-1, and that relator is neither scanned
@@ -456,7 +457,7 @@ def coset_table(
     which for an involution's shared column is g^2 = e, every other
     relator is traced, as a power of its shortest root, one run of a
     letter at a time, a breadth-first walk from coset 0 must reach every
-    coset, and the subgroup word must lead from coset 0 back to it; a
+    coset, and each subgroup word must lead from coset 0 back to it; a
     failed check raises RuntimeError.  Raises
     CosetLimitExceeded once max_cosets cosets have been defined, live
     or not (default 16x the expected order when given, else 65536) --
@@ -488,9 +489,8 @@ def coset_table(
         for letters, square in zip(relators, squares)
         if square is None  # a g^2 relator holds by construction
     ]
-    subgroup_letters = subgroup.letters if subgroup else ()
     columns, p = _enumerate(
-        inv, scan_cols, max_cosets, [letter_col[x] for x in subgroup_letters]
+        inv, scan_cols, max_cosets, [[letter_col[x] for x in word.letters] for word in subgroup]
     )
     defined = len(p)
 
@@ -540,39 +540,84 @@ def coset_table(
                 reached.append(d)
     if len(reached) != order:
         raise RuntimeError("coset table is not transitive on live cosets")
-    if functools.reduce(lambda c, x: table[x][c], subgroup_letters, 0) != 0:
-        raise RuntimeError("subgroup word does not fix coset 0")
+    for word in subgroup:
+        if functools.reduce(lambda c, x: table[x][c], word.letters, 0) != 0:
+            raise RuntimeError("subgroup word does not fix coset 0")
     return CosetTable(table, reached, last, defined)
 
 
-def _cyclic_subgroup(presentation: Presentation) -> Optional[tuple[Word, int]]:
-    """(u, m) for the relator u^m with the largest exponent m >= 2, the
-    first on ties, where u is its shortest root; None when no relator is
-    a proper power."""
-    found = None
-    for relator in presentation.relators:
-        letters = relator.letters
-        if not letters:
-            continue
-        root, m = _root(letters)
-        if m >= 2 and (found is None or m > found[1]):
-            found = Word(letters[:root]), m
-    return found
+def _leading(presentation: Presentation) -> Presentation:
+    """P': the generators but the last, with the relators that use them
+    alone; it has no source text, so its descriptor is empty."""
+    names = presentation.generator_names[:-1]
+    kept = tuple(r for r in presentation.relators if all(x < 2 * len(names) for x in r.letters))
+    return Presentation(names, kept, "")
 
 
-def _prime_factors(m: int) -> list[int]:
-    """The distinct primes dividing m >= 1."""
-    primes = []
-    q = 2
-    while q * q <= m:
-        if m % q == 0:
-            primes.append(q)
-            while m % q == 0:
-                m //= q
-        q += 1
-    if m > 1:
-        primes.append(m)
-    return primes
+def _reaches(perms: Sequence[Sequence[int]], target: int) -> bool:
+    """Whether the permutations perms of 0..n-1 generate a group of at
+    least target elements: Schreier-Sims (C. C. Sims, 1970), stopped as
+    soon as the product of its basic orbit sizes reaches target.
+
+    Level i holds a base point b_i and maps each point p of its orbit
+    under the strong generators fixing b_0, ..., b_{i-1} to a
+    permutation of that group carrying p to b_i.  A permutation is
+    sifted by those maps down the levels; a residue other than the
+    identity becomes a strong generator at the level whose orbit misses
+    its image, or at a new level whose base point is the first point
+    the residue moves.  The perms are sifted first, then each level's
+    Schreier generators t_p*s*t_{s(p)}^-1, as t_p*s, which that level
+    strips to them, deepest level first, until a whole pass adds
+    nothing: the chain is then complete, and the product is the order.
+    Each orbit lies in its level's orbit under the true stabilizer, so
+    every partial product is at most the order.
+    """
+    n = len(perms[0])
+    identity = list(range(n))
+    base: list[int] = []
+    levels: list[dict[int, list[int]]] = []
+    strong: list[tuple[list[int], list[int], int]] = []  # (s, s^-1, its level)
+
+    def absorb(g: list[int]) -> bool:
+        """Sift g and add its residue unless it is the identity; whether
+        the product then reaches target."""
+        for depth, b in enumerate(base):
+            if g[b] != b:
+                back = levels[depth].get(g[b])
+                if back is None:
+                    break
+                g = [back[x] for x in g]
+        else:
+            moved = next((p for p in identity if g[p] != p), None)
+            if moved is None:
+                return False
+            depth = len(base)
+            base.append(moved)
+            levels.append({moved: identity})
+        strong.append((g, sorted(identity, key=g.__getitem__), depth))
+        for i, level in enumerate(levels[: depth + 1]):
+            gens = [(s, t) for s, t, d in strong if d >= i]
+            points = list(level)
+            for p in points:
+                for s, t in gens:
+                    if (q := s[p]) not in level:
+                        back = level[p]
+                        level[q] = [back[x] for x in t]
+                        points.append(q)
+        return math.prod(map(len, levels)) >= target
+
+    if target <= 1 or any(absorb(list(s)) for s in perms):
+        return True
+    held = 0
+    while held < len(strong):  # until a whole pass adds nothing
+        held = len(strong)
+        for i in reversed(range(len(base))):
+            for back in list(levels[i].values()):
+                forth = sorted(identity, key=back.__getitem__)  # t_p: b_i to p
+                for s, _, d in list(strong):
+                    if d >= i and absorb([s[x] for x in forth]):
+                        return True
+    return False
 
 
 def group_order(
@@ -580,38 +625,45 @@ def group_order(
     max_cosets: Optional[int] = None,
     expected_order: Optional[int] = None,
 ) -> int:
-    """The order of the group a presentation defines, from a checked
-    coset table over a cyclic subgroup of known order where one serves,
-    else over the trivial subgroup.
+    """The order of the group G a presentation defines, from a checked
+    coset table over H = <s_1, ..., s_{k-1}>, all generators but the
+    last, where a Schreier-Sims proof serves, else over the trivial
+    subgroup.
 
-    u^m is the relator with the largest exponent m >= 2 (the first on
-    ties) and u its shortest root.  ``coset_table`` enumerates the n
-    cosets of H = <u> and checks the closed table as it checks any, and
-    that u fixes coset 0.  When u's permutation of the cosets has order
-    exactly m, the order is n*m: G acts transitively on n points with u
-    in the stabilizer of point 0, so |G| >= n*|<u>| >= n*m, while u^m = e
-    gives |<u>| <= m, and the enumeration gives n = [G:<u>].  Otherwise
-    (no proper power among the relators, a permutation of smaller order
-    because <u> has a normal core or u's order is below m, or the
-    enumeration over H grows past max_cosets) ``coset_table`` over the
-    trivial subgroup decides.  The cap applies to each enumeration on
-    its own; a failed check raises RuntimeError and never falls back.
+    P' is the first k-1 generators with the relators that use them
+    alone, so H is a quotient of P' and |H| <= b = |P'|: for one
+    generator b is the gcd of the relators' exponent sums (0, an
+    infinite P', skips the route with no enumeration), else
+    ``group_order(P')`` under the same cap (past it the route is
+    skipped).  ``coset_table`` enumerates the n = [G:H] cosets and checks
+    the closed table as it checks any, and that each s_i fixes coset 0.
+    When n <= b, Schreier-Sims on the generators' permutations of the
+    cosets stops once the product of its basic orbit sizes reaches n*b;
+    it never exceeds the order of that permutation group, which is at
+    most |G| = n*|H| <= n*b, so reaching n*b proves |G| = n*b.  The guard
+    n <= b keeps the worst case of Schreier-Sims on n points within the
+    n*b cosets of the table it replaces.  In every other case (one
+    generator, n > b, Schreier-Sims short of n*b, or the enumeration
+    over H past max_cosets) ``coset_table`` over the trivial subgroup
+    decides.  The cap applies to each enumeration on its own, and at
+    most 2k are run; a failed check raises RuntimeError and never falls
+    back.
     """
-    found = _cyclic_subgroup(presentation)
-    if found is not None:
-        u, m = found
-        try:
-            closed = coset_table(presentation, max_cosets, expected_order, subgroup=u)
-        except CosetLimitExceeded:
-            pass
-        else:
-            # u^m traced home at every coset, so the order of u's
-            # permutation divides m; it is m when no m/q-th power for a
-            # prime q is the identity
-            cycle = _relator_trace(closed.columns, u.letters)
-            identity = list(range(closed.order))
-            if all(_power(cycle, m // q) != identity for q in _prime_factors(m)):
-                return closed.order * m
+    k, bound = len(presentation.generator_names), 0
+    leading = _leading(presentation)
+    try:
+        if k == 2:  # P' is cyclic of the order of the gcd
+            bound = math.gcd(*(sum(1 - 2 * (x & 1) for x in r.letters) for r in leading.relators))
+        elif k > 2:
+            bound = group_order(leading, max_cosets, expected_order)
+        if bound:
+            subgroup = [Word((2 * g,)) for g in range(k - 1)]
+            closed = coset_table(presentation, max_cosets, expected_order, subgroup)
+            n = closed.order
+            if n <= bound and _reaches(closed.columns[::2], n * bound):
+                return n * bound
+    except CosetLimitExceeded:
+        pass  # past the cap the route proves nothing
     return coset_table(presentation, max_cosets, expected_order).order
 
 

@@ -133,6 +133,18 @@ def test_a_word_is_its_letters_everywhere():
         assert not names & banned, str(path.relative_to(PACKAGE.parent))
 
 
+def test_the_order_route_over_a_cyclic_subgroup_is_gone():
+    # group_order proves an order over all generators but the last by
+    # Schreier-Sims; the cyclic subgroup <u> and the prime test of the
+    # order of u's permutation are gone
+    for path in sorted(PACKAGE.parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = set()
+        for node in ast.walk(tree):
+            names |= {getattr(node, field, None) for field in ("id", "attr", "name")}
+        assert not names & {"_cyclic_subgroup", "_prime_factors"}, str(path.relative_to(PACKAGE.parent))
+
+
 def test_only_the_group_class_reads_its_table():
     # extend_subgroup maps a coset through a row, with or without a table,
     # so nothing outside FiniteGroup branches on the table

@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 
 import pytest
@@ -427,14 +428,19 @@ def test_closed_table_that_is_not_transitive_is_refused(monkeypatch, realize):
 
 
 def test_subgroup_word_that_moves_coset_0_is_refused(monkeypatch):
-    # g is a 3-cycle: mutually inverse columns, g^3 traced home at every
-    # coset and a transitive table, but g is the subgroup's generator
-    # and moves coset 0; the trivial subgroup takes the same table
-    hand_closed_table(monkeypatch, [[1, 2, 0], [2, 0, 1]])
-    P = parse_presentation("<g | g^3>")
+    # g is a 3-cycle and h fixes every coset: mutually inverse columns,
+    # every relator traced home at every coset and a transitive table,
+    # but a subgroup with g among its words moves coset 0; the trivial
+    # subgroup and <h> take the same table, and so does check-presentation
+    # over <g>, the generators but the last
+    hand_closed_table(monkeypatch, [[1, 2, 0], [2, 0, 1], [0, 1, 2], [0, 1, 2]])
+    P = parse_presentation("<g,h | g^3, h>")
+    g, h = presentations.Word((0,)), presentations.Word((2,))
     assert presentations.coset_table(P).order == 3
-    with pytest.raises(RuntimeError, match="does not fix coset 0"):
-        presentations.coset_table(P, subgroup=presentations.Word((0,)))
+    assert presentations.coset_table(P, subgroup=[h]).order == 3
+    for subgroup in ([g], [h, g]):
+        with pytest.raises(RuntimeError, match="does not fix coset 0"):
+            presentations.coset_table(P, subgroup=subgroup)
     # a failed check raises; it does not fall back to the trivial subgroup
     with pytest.raises(RuntimeError, match="does not fix coset 0"):
         cli.main(["check-presentation", P.descriptor])
@@ -449,17 +455,19 @@ def test_expected_order_below_one_is_refused():
 
 
 # ---------------------------------------------------------------------------
-# the order over a cyclic subgroup
+# the order over all generators but the last
 
 
 def traced_tables(monkeypatch):
-    """The (subgroup word, cap) of each coset_table call that group_order
-    makes, with the word None over the trivial subgroup."""
+    """(generators, subgroup words, cap) of each coset_table call that
+    group_order makes: the number of generators of the presentation
+    enumerated, the number of words generating the subgroup (0 for the
+    trivial one) and max_cosets."""
     calls = []
     coset_table = presentations.coset_table
 
-    def traced(presentation, max_cosets=None, expected_order=None, subgroup=None):
-        calls.append((subgroup, max_cosets))
+    def traced(presentation, max_cosets=None, expected_order=None, subgroup=()):
+        calls.append((len(presentation.generator_names), len(subgroup), max_cosets))
         return coset_table(presentation, max_cosets, expected_order, subgroup)
 
     monkeypatch.setattr(presentations, "coset_table", traced)
@@ -477,49 +485,64 @@ def test_root(letters, expected):
     assert presentations._root(letters) == expected
 
 
-@pytest.mark.parametrize("text, u, m", [
-    (coxeter_sn(8), "s1*s2", 3),
-    ("<a,b | a^2, b^3, (a*b)^7, (a^-1*b^-1*a*b)^4>", "a*b", 7),
-    ("<a,x | a^512, x^2=a^256, x^-1*a*x=a^-1>", "a", 512),
-    ("<g | g^-2, g^3>", "g", 3),
-    ("<a,b | a^-2, b^2, (a*b)^2>", "a^-1", 2),  # the first of three squares
-    ("<a,b | a*b*a, b*a*b>", None, None),
-    ("<u,v |>", None, None),
+@pytest.mark.parametrize("text, leading", [
+    (coxeter_sn(4), "<s1,s2 | s1^2, s2^2, s1*s2*s1*s2*s1*s2>"),
+    ("<a,b | a^2, b^3, (a*b)^7, (a^-1*b^-1*a*b)^4>", "<a | a^2>"),
+    ("<a,x | a^512, x^2=a^256, x^-1*a*x=a^-1>", "<a | a^512>"),
+    # a relator with the last generator's inverse is dropped too
+    ("<a,b,c | a^2, c^-3, (a*b)^2, (a*c^-1)^5, b^4>", "<a,b | a^2, a*b*a*b, b^4>"),
+    ("<a,b | a*b*a, b*a*b>", "<a | >"),
+    ("<u,v |>", "<u | >"),
 ])
-def test_cyclic_subgroup_is_the_root_of_the_largest_power(text, u, m):
-    P = parse_presentation(text)
-    found = presentations._cyclic_subgroup(P)
-    if u is None:
-        assert found is None
-    else:
-        assert (found[0].text(P.generator_names), found[1]) == (u, m)
+def test_leading_presentation_keeps_the_relators_in_the_first_generators(text, leading):
+    P = presentations._leading(parse_presentation(text))
+    assert (P.text(), P.descriptor) == (leading, "")
 
 
-@pytest.mark.parametrize("text, index, defined", [
-    (coxeter_sn(6), 240, 271),
-    (coxeter_sn(7), 1680, 2132),
-    # a third of the 55,119 cosets of the trivial subgroup
-    (coxeter_sn(8), 13440, 18320),
-    ("<a,b | a^2, b^3, (a*b)^7, (a^-1*b^-1*a*b)^4>", 24, 42),
+def generators_but_the_last(P):
+    return [presentations.Word((2 * g,)) for g in range(len(P.generator_names) - 1)]
+
+
+@pytest.mark.parametrize("n, index, defined, calls, total", [
+    # the trivial subgroups' tables define 271, 2,132 and 18,320 cosets
+    (6, 6, 6, 5, 24),
+    (7, 7, 7, 6, 31),
+    (8, 8, 8, 7, 39),
 ])
-def test_order_over_the_cyclic_subgroup(monkeypatch, text, index, defined):
-    P = parse_presentation(text)
-    u, m = presentations._cyclic_subgroup(P)
-    closed = presentations.coset_table(P, subgroup=u)
+def test_order_over_all_generators_but_the_last(monkeypatch, n, index, defined, calls, total):
+    # S_n over S_{n-1}: n cosets, and the order of P' = S_{n-1} from the
+    # same route one generator down, down to S3 over the trivial subgroup
+    P = parse_presentation(coxeter_sn(n))
+    closed = presentations.coset_table(P, subgroup=generators_but_the_last(P))
     assert (closed.order, closed.defined) == (index, defined)
-    calls = traced_tables(monkeypatch)
-    assert presentations.group_order(P) == index * m
-    assert calls == [(u, None)]  # no fallback
+    made = traced_tables(monkeypatch)
+    tables = []
+    coset_table = presentations.coset_table
+
+    def kept(*args):
+        tables.append(coset_table(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(presentations, "coset_table", kept)
+    assert presentations.group_order(P) == math.factorial(n)
+    assert (len(made), sum(t.defined for t in tables)) == (calls, total)
+    assert made == [(2, 1, None), (2, 0, None)] + [(m, m - 1, None) for m in range(3, n)]
 
 
 @pytest.mark.parametrize("presentation", oracle_cases(), ids=lambda p: p.descriptor)
-def test_group_order_agrees_with_the_trivial_subgroup(presentation):
-    assert presentations.group_order(presentation) == presentations.coset_table(presentation).order
+def test_group_order_agrees_with_the_trivial_subgroup(monkeypatch, presentation):
+    expected = presentations.coset_table(presentation).order
+    calls = traced_tables(monkeypatch)
+    assert presentations.group_order(presentation, 65536) == expected
+    # at most two tables per generator, each under the caller's cap
+    assert 1 <= len(calls) <= 2 * len(presentation.generator_names)
+    assert {cap for _, _, cap in calls} == {65536}
 
 
 def assert_group_order_agrees(presentation, max_cosets):
-    # where the trivial subgroup's table exceeds the cap, the route over a
-    # cyclic subgroup may still finish, but has nothing to agree with
+    # where the trivial subgroup's table exceeds the cap, the route over
+    # all generators but the last may still finish, but has nothing to
+    # agree with
     try:
         expected = presentations.coset_table(presentation, max_cosets).order
     except CosetLimitExceeded:
@@ -538,7 +561,7 @@ def coxeter_quotients(draw):
     """Coxeter presentations on 2-4 involutions, each pair's product of
     order 2-6, with the product of all of them raised to a power 2-6 on
     3-4 generators; small_presentations gives few orders that the route
-    over a cyclic subgroup decides, these give both routes."""
+    over all generators but the last proves, these give both routes."""
     names = [f"s{i}" for i in range(1, draw(st.integers(2, 4)) + 1)]
     relators = [f"{s}^2" for s in names]
     relators += [f"({s}*{t})^{draw(st.integers(2, 6))}"
@@ -554,34 +577,98 @@ def test_group_order_agrees_with_the_trivial_subgroup_on_coxeter_quotients(prese
     assert_group_order_agrees(presentation, max_cosets=2000)
 
 
-@pytest.mark.parametrize("text, order", [
-    ("<g | g^6, g^4>", 2),  # <g> is the whole group, and g's order is 2
-    ("<a,x | a^512, x^2=a^256, x^-1*a*x=a^-1>", 1024),  # <a> is normal
-    ("<a,b | a^6, b^4, a^-1*b^-1*a*b>", 24),  # abelian: <a> is normal
-    # b has order 2, not 4: it swaps two of the three cosets of <b>
-    ("<a,b | a^3, b^4, b^2, (a*b)^2>", 6),
-])
-def test_group_order_falls_back_when_u_acts_with_a_smaller_order(monkeypatch, capsys, text,
-                                                                  order):
+def sifted(monkeypatch):
+    """The (permutations, target) of each Schreier-Sims run."""
+    runs = []
+    reaches = presentations._reaches
+
+    def traced(perms, target):
+        runs.append((perms, target))
+        return reaches(perms, target)
+
+    monkeypatch.setattr(presentations, "_reaches", traced)
+    return runs
+
+
+def test_order_is_not_the_bound_when_the_chain_falls_short(monkeypatch, capsys):
+    # <a> has index 2 and P' = <a | a^6> bounds it by 6, but a has order
+    # 3: the cosets' permutations make a group of order 2, short of
+    # 2*6 = 12, so the trivial subgroup's table gives 6
+    runs = sifted(monkeypatch)
+    assert cli.main(["check-presentation", "<a,b | a^6, b^2, b*a*b^-1=a^2>"]) == 0
+    assert capsys.readouterr().out == "order 6\n"
+    assert [(len(perms[0]), target) for perms, target in runs] == [(2, 12)]
+
+
+def test_no_schreier_sims_when_the_index_exceeds_the_bound(monkeypatch):
+    # [G:<a>] = 250 > 4 = |<a | a^4>|
+    runs = sifted(monkeypatch)
     calls = traced_tables(monkeypatch)
+    P = parse_presentation("<a,b | a^4, b^250, a^-1*b*a=b^-1>")
+    assert presentations.group_order(P) == 1000
+    assert (runs, calls) == ([], [(2, 1, None), (2, 0, None)])
+    # S4 over S3: 4 <= 6, and the chain reaches 24
+    assert presentations.group_order(parse_presentation(coxeter_sn(4))) == 24
+    assert [(len(perms[0]), target) for perms, target in runs] == [(4, 24)]
+
+
+@pytest.mark.parametrize("text, order, calls", [
+    ("<g | g^6, g^4>", 2, [(1, 0)]),  # one generator: no route
+    # P' = <a | > is infinite: the route is skipped with no enumeration
+    ("<a,b | b^2, (a*b)^2, a^5*b*a^-5*b>", 20, [(2, 0)]),
+    ("<a,b | a*b*a, b*a*b>", 3, [(2, 0)]),
+    # [G:<a>] = 84 > 2: the guard fails
+    ("<a,b | a^2, b^3, (a*b)^7, (a^-1*b^-1*a*b)^4>", 168, [(2, 1), (2, 0)]),
+    # <a> is normal: the cosets' permutations make a group of order 2
+    ("<a,x | a^512, x^2=a^256, x^-1*a*x=a^-1>", 1024, [(2, 1), (2, 0)]),
+    ("<a,b | a^6, b^4, a^-1*b^-1*a*b>", 24, [(2, 1), (2, 0)]),
+    # P' = S3 proves its order; S4/V4 over it has one coset, short of 6
+    ("<a,b,c | a^2, b^2, c^2, (a*b)^3, (b*c)^3, (a*c)^2, (a*b*c)^2>", 6,
+     [(2, 1), (2, 0), (3, 2), (3, 0)]),
+])
+def test_group_order_falls_back_to_the_trivial_subgroup(monkeypatch, capsys, text, order, calls):
+    made = traced_tables(monkeypatch)
     assert cli.main(["check-presentation", text]) == 0
     assert capsys.readouterr().out == f"order {order}\n"
-    assert [subgroup is None for subgroup, _ in calls] == [False, True]
+    assert [(k, words) for k, words, _ in made] == calls
 
 
 def test_subgroup_enumeration_past_the_cap_falls_back_under_the_same_cap(monkeypatch, capsys):
-    # over <a*b^-1> the enumeration defines 5 cosets, over the trivial
-    # subgroup 4
-    text = "<a,b | (a^-1*b)^2, a, (a*b^-1)^6>"
+    # P' = <a,b | a^2, b^3> is infinite, so both of its enumerations
+    # exceed the cap and the route is skipped; G is S3
+    text = "<a,b,c | a^2, b^3, c=a*b, c^2>"
     calls = traced_tables(monkeypatch)
-    assert cli.main(["check-presentation", text, "--max-cosets", "4"]) == 0
-    assert capsys.readouterr().out == "order 2\n"
-    assert [(subgroup is None, cap) for subgroup, cap in calls] == [(False, 4), (True, 4)]
+    assert cli.main(["check-presentation", text, "--max-cosets", "50"]) == 0
+    assert capsys.readouterr().out == "order 6\n"
+    assert calls == [(2, 1, 50), (2, 0, 50), (3, 0, 50)]
     # an infinite group exceeds the cap on both routes
     calls.clear()
     assert cli.main(["check-presentation", "<a,b | a^3>", "--max-cosets", "50"]) == 1
     assert capsys.readouterr().out == "EXCEEDED: coset enumeration exceeded 50 cosets\n"
-    assert [(subgroup is None, cap) for subgroup, cap in calls] == [(False, 50), (True, 50)]
+    assert calls == [(2, 1, 50), (2, 0, 50)]
+
+
+def closure_order(perms, degree):
+    """The order of the group the permutations generate, by a
+    breadth-first closure from the identity."""
+    seen = {tuple(range(degree))}
+    queue = list(seen)
+    for g in queue:
+        for s in perms:
+            h = tuple(s[x] for x in g)
+            if h not in seen:
+                seen.add(h)
+                queue.append(h)
+    return len(seen)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.integers(1, 7).flatmap(
+    lambda d: st.lists(st.permutations(range(d)), min_size=1, max_size=3)))
+def test_schreier_sims_reaches_the_closure_order_and_no_further(perms):
+    order = closure_order(perms, len(perms[0]))
+    assert presentations._reaches(perms, order)
+    assert not presentations._reaches(perms, order + 1)
 
 
 # ---------------------------------------------------------------------------

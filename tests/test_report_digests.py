@@ -94,10 +94,11 @@ PRESENTATION_RUNS = [
       for n in range(3, 13) for v in applicable_variants(n)),
 ]
 
-# orders that check-presentation finds over a cyclic subgroup (the
-# Coxeter presentations, PSL(2,7) above) or over the trivial one (a^512,
-# g^5 and the free group above): the Coxeter presentations of S4-S7 with
-# no cap, and the README example as the README spells it
+# orders that check-presentation proves by Schreier-Sims over all
+# generators but the last (the Coxeter presentations) or finds over the
+# trivial subgroup (PSL(2,7), a^512, g^5 and the free group above, and
+# the README example): the Coxeter presentations of S4-S7 with no cap,
+# and the README example as the README spells it
 ORDER_RUNS = [
     *(("check-presentation", coxeter_sn(n), "--expect", str(math.factorial(n)))
       for n in range(4, 8)),
