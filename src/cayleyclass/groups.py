@@ -906,6 +906,8 @@ class StabilizerNode:
         the image.  Returns whether one was added."""
         stripped: list[int] = []  # the inverses on the paths, first to last
         for depth, level in enumerate(self.levels):
+            if images[depth] == self.base[depth]:
+                continue  # an empty path
             if images[depth] not in level:
                 m = _apply(maps, range(1, len(maps)), maps[0])
                 self.add(tuple(_apply(self.inverses, stripped, m)), depth)
@@ -916,12 +918,21 @@ class StabilizerNode:
         return False
 
     def complete(self, order: int, elements: Iterable = ()) -> None:
-        """Schreier-Sims with known order: absorb the elements, pairs of
-        base images and maps as ``absorb`` takes them, then the Schreier
-        generators t_{g(p)}^-1 * g * t_p of each level (as g * t_p, which
-        level i strips to them), deepest level first, until the levels
-        reach order.  Once all of them sift the chain is complete, so
-        falling short of order is an error."""
+        """Schreier-Sims with known order (``reaches``); falling short of
+        it is an error."""
+        if not self.reaches(order, elements):
+            raise RuntimeError(f"the chain closes at order {self.order}, not {order}")
+
+    def reaches(self, order: int, elements: Iterable = ()) -> bool:
+        """Schreier-Sims: absorb the elements, pairs of base images and
+        maps as ``absorb`` takes them, then the Schreier generators
+        t_{g(p)}^-1 * g * t_p of each level (as g * t_p, which level i
+        strips to them), deepest level first, until the levels reach
+        order; whether they do.  Each level's orbit lies in the orbit of
+        b_i under the stabilizer of b_0, ..., b_{i-1} in the group the
+        elements generate, so the product of the level sizes never
+        exceeds its order, and once every Schreier generator sifts the
+        chain is complete and the product is that order."""
         def schreier():
             for i in reversed(range(len(self.base))):
                 for p in list(self.levels[i]):
@@ -935,7 +946,8 @@ class StabilizerNode:
         while self.order < order:
             if not any(self.absorb(images, maps)
                        for images, maps in itertools.chain(elements, schreier())):
-                raise RuntimeError(f"the chain closes at order {self.order}, not {order}")
+                return False
+        return True
 
     def _walk_orbits(self, degree: int) -> StabilizerNode:
         """Set ``least`` and ``edge`` on the points 0..degree-1 from the

@@ -41,12 +41,15 @@ Handbook of Computational Group Theory, 2005, ch. 5).  H is a quotient
 of P', the first k-1 generators with the relators in them alone, so
 |H| <= b = |P'|, taken from the gcd of the exponent sums for one
 generator and from ``group_order(P')`` otherwise.  The table gives
-n = [G:H], and when n <= b, Schreier-Sims on the generators'
-permutations of the n cosets reaching n*b proves |G| = n*b.  For the
-Coxeter presentation of S8 that makes 7 tables (S3 over <s1> and over
-the trivial subgroup, then S_m over S_{m-1} for m = 4, ..., 8), which
-define 39 cosets in all against 55,119 over the trivial subgroup.  The trivial subgroup's table decides in every
-other case; a failed check raises and never falls back.
+n = [G:H], and Schreier-Sims on the generators' permutations of the n
+cosets reaching n*b proves |G| = n*b; it is run only when n <= b and
+n^3 is within the cap, and P' is enumerated only under the cap for an
+order (n-1)!, the most that can serve, since the cosets' permutations
+make at most n! elements.  For the Coxeter presentation of S8 that
+makes 7 tables (S_m over S_{m-1} for m = 8, ..., 4, then S3 over <s1>
+and over the trivial subgroup), which define 39 cosets in all against
+55,119 over the trivial subgroup.  The trivial subgroup's table decides
+in every other case; a failed check raises and never falls back.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import words
-from .groups import FiniteGroup
+from .groups import FiniteGroup, StabilizerNode
 from .words import ParseError
 
 DEFAULT_MAX_COSETS = 65536
@@ -428,6 +431,20 @@ class CosetTable:
         return len(self.last)
 
 
+def _cap(max_cosets: Optional[int], expected_order: Optional[int]) -> int:
+    """The cap in force: max_cosets, else 16x the expected order when
+    given, else 65536."""
+    if expected_order is not None and expected_order < 1:
+        raise ValueError(f"expected_order must be >= 1, got {expected_order}")
+    if max_cosets is None:
+        max_cosets = (
+            EXPECTED_ORDER_FACTOR * expected_order if expected_order else DEFAULT_MAX_COSETS
+        )
+    if max_cosets < 1:
+        raise ValueError(f"max_cosets must be >= 1, got {max_cosets}")
+    return max_cosets
+
+
 def coset_table(
     presentation: Presentation,
     max_cosets: Optional[int] = None,
@@ -463,14 +480,7 @@ def coset_table(
     or not (default 16x the expected order when given, else 65536) --
     a retryable signal, not a failure.
     """
-    if expected_order is not None and expected_order < 1:
-        raise ValueError(f"expected_order must be >= 1, got {expected_order}")
-    if max_cosets is None:
-        max_cosets = (
-            EXPECTED_ORDER_FACTOR * expected_order if expected_order else DEFAULT_MAX_COSETS
-        )
-    if max_cosets < 1:
-        raise ValueError(f"max_cosets must be >= 1, got {max_cosets}")
+    max_cosets = _cap(max_cosets, expected_order)
     ngens = len(presentation.generator_names)
     relators = [r.letters for r in presentation.relators if r.letters]
     squares = [_involution(letters) for letters in relators]
@@ -554,72 +564,6 @@ def _leading(presentation: Presentation) -> Presentation:
     return Presentation(names, kept, "")
 
 
-def _reaches(perms: Sequence[Sequence[int]], target: int) -> bool:
-    """Whether the permutations perms of 0..n-1 generate a group of at
-    least target elements: Schreier-Sims (C. C. Sims, 1970), stopped as
-    soon as the product of its basic orbit sizes reaches target.
-
-    Level i holds a base point b_i and maps each point p of its orbit
-    under the strong generators fixing b_0, ..., b_{i-1} to a
-    permutation of that group carrying p to b_i.  A permutation is
-    sifted by those maps down the levels; a residue other than the
-    identity becomes a strong generator at the level whose orbit misses
-    its image, or at a new level whose base point is the first point
-    the residue moves.  The perms are sifted first, then each level's
-    Schreier generators t_p*s*t_{s(p)}^-1, as t_p*s, which that level
-    strips to them, deepest level first, until a whole pass adds
-    nothing: the chain is then complete, and the product is the order.
-    Each orbit lies in its level's orbit under the true stabilizer, so
-    every partial product is at most the order.
-    """
-    n = len(perms[0])
-    identity = list(range(n))
-    base: list[int] = []
-    levels: list[dict[int, list[int]]] = []
-    strong: list[tuple[list[int], list[int], int]] = []  # (s, s^-1, its level)
-
-    def absorb(g: list[int]) -> bool:
-        """Sift g and add its residue unless it is the identity; whether
-        the product then reaches target."""
-        for depth, b in enumerate(base):
-            if g[b] != b:
-                back = levels[depth].get(g[b])
-                if back is None:
-                    break
-                g = [back[x] for x in g]
-        else:
-            moved = next((p for p in identity if g[p] != p), None)
-            if moved is None:
-                return False
-            depth = len(base)
-            base.append(moved)
-            levels.append({moved: identity})
-        strong.append((g, sorted(identity, key=g.__getitem__), depth))
-        for i, level in enumerate(levels[: depth + 1]):
-            gens = [(s, t) for s, t, d in strong if d >= i]
-            points = list(level)
-            for p in points:
-                for s, t in gens:
-                    if (q := s[p]) not in level:
-                        back = level[p]
-                        level[q] = [back[x] for x in t]
-                        points.append(q)
-        return math.prod(map(len, levels)) >= target
-
-    if target <= 1 or any(absorb(list(s)) for s in perms):
-        return True
-    held = 0
-    while held < len(strong):  # until a whole pass adds nothing
-        held = len(strong)
-        for i in reversed(range(len(base))):
-            for back in list(levels[i].values()):
-                forth = sorted(identity, key=back.__getitem__)  # t_p: b_i to p
-                for s, _, d in list(strong):
-                    if d >= i and absorb([s[x] for x in forth]):
-                        return True
-    return False
-
-
 def group_order(
     presentation: Presentation,
     max_cosets: Optional[int] = None,
@@ -631,36 +575,46 @@ def group_order(
     subgroup.
 
     P' is the first k-1 generators with the relators that use them
-    alone, so H is a quotient of P' and |H| <= b = |P'|: for one
-    generator b is the gcd of the relators' exponent sums (0, an
-    infinite P', skips the route with no enumeration), else
-    ``group_order(P')`` under the same cap (past it the route is
-    skipped).  ``coset_table`` enumerates the n = [G:H] cosets and checks
-    the closed table as it checks any, and that each s_i fixes coset 0.
-    When n <= b, Schreier-Sims on the generators' permutations of the
-    cosets stops once the product of its basic orbit sizes reaches n*b;
-    it never exceeds the order of that permutation group, which is at
-    most |G| = n*|H| <= n*b, so reaching n*b proves |G| = n*b.  The guard
-    n <= b keeps the worst case of Schreier-Sims on n points within the
-    n*b cosets of the table it replaces.  In every other case (one
-    generator, n > b, Schreier-Sims short of n*b, or the enumeration
-    over H past max_cosets) ``coset_table`` over the trivial subgroup
-    decides.  The cap applies to each enumeration on its own, and at
-    most 2k are run; a failed check raises RuntimeError and never falls
-    back.
+    alone, so H is a quotient of P' and |H| <= b = |P'|.  ``coset_table``
+    enumerates the n = [G:H] cosets and checks the closed table as it
+    checks any, and that each s_i fixes coset 0.  Schreier-Sims on the
+    generators' permutations of the cosets (``StabilizerNode.reaches``)
+    stops once the product of its basic orbit sizes reaches n*b.  That
+    product never exceeds the order of the permutation group, which is
+    at most both n! and |G| = n*|H| <= n*b, so reaching n*b proves
+    |G| = n*b, and can happen only when b <= (n-1)!.
+
+    For one generator b is the gcd of the relators' exponent sums, and
+    0, an infinite P', skips the route with no enumeration.  For more,
+    b is ``group_order(P')`` under min(max_cosets, 16 (n-1)!), the cap
+    ``coset_table`` gives an expected order of (n-1)!, the largest |P'|
+    that can serve, so an infinite P' wastes little.  Schreier-Sims runs
+    only when 1 < n <= b <= (n-1)! and n^3 <= max_cosets, and P' is
+    enumerated only when these can hold: each Schreier generator of a
+    level is sifted along Schreier paths of up to n steps, each moving n
+    points, for up to n points of the level, so the cap bounds the chain
+    however large b is (one coset would prove only |G| = 1).  In every
+    other case (one generator, a guard that fails, a chain short of n*b,
+    or an enumeration of H or P' past its cap) ``coset_table`` over the
+    trivial subgroup decides.  The cap applies to each enumeration on
+    its own, and at most 2k are run; a failed check raises RuntimeError
+    and never falls back.
     """
-    k, bound = len(presentation.generator_names), 0
+    cap, k, bound = _cap(max_cosets, expected_order), len(presentation.generator_names), 0
     leading = _leading(presentation)
+    if k == 2:  # P' is cyclic of the order of the gcd, 0 when infinite
+        bound = math.gcd(*(sum(1 - 2 * (x & 1) for x in r.letters) for r in leading.relators))
     try:
-        if k == 2:  # P' is cyclic of the order of the gcd
-            bound = math.gcd(*(sum(1 - 2 * (x & 1) for x in r.letters) for r in leading.relators))
-        elif k > 2:
-            bound = group_order(leading, max_cosets, expected_order)
-        if bound:
+        if k > 2 or bound:
             subgroup = [Word((2 * g,)) for g in range(k - 1)]
             closed = coset_table(presentation, max_cosets, expected_order, subgroup)
             n = closed.order
-            if n <= bound and _reaches(closed.columns[::2], n * bound):
+            # |S_n| / n, the largest b that can serve; 0 where no chain may be built
+            room = math.factorial(n - 1) if 1 < n and n**3 <= cap else 0
+            if k > 2 and n <= room:
+                bound = group_order(leading, min(cap, EXPECTED_ORDER_FACTOR * room))
+            perms = ((column, [column]) for column in closed.columns[::2])
+            if n <= bound <= room and StabilizerNode(range(n)).reaches(n * bound, perms):
                 return n * bound
     except CosetLimitExceeded:
         pass  # past the cap the route proves nothing

@@ -279,14 +279,15 @@ def test_check_presentation_coxeter_s6_within_small_cap(capsys):
 def test_check_presentation_cap_applies_to_each_enumeration(capsys):
     # the trivial subgroup's table of S7 defines 6,411 cosets; the route
     # over S6, S5, ..., S3 defines at most 7 in any one table, the 7
-    # cosets of S6 in S7: a cap of 7 holds back neither that table nor
-    # the order, a cap of 6 both
+    # cosets of S6 in S7, and builds a chain on those 7 only when 7^3 is
+    # within the cap: a cap of 343 lets the route prove the order, under
+    # 342 the trivial subgroup's table exceeds it
     code, out, _ = run(
-        capsys, "check-presentation", coxeter_sn(7), "--max-cosets", "7", "--expect", "5040"
+        capsys, "check-presentation", coxeter_sn(7), "--max-cosets", "343", "--expect", "5040"
     )
     assert (code, out) == (0, "order 5040\nPASS\n")
-    code, out, _ = run(capsys, "check-presentation", coxeter_sn(7), "--max-cosets", "6")
-    assert (code, out) == (1, "EXCEEDED: coset enumeration exceeded 6 cosets\n")
+    code, out, _ = run(capsys, "check-presentation", coxeter_sn(7), "--max-cosets", "342")
+    assert (code, out) == (1, "EXCEEDED: coset enumeration exceeded 342 cosets\n")
 
 
 def test_check_presentation_builds_no_group_and_names_no_element(capsys, monkeypatch):

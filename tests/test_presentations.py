@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import cayleyclass as cc
 from cayleyclass import cli, presentations, words
 from cayleyclass.dicyclic_theory import applicable_variants, classical_presentation
+from cayleyclass.groups import StabilizerNode
 from cayleyclass.presentations import CosetLimitExceeded, parse_presentation, todd_coxeter
 from cayleyclass.words import ParseError
 from conftest import coxeter_sn
@@ -503,15 +504,20 @@ def generators_but_the_last(P):
     return [presentations.Word((2 * g,)) for g in range(len(P.generator_names) - 1)]
 
 
+# P' = S_m, with m - 1 generators, is enumerated under min(cap, 16 m!)
+DOWN_TO_S3 = [(4, 3, 1920), (3, 2, 384), (2, 1, 96), (2, 0, 96)]
+
+
 @pytest.mark.parametrize("n, index, defined, calls, total", [
     # the trivial subgroups' tables define 271, 2,132 and 18,320 cosets
-    (6, 6, 6, 5, 24),
-    (7, 7, 7, 6, 31),
-    (8, 8, 8, 7, 39),
+    (6, 6, 6, [(5, 4, None)] + DOWN_TO_S3, 24),
+    (7, 7, 7, [(6, 5, None), (5, 4, 11520)] + DOWN_TO_S3, 31),
+    (8, 8, 8, [(7, 6, None), (6, 5, 65536), (5, 4, 11520)] + DOWN_TO_S3, 39),
 ])
 def test_order_over_all_generators_but_the_last(monkeypatch, n, index, defined, calls, total):
     # S_n over S_{n-1}: n cosets, and the order of P' = S_{n-1} from the
-    # same route one generator down, down to S3 over the trivial subgroup
+    # same route one generator down, down to S3, whose 3 cosets over <s1>
+    # exceed 2! and leave it to the trivial subgroup
     P = parse_presentation(coxeter_sn(n))
     closed = presentations.coset_table(P, subgroup=generators_but_the_last(P))
     assert (closed.order, closed.defined) == (index, defined)
@@ -525,8 +531,7 @@ def test_order_over_all_generators_but_the_last(monkeypatch, n, index, defined, 
 
     monkeypatch.setattr(presentations, "coset_table", kept)
     assert presentations.group_order(P) == math.factorial(n)
-    assert (len(made), sum(t.defined for t in tables)) == (calls, total)
-    assert made == [(2, 1, None), (2, 0, None)] + [(m, m - 1, None) for m in range(3, n)]
+    assert (made, sum(t.defined for t in tables)) == (calls, total)
 
 
 @pytest.mark.parametrize("presentation", oracle_cases(), ids=lambda p: p.descriptor)
@@ -536,7 +541,7 @@ def test_group_order_agrees_with_the_trivial_subgroup(monkeypatch, presentation)
     assert presentations.group_order(presentation, 65536) == expected
     # at most two tables per generator, each under the caller's cap
     assert 1 <= len(calls) <= 2 * len(presentation.generator_names)
-    assert {cap for _, _, cap in calls} == {65536}
+    assert calls[0][2] == 65536 and all(cap <= 65536 for _, _, cap in calls)
 
 
 def assert_group_order_agrees(presentation, max_cosets):
@@ -578,69 +583,105 @@ def test_group_order_agrees_with_the_trivial_subgroup_on_coxeter_quotients(prese
 
 
 def sifted(monkeypatch):
-    """The (permutations, target) of each Schreier-Sims run."""
+    """The (degree, target) of each Schreier-Sims run."""
     runs = []
-    reaches = presentations._reaches
 
-    def traced(perms, target):
-        runs.append((perms, target))
-        return reaches(perms, target)
+    class Traced(StabilizerNode):
+        def reaches(self, order, elements=()):
+            runs.append((len(self.base), order))
+            return super().reaches(order, elements)
 
-    monkeypatch.setattr(presentations, "_reaches", traced)
+    monkeypatch.setattr(presentations, "StabilizerNode", Traced)
     return runs
 
 
-def test_order_is_not_the_bound_when_the_chain_falls_short(monkeypatch, capsys):
-    # <a> has index 2 and P' = <a | a^6> bounds it by 6, but a has order
-    # 3: the cosets' permutations make a group of order 2, short of
-    # 2*6 = 12, so the trivial subgroup's table gives 6
-    runs = sifted(monkeypatch)
-    assert cli.main(["check-presentation", "<a,b | a^6, b^2, b*a*b^-1=a^2>"]) == 0
-    assert capsys.readouterr().out == "order 6\n"
-    assert [(len(perms[0]), target) for perms, target in runs] == [(2, 12)]
+@pytest.mark.parametrize("text, order, runs", [
+    # <a> has index 2 and P' = <a | a^6> bounds it by 6 > 1!: the cosets'
+    # permutations make at most 2 elements, short of 2*6 = 12, so the
+    # chain is not run and the trivial subgroup's table gives 6
+    ("<a,b | a^6, b^2, b*a*b^-1=a^2>", 6, []),
+    # S4 with a = (1 2 3 4): <a> has index 6 and P' = <a | a^8> bounds
+    # it by 8 <= 5!, but a has order 4: the chain closes at 24, short of
+    # 6*8 = 48
+    ("<a,b | a^8, b^2, (a*b)^3, a^4=b^2>", 24, [(6, 48)]),
+])
+def test_order_is_not_the_bound_when_the_chain_falls_short(monkeypatch, capsys, text, order,
+                                                           runs):
+    made = sifted(monkeypatch)
+    assert cli.main(["check-presentation", text]) == 0
+    assert capsys.readouterr().out == f"order {order}\n"
+    assert made == runs
 
 
 def test_no_schreier_sims_when_the_index_exceeds_the_bound(monkeypatch):
-    # [G:<a>] = 250 > 4 = |<a | a^4>|
+    # [G:<a>] = 250 > 4 = |<a | a^4>|, under a cap that 250^3 is within
     runs = sifted(monkeypatch)
     calls = traced_tables(monkeypatch)
     P = parse_presentation("<a,b | a^4, b^250, a^-1*b*a=b^-1>")
-    assert presentations.group_order(P) == 1000
-    assert (runs, calls) == ([], [(2, 1, None), (2, 0, None)])
-    # S4 over S3: 4 <= 6, and the chain reaches 24
+    assert presentations.group_order(P, 10**8) == 1000
+    assert (runs, calls) == ([], [(2, 1, 10**8), (2, 0, 10**8)])
+    # S4 over S3: 4 <= 6 <= 3!, and the chain reaches 24
     assert presentations.group_order(parse_presentation(coxeter_sn(4))) == 24
-    assert [(len(perms[0]), target) for perms, target in runs] == [(4, 24)]
+    assert runs == [(4, 24)]
 
 
-@pytest.mark.parametrize("text, order, calls", [
-    ("<g | g^6, g^4>", 2, [(1, 0)]),  # one generator: no route
+def test_no_schreier_sims_when_the_index_cubed_exceeds_the_cap(monkeypatch, capsys):
+    # Z100 x Z100 over <a>: 100 cosets, within the cap, and 100 <= b = 100,
+    # but 100^3 > 5000, so no chain is built and the trivial subgroup's
+    # table of 10,000 cosets exceeds the cap as it would alone
+    runs = sifted(monkeypatch)
+    calls = traced_tables(monkeypatch)
+    text = "<a,b | a^-1*b^-1*a*b, b^100, a^100>"
+    assert cli.main(["check-presentation", text, "--max-cosets", "5000"]) == 1
+    assert capsys.readouterr().out == "EXCEEDED: coset enumeration exceeded 5000 cosets\n"
+    assert (runs, calls) == ([], [(2, 1, 5000), (2, 0, 5000)])
+
+
+@pytest.mark.parametrize("text, cap, order, calls", [
+    ("<g | g^6, g^4>", None, 2, [(1, 0)]),  # one generator: no route
     # P' = <a | > is infinite: the route is skipped with no enumeration
-    ("<a,b | b^2, (a*b)^2, a^5*b*a^-5*b>", 20, [(2, 0)]),
-    ("<a,b | a*b*a, b*a*b>", 3, [(2, 0)]),
+    ("<a,b | b^2, (a*b)^2, a^5*b*a^-5*b>", None, 20, [(2, 0)]),
+    ("<a,b | a*b*a, b*a*b>", None, 3, [(2, 0)]),
     # [G:<a>] = 84 > 2: the guard fails
-    ("<a,b | a^2, b^3, (a*b)^7, (a^-1*b^-1*a*b)^4>", 168, [(2, 1), (2, 0)]),
-    # <a> is normal: the cosets' permutations make a group of order 2
-    ("<a,x | a^512, x^2=a^256, x^-1*a*x=a^-1>", 1024, [(2, 1), (2, 0)]),
-    ("<a,b | a^6, b^4, a^-1*b^-1*a*b>", 24, [(2, 1), (2, 0)]),
-    # P' = S3 proves its order; S4/V4 over it has one coset, short of 6
-    ("<a,b,c | a^2, b^2, c^2, (a*b)^3, (b*c)^3, (a*c)^2, (a*b*c)^2>", 6,
-     [(2, 1), (2, 0), (3, 2), (3, 0)]),
+    ("<a,b | a^2, b^3, (a*b)^7, (a^-1*b^-1*a*b)^4>", None, 168, [(2, 1), (2, 0)]),
+    # <a> is normal of index 2, and 2 > 1!
+    ("<a,x | a^512, x^2=a^256, x^-1*a*x=a^-1>", None, 1024, [(2, 1), (2, 0)]),
+    # abelian: the cosets' permutations make a group of order 4, short
+    # of 4*6
+    ("<a,b | a^6, b^4, a^-1*b^-1*a*b>", None, 24, [(2, 1), (2, 0)]),
+    # b has order 2, not 4: [G:<a>] = 2 and 2 > 1!
+    ("<a,b | a^3, b^4, b^2, (a*b)^2>", None, 6, [(2, 1), (2, 0)]),
+    # <a> = G: one coset over <a>, as over the trivial subgroup, each
+    # table within the cap of 4
+    ("<a,b | (a^-1*b)^2, a, (a*b^-1)^6>", 4, 2, [(2, 1), (2, 0)]),
+    # S4/V4 is S3 = <a,b>: one coset, and P' is not enumerated
+    ("<a,b,c | a^2, b^2, c^2, (a*b)^3, (b*c)^3, (a*c)^2, (a*b*c)^2>", None, 6,
+     [(3, 2), (3, 0)]),
 ])
-def test_group_order_falls_back_to_the_trivial_subgroup(monkeypatch, capsys, text, order, calls):
+def test_group_order_falls_back_to_the_trivial_subgroup(monkeypatch, capsys, text, cap, order,
+                                                        calls):
     made = traced_tables(monkeypatch)
-    assert cli.main(["check-presentation", text]) == 0
+    args = [] if cap is None else ["--max-cosets", str(cap)]
+    assert cli.main(["check-presentation", text, *args]) == 0
     assert capsys.readouterr().out == f"order {order}\n"
     assert [(k, words) for k, words, _ in made] == calls
 
 
 def test_subgroup_enumeration_past_the_cap_falls_back_under_the_same_cap(monkeypatch, capsys):
-    # P' = <a,b | a^2, b^3> is infinite, so both of its enumerations
-    # exceed the cap and the route is skipped; G is S3
-    text = "<a,b,c | a^2, b^3, c=a*b, c^2>"
+    # A4 x Z4 over <a,b> = A4: 4 cosets, but P' = <a,b | a^2, b^3> is
+    # infinite, so both of its enumerations exceed the cap of 16 * 3!
+    # for the largest order that could serve, and the route is skipped
+    text = "<a,b,c | a^2, b^3, c^4, (a*b)^3*c^4, a*c=c*a, b*c=c*b>"
     calls = traced_tables(monkeypatch)
+    assert cli.main(["check-presentation", text, "--max-cosets", "200"]) == 0
+    assert capsys.readouterr().out == "order 48\n"
+    assert calls == [(3, 2, 200), (2, 1, 96), (2, 0, 96), (3, 0, 200)]
+    # <a,b> = G = S3: one coset, and P' is not enumerated
+    calls.clear()
+    text = "<a,b,c | a^2, b^3, c=a*b, c^2>"
     assert cli.main(["check-presentation", text, "--max-cosets", "50"]) == 0
     assert capsys.readouterr().out == "order 6\n"
-    assert calls == [(2, 1, 50), (2, 0, 50), (3, 0, 50)]
+    assert calls == [(3, 2, 50), (3, 0, 50)]
     # an infinite group exceeds the cap on both routes
     calls.clear()
     assert cli.main(["check-presentation", "<a,b | a^3>", "--max-cosets", "50"]) == 1
@@ -667,8 +708,9 @@ def closure_order(perms, degree):
     lambda d: st.lists(st.permutations(range(d)), min_size=1, max_size=3)))
 def test_schreier_sims_reaches_the_closure_order_and_no_further(perms):
     order = closure_order(perms, len(perms[0]))
-    assert presentations._reaches(perms, order)
-    assert not presentations._reaches(perms, order + 1)
+    for target, reached in ((order, True), (order + 1, False)):
+        node = StabilizerNode(range(len(perms[0])))
+        assert node.reaches(target, ((p, [p]) for p in perms)) is reached
 
 
 # ---------------------------------------------------------------------------
