@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .classify import ClassificationReport, classify, classify_summary_equal
-from .groups import OrderMultiset, dicyclic, group_automorphisms, parse_sequence
+from .groups import FiniteGroup, OrderMultiset, dicyclic, group_automorphisms, parse_sequence
 from .presentations import Presentation, parse_presentation, todd_coxeter, verify_mutual_inverse
 
 # the n that verify_theorem (and so `verify-theorem --n-range`) accepts
@@ -155,17 +155,19 @@ def variant_label(variant: int) -> str:
 
 
 def check_morphism_variant(n: int, variant: int,
-                           classical: Optional[Presentation] = None) -> bool:
+                           classical: Optional[Presentation] = None,
+                           group: Optional[FiniteGroup] = None) -> bool:
     """Enumerate the variant's presentation, check its order is 4n, and
     verify the mutually inverse morphism pair.  ``classical`` is
-    ``classical_presentation(n)``, parsed here when not given."""
+    ``classical_presentation(n)`` and ``group`` is ``dicyclic(n)``, each
+    built here when not given."""
     presentation = pi_presentation(n, variant)
     realized = todd_coxeter(presentation, expected_order=4 * n)
     if realized.order != 4 * n:
         return False
     pair = morphism_pair(n, variant)
     return verify_mutual_inverse(
-        dicyclic(n),
+        group or dicyclic(n),
         presentation,
         pair.phi,
         pair.psi,
@@ -233,7 +235,8 @@ def verify_theorem(n: int) -> TheoremVerification:
     distinct = -1 not in rep_classes and len(set(rep_classes)) == len(rep_classes)
 
     classical = classical_presentation(n)
-    morphisms = {v: check_morphism_variant(n, v, classical) for v in applicable_variants(n)}
+    morphisms = {v: check_morphism_variant(n, v, classical, group)
+                 for v in applicable_variants(n)}
     passed = profile_ok and distinct and all(morphisms.values())
     return TheoremVerification(
         n=n,

@@ -35,21 +35,25 @@ and ``todd_coxeter`` names the cosets of the trivial subgroup along that
 walk and builds a ``FiniteGroup``.
 
 ``group_order``, which check-presentation prints, enumerates over
-H = <s_1, ..., s_{k-1}>, all generators but the last, where a proof
-serves (C. C. Sims, 1970; D. F. Holt, B. Eick and E. A. O'Brien,
-Handbook of Computational Group Theory, 2005, ch. 5).  H is a quotient
-of P', the first k-1 generators with the relators in them alone, so
-|H| <= b = |P'|, taken from the gcd of the exponent sums for one
-generator and from ``group_order(P')`` otherwise.  The table gives
-n = [G:H], and Schreier-Sims on the generators' permutations of the n
-cosets reaching n*b proves |G| = n*b; it is run only when n <= b and
-n^3 is within the cap, and P' is enumerated only under the cap for an
-order (n-1)!, the most that can serve, since the cosets' permutations
-make at most n! elements.  For the Coxeter presentation of S8 that
-makes 7 tables (S_m over S_{m-1} for m = 8, ..., 4, then S3 over <s1>
-and over the trivial subgroup), which define 39 cosets in all against
-55,119 over the trivial subgroup.  The trivial subgroup's table decides
-in every other case; a failed check raises and never falls back.
+H = <s_1, ..., s_{k-1}>, all generators but the last, where a proof of
+|H| serves (D. F. Holt, B. Eick and E. A. O'Brien, Handbook of
+Computational Group Theory, 2005).  H is a quotient of P', the first
+k-1 generators with the relators in them alone, so |H| <= b = |P'|,
+and the table gives n = [G:H].  For two generators H is cyclic and b
+is the gcd of the exponent sums; when n <= b and n^3 is within the
+cap, Reidemeister-Schreier on the table presents H, and |H| = |H^ab|
+is the index of the lattice its relations span.  For more, b is
+``group_order(P')``, and Schreier-Sims on the generators' permutations
+of the n cosets reaching n*b proves |G| = n*b (C. C. Sims, 1970); it
+is run only when n <= b and n^3 is within the cap, and P' is
+enumerated only under the cap for an order (n-1)!, the most that can
+serve, since the cosets' permutations make at most n! elements.  For
+the Coxeter presentation of S8 that makes 7 tables (S_m over S_{m-1}
+for m = 8, ..., 4, then S3 over <s1> and over the trivial subgroup),
+which define 39 cosets in all against 55,119 over the trivial
+subgroup; a dicyclic presentation <a,x | a^2n, x^2=a^n, x^-1*a*x=a^-1>
+makes one table of 2 cosets.  The trivial subgroup's table decides in
+every other case; a failed check raises and never falls back.
 """
 
 from __future__ import annotations
@@ -564,6 +568,85 @@ def _leading(presentation: Presentation) -> Presentation:
     return Presentation(names, kept, "")
 
 
+def _lattice_index(rows: Iterable[Mapping[int, int]], rank: int) -> int:
+    """The index in Z^rank of the lattice the rows span, each row a map
+    from coordinates in range(rank) to nonzero integers; 0 when the
+    lattice has a lower rank.
+
+    Each step pivots on an entry of 1 or -1, the first found, else on
+    one of least absolute value, and subtracts multiples of its row from
+    the other rows that hold its coordinate.  A unit pivot clears that
+    coordinate at once (a Tietze move: it is a combination of the
+    others); a larger one leaves remainders below it, Euclid's algorithm
+    on rows, and pivots again.  Once no other row holds the coordinate,
+    the pivot row goes and the index takes the pivot's absolute value as
+    a factor.
+    """
+    rows = [dict(row) for row in rows if row]
+    index = 1
+    while rows:
+        units = ((row, col) for row in rows for col, x in row.items() if x in (1, -1))
+        pivot, col = next(units, None) or min(((row, col) for row in rows for col in row),
+                                              key=lambda entry: abs(entry[0][entry[1]]))
+        value, cleared = pivot[col], True
+        for row in rows:
+            if row is not pivot and col in row:
+                q = row[col] // value
+                for c, x in pivot.items():
+                    y = row.get(c, 0) - q * x
+                    if y:
+                        row[c] = y
+                    else:
+                        del row[c]
+                cleared = cleared and col not in row
+        if cleared:
+            index *= abs(value)
+            rank -= 1
+            pivot.clear()
+        rows = [row for row in rows if row]
+    return index if rank == 0 else 0
+
+
+def _abelianized_order(closed: CosetTable, relators: Iterable[Word]) -> int:
+    """|H^ab| for H = <s_1>, the subgroup the table is over, by
+    Reidemeister-Schreier; |H| when H is cyclic.
+
+    H is generated by one Schreier generator per edge (c, g) of the
+    table that is no step of its breadth-first walk; a walk step counts
+    as 0, and an inverse letter read at c is minus the generator of the
+    edge into c.  Each relator, traced from every coset, is a relation
+    among them; the g^2 relators that ``coset_table`` neither scans nor
+    traces are relations too, and an involution's two letters read one
+    column.  So H^ab is Z^m over the lattice the traced relators span,
+    and its order is the lattice's index.  Raises RuntimeError unless
+    the loop (0, s_1) generates H^ab, that is unless the index is 1 with
+    its unit row added.
+    """
+    table, last = closed.columns, closed.last
+    count = itertools.count()
+    # edge[g][c]: the coordinate of the edge (c, g), None on a walk step
+    edge = [[None if last[d] == g else next(count) for d in column]
+            for g, column in enumerate(table[::2])]
+    rank = next(count)
+    rows = []
+    for word in relators:
+        for c in range(closed.order):
+            row: dict[int, int] = {}
+            for x in word.letters:
+                if x & 1:
+                    c = table[x][c]
+                    e, sign = edge[x >> 1][c], -1
+                else:
+                    e, sign = edge[x >> 1][c], 1
+                    c = table[x][c]
+                if e is not None:
+                    row[e] = row.get(e, 0) + sign
+            rows.append({e: v for e, v in row.items() if v})
+    if _lattice_index(rows + [{edge[0][0]: 1}], rank) != 1:
+        raise RuntimeError("the loop (0, s_1) does not generate the abelianized subgroup")
+    return _lattice_index(rows, rank)
+
+
 def group_order(
     presentation: Presentation,
     max_cosets: Optional[int] = None,
@@ -571,34 +654,40 @@ def group_order(
 ) -> int:
     """The order of the group G a presentation defines, from a checked
     coset table over H = <s_1, ..., s_{k-1}>, all generators but the
-    last, where a Schreier-Sims proof serves, else over the trivial
-    subgroup.
+    last, where a proof of |H| serves, else over the trivial subgroup.
 
     P' is the first k-1 generators with the relators that use them
     alone, so H is a quotient of P' and |H| <= b = |P'|.  ``coset_table``
     enumerates the n = [G:H] cosets and checks the closed table as it
-    checks any, and that each s_i fixes coset 0.  Schreier-Sims on the
-    generators' permutations of the cosets (``StabilizerNode.reaches``)
-    stops once the product of its basic orbit sizes reaches n*b.  That
-    product never exceeds the order of the permutation group, which is
-    at most both n! and |G| = n*|H| <= n*b, so reaching n*b proves
-    |G| = n*b, and can happen only when b <= (n-1)!.
+    checks any, and that each s_i fixes coset 0.
 
-    For one generator b is the gcd of the relators' exponent sums, and
-    0, an infinite P', skips the route with no enumeration.  For more,
-    b is ``group_order(P')`` under min(max_cosets, 16 (n-1)!), the cap
-    ``coset_table`` gives an expected order of (n-1)!, the largest |P'|
-    that can serve, so an infinite P' wastes little.  Schreier-Sims runs
-    only when 1 < n <= b <= (n-1)! and n^3 <= max_cosets, and P' is
-    enumerated only when these can hold: each Schreier generator of a
-    level is sifted along Schreier paths of up to n steps, each moving n
-    points, for up to n points of the level, so the cap bounds the chain
-    however large b is (one coset would prove only |G| = 1).  In every
-    other case (one generator, a guard that fails, a chain short of n*b,
-    or an enumeration of H or P' past its cap) ``coset_table`` over the
-    trivial subgroup decides.  The cap applies to each enumeration on
-    its own, and at most 2k are run; a failed check raises RuntimeError
-    and never falls back.
+    For two generators H = <s_1> is cyclic, so |H| = |H^ab|, which
+    Reidemeister-Schreier reads off the table (``_abelianized_order``)
+    and checks: |G| = n*|H^ab|.  b is the gcd of the exponent sums of
+    the relators in s_1 alone, and 0, an infinite P', skips the route
+    with no enumeration; the route runs when n <= b and
+    n^3 <= max_cosets.
+
+    For more generators Schreier-Sims on the generators' permutations
+    of the cosets (``StabilizerNode.reaches``) stops once the product of
+    its basic orbit sizes reaches n*b.  That product never exceeds the
+    order of the permutation group, which is at most both n! and
+    |G| = n*|H| <= n*b, so reaching n*b proves |G| = n*b, and can happen
+    only when b <= (n-1)!.  b is ``group_order(P')`` under
+    min(max_cosets, 16 (n-1)!), the cap ``coset_table`` gives an
+    expected order of (n-1)!, the largest |P'| that can serve, so an
+    infinite P' wastes little.  Schreier-Sims runs only when
+    1 < n <= b <= (n-1)! and n^3 <= max_cosets, and P' is enumerated
+    only when these can hold: each Schreier generator of a level is
+    sifted along Schreier paths of up to n steps, each moving n points,
+    for up to n points of the level, so the cap bounds the chain however
+    large b is.
+
+    In every other case (one generator, a guard that fails, a chain
+    short of n*b, or an enumeration of H or P' past its cap)
+    ``coset_table`` over the trivial subgroup decides.  The cap applies
+    to each enumeration on its own, and at most 2k are run; a failed
+    check raises RuntimeError and never falls back.
     """
     cap, k, bound = _cap(max_cosets, expected_order), len(presentation.generator_names), 0
     leading = _leading(presentation)
@@ -609,13 +698,17 @@ def group_order(
             subgroup = [Word((2 * g,)) for g in range(k - 1)]
             closed = coset_table(presentation, max_cosets, expected_order, subgroup)
             n = closed.order
-            # |S_n| / n, the largest b that can serve; 0 where no chain may be built
-            room = math.factorial(n - 1) if 1 < n and n**3 <= cap else 0
-            if k > 2 and n <= room:
-                bound = group_order(leading, min(cap, EXPECTED_ORDER_FACTOR * room))
-            perms = ((column, [column]) for column in closed.columns[::2])
-            if n <= bound <= room and StabilizerNode(range(n)).reaches(n * bound, perms):
-                return n * bound
+            if k == 2:
+                if n <= bound and n**3 <= cap:
+                    return n * _abelianized_order(closed, presentation.relators)
+            else:
+                # |S_n| / n, the largest b that can serve; 0 where no chain may be built
+                room = math.factorial(n - 1) if 1 < n and n**3 <= cap else 0
+                if n <= room:
+                    bound = group_order(leading, min(cap, EXPECTED_ORDER_FACTOR * room))
+                perms = ((column, [column]) for column in closed.columns[::2])
+                if n <= bound <= room and StabilizerNode(range(n)).reaches(n * bound, perms):
+                    return n * bound
     except CosetLimitExceeded:
         pass  # past the cap the route proves nothing
     return coset_table(presentation, max_cosets, expected_order).order

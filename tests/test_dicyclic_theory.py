@@ -153,22 +153,30 @@ def test_representative_classes_match_pairwise_placement():
         assert result.representative_classes == expected, n
 
 
-def test_verify_theorem_builds_aut_once_per_n(monkeypatch):
+def test_verify_theorem_builds_the_group_and_aut_once_per_n(monkeypatch):
     # classify and the placement of the predicted representatives share
-    # one root; a second group_automorphisms would be counted here
-    calls = []
-    group_automorphisms = cc.group_automorphisms
+    # one root, and every morphism variant is checked against the group
+    # verify_theorem built; a second group_automorphisms or dicyclic
+    # would be counted here
+    calls, built = [], []
+    group_automorphisms, dicyclic = cc.group_automorphisms, theory.dicyclic
 
     def counted(group):
         calls.append(group.descriptor)
         return group_automorphisms(group)
 
+    def counted_build(n):
+        built.append(n)
+        return dicyclic(n)
+
     for module in (groups, classify_module, theory):
         monkeypatch.setattr(module, "group_automorphisms", counted)
+    monkeypatch.setattr(theory, "dicyclic", counted_build)
     for n in range(theory.MIN_N, theory.MAX_N + 1):
         calls.clear()
+        built.clear()
         theory.verify_theorem(n)
-        assert calls == [f"dicyclic:{n}"], n
+        assert (calls, built) == ([f"dicyclic:{n}"], [n]), n
 
 
 def test_verify_theorem_parses_each_word_once(monkeypatch):

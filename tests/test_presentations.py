@@ -1,6 +1,8 @@
 import functools
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -475,6 +477,19 @@ def traced_tables(monkeypatch):
     return calls
 
 
+def kept_tables(monkeypatch):
+    """Every table that group_order's coset_table calls return, in order."""
+    tables = []
+    coset_table = presentations.coset_table
+
+    def kept(*args):
+        tables.append(coset_table(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(presentations, "coset_table", kept)
+    return tables
+
+
 @pytest.mark.parametrize("letters, expected", [
     ([0], (1, 1)),
     ([0] * 512, (1, 512)),
@@ -522,14 +537,7 @@ def test_order_over_all_generators_but_the_last(monkeypatch, n, index, defined, 
     closed = presentations.coset_table(P, subgroup=generators_but_the_last(P))
     assert (closed.order, closed.defined) == (index, defined)
     made = traced_tables(monkeypatch)
-    tables = []
-    coset_table = presentations.coset_table
-
-    def kept(*args):
-        tables.append(coset_table(*args))
-        return tables[-1]
-
-    monkeypatch.setattr(presentations, "coset_table", kept)
+    tables = kept_tables(monkeypatch)
     assert presentations.group_order(P) == math.factorial(n)
     assert (made, sum(t.defined for t in tables)) == (calls, total)
 
@@ -601,9 +609,13 @@ def sifted(monkeypatch):
     # chain is not run and the trivial subgroup's table gives 6
     ("<a,b | a^6, b^2, b*a*b^-1=a^2>", 6, []),
     # S4 with a = (1 2 3 4): <a> has index 6 and P' = <a | a^8> bounds
-    # it by 8 <= 5!, but a has order 4: the chain closes at 24, short of
-    # 6*8 = 48
-    ("<a,b | a^8, b^2, (a*b)^3, a^4=b^2>", 24, [(6, 48)]),
+    # it by 8, but two generators take no chain: Reidemeister-Schreier
+    # reads |<a>| = 4 off the table over <a>
+    ("<a,b | a^8, b^2, (a*b)^3, a^4=b^2>", 24, []),
+    # S4 x Z2, b central: <a,b> has index 6 and P' = Z8 x Z2 bounds it
+    # by 16 <= 5!, but <a,b> = Z4 x Z2 and b acts trivially on the
+    # cosets: the chain closes at 24, short of 6*16 = 96
+    ("<a,b,c | a^8, b^2, a*b=b*a, c^2, (a*c)^3, a^4=c^2, b*c=c*b>", 48, [(6, 96)]),
 ])
 def test_order_is_not_the_bound_when_the_chain_falls_short(monkeypatch, capsys, text, order,
                                                            runs):
@@ -644,15 +656,8 @@ def test_no_schreier_sims_when_the_index_cubed_exceeds_the_cap(monkeypatch, caps
     ("<a,b | a*b*a, b*a*b>", None, 3, [(2, 0)]),
     # [G:<a>] = 84 > 2: the guard fails
     ("<a,b | a^2, b^3, (a*b)^7, (a^-1*b^-1*a*b)^4>", None, 168, [(2, 1), (2, 0)]),
-    # <a> is normal of index 2, and 2 > 1!
-    ("<a,x | a^512, x^2=a^256, x^-1*a*x=a^-1>", None, 1024, [(2, 1), (2, 0)]),
-    # abelian: the cosets' permutations make a group of order 4, short
-    # of 4*6
-    ("<a,b | a^6, b^4, a^-1*b^-1*a*b>", None, 24, [(2, 1), (2, 0)]),
-    # b has order 2, not 4: [G:<a>] = 2 and 2 > 1!
-    ("<a,b | a^3, b^4, b^2, (a*b)^2>", None, 6, [(2, 1), (2, 0)]),
-    # <a> = G: one coset over <a>, as over the trivial subgroup, each
-    # table within the cap of 4
+    # a = e: the 2 cosets of <a> exceed b = 1, each table within the
+    # cap of 4
     ("<a,b | (a^-1*b)^2, a, (a*b^-1)^6>", 4, 2, [(2, 1), (2, 0)]),
     # S4/V4 is S3 = <a,b>: one coset, and P' is not enumerated
     ("<a,b,c | a^2, b^2, c^2, (a*b)^3, (b*c)^3, (a*c)^2, (a*b*c)^2>", None, 6,
@@ -665,6 +670,94 @@ def test_group_order_falls_back_to_the_trivial_subgroup(monkeypatch, capsys, tex
     assert cli.main(["check-presentation", text, *args]) == 0
     assert capsys.readouterr().out == f"order {order}\n"
     assert [(k, words) for k, words, _ in made] == calls
+
+
+@pytest.mark.parametrize("text, order, defined", [
+    # <a> is normal of index 2, so it acts trivially on its cosets and
+    # no chain could prove |<a>| = 512; the relators do
+    ("<a,x | a^512, x^2=a^256, x^-1*a*x=a^-1>", 1024, 2),
+    # abelian: the cosets' permutations make a group of order 4
+    ("<a,b | a^6, b^4, a^-1*b^-1*a*b>", 24, 14),
+    # b has order 2, not 4: [G:<a>] = 2
+    ("<a,b | a^3, b^4, b^2, (a*b)^2>", 6, 2),
+    # <a> = G: one coset, and |G| = |G^ab|
+    ("<a,b | a^6, b=a^2>", 6, 1),
+])
+def test_two_generator_order_by_reidemeister_schreier(monkeypatch, capsys, text, order, defined):
+    made = traced_tables(monkeypatch)
+    tables = kept_tables(monkeypatch)
+    assert cli.main(["check-presentation", text]) == 0
+    assert capsys.readouterr().out == f"order {order}\n"
+    assert ([(k, words) for k, words, _ in made], [t.defined for t in tables]) == ([(2, 1)],
+                                                                                 [defined])
+
+
+@pytest.mark.parametrize("text, defined", [
+    (coxeter_sn(8), [8, 7, 6, 5, 4, 3, 6]),  # S8 over S7, ..., S3 over <s1>, S3
+    ("<a,x | a^512, x^2=a^256, x^-1*a*x=a^-1>", [2]),
+    # n = 84 > b = 2: the table over <a> is wasted
+    ("<a,b | a^2, b^3, (a*b)^7, (a^-1*b^-1*a*b)^4>", [130, 268]),
+])
+def test_benchmark_presentations_define_pinned_cosets(monkeypatch, text, defined):
+    # the check-presentation jobs of the theorem-presentations workload:
+    # the cosets each table of group_order defines
+    tables = kept_tables(monkeypatch)
+    presentations.group_order(parse_presentation(text))
+    assert [t.defined for t in tables] == defined
+
+
+@pytest.mark.parametrize("n", range(2, 65))
+def test_classical_presentation_order_takes_one_table(monkeypatch, n):
+    # <a> has index 2 in Dic_n and a^2n bounds it by 2n
+    calls = traced_tables(monkeypatch)
+    assert presentations.group_order(classical_presentation(n)) == 4 * n
+    assert [(k, words) for k, words, _ in calls] == [(2, 1)]
+
+
+def test_reidemeister_schreier_needs_the_square_relators():
+    # D4 over <a>: 2 cosets <= b = 4, so the route serves; without b^2,
+    # which coset_table neither scans nor traces, the relations present
+    # a larger group, which the loop (0, a) no longer generates
+    P = parse_presentation("<a,b | a^4, b^2, (a*b)^2>")
+    closed = presentations.coset_table(P, subgroup=[presentations.Word((0,))])
+    assert presentations._abelianized_order(closed, P.relators) == 4
+    assert presentations.group_order(P) == 8
+    with pytest.raises(RuntimeError, match="does not generate"):
+        presentations._abelianized_order(closed, [r for r in P.relators if r.letters != (2, 2)])
+
+
+def minors_gcd(rows, rank):
+    """The gcd of the rank x rank minors of the rows as a matrix, each
+    by an exact determinant over the rationals: the index in Z^rank of
+    the lattice the rows span, 0 when it has a lower rank."""
+    matrix = [[row.get(c, 0) for c in range(rank)] for row in rows]
+    index = 0
+    for chosen in itertools.combinations(matrix, rank):
+        m = [[Fraction(x) for x in row] for row in chosen]
+        det = Fraction(1)
+        for i in range(rank):
+            pivot = next((r for r in range(i, rank) if m[r][i]), None)
+            if pivot is None:
+                det = Fraction(0)
+                break
+            if pivot != i:
+                m[i], m[pivot] = m[pivot], m[i]
+                det = -det
+            det *= m[i][i]
+            for r in range(i + 1, rank):
+                f = m[r][i] / m[i][i]
+                m[r] = [x - f * y for x, y in zip(m[r], m[i])]
+        index = math.gcd(index, int(det))
+    return index
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.integers(0, 4).flatmap(lambda rank: st.tuples(st.just(rank), st.lists(
+    st.lists(st.integers(-6, 6), min_size=rank, max_size=rank), max_size=6))))
+def test_lattice_index_is_the_gcd_of_the_maximal_minors(case):
+    rank, matrix = case
+    rows = [{c: x for c, x in enumerate(row) if x} for row in matrix]
+    assert presentations._lattice_index(rows, rank) == minors_gcd(rows, rank)
 
 
 def test_subgroup_enumeration_past_the_cap_falls_back_under_the_same_cap(monkeypatch, capsys):
