@@ -32,7 +32,9 @@ Two layers sit on it: ``coset_table`` enumerates and checks the closed
 table (mutually inverse columns, every relator traced, every coset
 reached from coset 0, and each subgroup word, if any, fixing coset 0),
 and ``todd_coxeter`` names the cosets of the trivial subgroup along that
-walk and builds a ``FiniteGroup``.
+walk and builds a ``FiniteGroup``.  ``verify_mutual_inverse`` needs only
+the order: it proves a morphism pair in the concrete group and builds
+no group for the presentation.
 
 ``group_order``, which check-presentation prints, enumerates over
 H = <s_1, ..., s_{k-1}>, all generators but the last, where a proof of
@@ -811,42 +813,35 @@ def verify_mutual_inverse(
     presentation: Presentation,
     phi: Mapping[str, str],
     psi: Mapping[str, str],
-    *,
-    group_presentation: Presentation,
-    realized: Optional[FiniteGroup] = None,
 ) -> bool:
     """Certify that phi: G -> <P> and psi: <P> -> G are mutually inverse.
 
     phi maps G's generator names to words in P's generators; psi maps
-    P's generator names to words in G's generators.  The presentation
-    is realized via todd_coxeter (pass ``realized`` to reuse an
-    enumeration).  Both maps must be relation-preserving: psi against
-    P's relators in G, and phi against ``group_presentation``, G's
-    presentation on its generator names, in the realized group.  On
-    success the two orders are asserted equal.  Each word of phi and psi
-    is parsed once.
+    P's generator names to words in G's generators.  The proof is made
+    in G, with one order from a checked coset table and no group built
+    for P:
+
+    1. psi respects P's relators in G, so it is a morphism <P> -> G;
+    2. psi(phi(g)) = g for each generator g of G, evaluated in G, so
+       psi is onto;
+    3. |<P>| = |G|, the order of ``coset_table(presentation)``, so the
+       onto psi is a bijection;
+    4. its inverse sends each generator g = psi(phi(g)) to phi(g), so
+       phi extends to that inverse morphism: phi respects G's relators
+       and phi(psi(p)) = p in <P>.
+
+    Equal orders are a premise, so unequal ones, like a failed check,
+    give False.  The table is enumerated first, under the cap
+    ``group.order`` sets, so a P past it raises ``CosetLimitExceeded``.
+    Each word of phi and psi is parsed once.
     """
-    ph = realized or todd_coxeter(presentation, expected_order=group.order)
-    psi_words = {name: words.parse_word_ast(psi[name]) for name in presentation.generator_names}
-    psi_assignment = {name: _evaluate_with(group, ast, group.named_elements)
-                      for name, ast in psi_words.items()}
+    order = coset_table(presentation, expected_order=group.order).order
+    psi_assignment = {name: _evaluate_with(group, words.parse_word_ast(psi[name]),
+                                           group.named_elements)
+                      for name in presentation.generator_names}
     if not check_homomorphism(presentation, group, psi_assignment):
         return False
-    phi_words = {name: words.parse_word_ast(phi[name]) for name, _ in group.generators}
-    phi_assignment = {name: _evaluate_with(ph, ast, ph.named_elements)
-                      for name, ast in phi_words.items()}
-    if list(group_presentation.generator_names) != [n for n, _ in group.generators]:
-        raise ValueError("group presentation generators do not match the group's")
-    if not check_homomorphism(group_presentation, ph, phi_assignment):
-        return False
-    # psi(phi(g)) = g for G's generators, evaluated in G
     for name, g in group.generators:
-        if _evaluate_with(group, phi_words[name], psi_assignment) != g:
+        if _evaluate_with(group, words.parse_word_ast(phi[name]), psi_assignment) != g:
             return False
-    # phi(psi(p)) = p for P's generators, evaluated in the realized group
-    for name in presentation.generator_names:
-        if _evaluate_with(ph, psi_words[name], phi_assignment) != ph.named_elements[name]:
-            return False
-    if group.order != ph.order:
-        raise AssertionError("mutually inverse morphisms forced equal orders")
-    return True
+    return order == group.order

@@ -1,10 +1,12 @@
 import importlib
+import itertools
 
 import pytest
 
 import cayleyclass as cc
-from cayleyclass import dicyclic_theory as theory, groups, words
+from cayleyclass import cli, dicyclic_theory as theory, groups, presentations, words
 from cayleyclass.groups import OrderMultiset
+from morphism_oracle import oracle_mutual_inverse
 from pairwise_oracle import pairwise_representative_classes
 
 # the package re-exports the function classify under the module's name
@@ -182,8 +184,7 @@ def test_verify_theorem_builds_the_group_and_aut_once_per_n(monkeypatch):
 def test_verify_theorem_parses_each_word_once(monkeypatch):
     # every parse lexes its text once, through words._lex (words.tokenize
     # too); the lexings of verify_theorem(n) are those of its parts, each
-    # word of a morphism pair counted once and the classical presentation
-    # parsed once for all variants
+    # word of a morphism pair counted once
     lexed = []
     lex = words._lex
 
@@ -199,20 +200,70 @@ def test_verify_theorem_parses_each_word_once(monkeypatch):
         return len(lexed)
 
     n = 5
-    group, classical = cc.dicyclic(n), theory.classical_presentation(n)
-    expected = lexings(lambda: theory.classical_presentation(n))
-    expected += lexings(lambda: [cc.parse_sequence(group, text)
-                                 for text in theory.predicted_classification(n).representatives])
+    group = cc.dicyclic(n)
+    expected = lexings(lambda: [cc.parse_sequence(group, text)
+                                for text in theory.predicted_classification(n).representatives])
     for variant in theory.applicable_variants(n):
         presentation = theory.pi_presentation(n, variant)
-        realized = cc.todd_coxeter(presentation, expected_order=4 * n)
         pair = theory.morphism_pair(n, variant)
         assert lexings(lambda: cc.verify_mutual_inverse(
-            group, presentation, pair.phi, pair.psi, group_presentation=classical,
-            realized=realized)) == len(pair.phi) + len(pair.psi)
+            group, presentation, pair.phi, pair.psi)) == len(pair.phi) + len(pair.psi)
         expected += lexings(lambda: theory.pi_presentation(n, variant))
         expected += len(pair.phi) + len(pair.psi)
-    assert lexings(lambda: theory.verify_theorem(n)) == expected == 37
+    assert lexings(lambda: theory.verify_theorem(n)) == expected == 32
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_morphism_checks_enumerate_one_table_per_variant_and_realize_none(monkeypatch, capsys, n):
+    # verify_theorem and check-morphisms prove each pair in G from one
+    # coset table of the variant's presentation; no group is built for it
+    tables = []
+    coset_table = presentations.coset_table
+
+    def counting(presentation, *args, **kwargs):
+        tables.append(presentation.text())
+        return coset_table(presentation, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a group was realized from a presentation")
+
+    monkeypatch.setattr(presentations, "coset_table", counting)
+    monkeypatch.setattr(presentations, "todd_coxeter", refuse)
+    monkeypatch.setattr(presentations, "FiniteGroup", refuse)
+    variants = theory.applicable_variants(n)
+    texts = [theory.pi_presentation(n, v).text() for v in variants]
+    assert theory.verify_theorem(n).morphisms_checked == dict.fromkeys(variants, True)
+    assert tables == texts
+    for variant, text in zip(variants, texts):
+        tables.clear()
+        label = theory.variant_label(variant)
+        assert cli.main(["check-morphisms", "--n", str(n), "--variant", label]) == 0
+        assert capsys.readouterr().out == f"n={n} variant={label}: PASS\n"
+        assert tables == [text]
+
+
+@pytest.mark.parametrize("n,variant", [(n, v) for n in range(2, 7)
+                                       for v in theory.applicable_variants(n)])
+def test_verify_mutual_inverse_agrees_with_the_oracle(n, variant):
+    # the variant's pair, its phi with every psi into G x G, and its psi
+    # with every phi into pairs of the realized group's element names
+    group, presentation = cc.dicyclic(n), theory.pi_presentation(n, variant)
+    classical = theory.classical_presentation(n)
+    realized = cc.todd_coxeter(presentation, expected_order=4 * n)
+    pair = theory.morphism_pair(n, variant)
+    p_names, g_names = presentation.generator_names, [name for name, _ in group.generators]
+    cases = [(pair.phi, pair.psi)]
+    cases += [(pair.phi, dict(zip(p_names, images)))
+              for images in itertools.product(group.names, repeat=len(p_names))]
+    cases += [(dict(zip(g_names, images)), pair.psi)
+              for images in itertools.product(realized.names, repeat=len(g_names))]
+    verdicts = set()
+    for phi, psi in cases:
+        verdict = cc.verify_mutual_inverse(group, presentation, phi, psi)
+        assert verdict == oracle_mutual_inverse(group, presentation, phi, psi, classical,
+                                                realized), (phi, psi)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_verify_theorem_guards():

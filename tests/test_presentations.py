@@ -825,42 +825,32 @@ def test_check_homomorphism_examples():
 
 
 def test_verify_mutual_inverse_examples():
-    from cayleyclass.dicyclic_theory import classical_presentation, morphism_pair
+    from cayleyclass.dicyclic_theory import morphism_pair
 
     G = cc.dicyclic(3)
     for variant in (1, 0, 3):
         pair = morphism_pair(3, variant)
-        assert cc.verify_mutual_inverse(
-            G,
-            cc.pi_presentation(3, variant),
-            pair.phi,
-            pair.psi,
-            group_presentation=classical_presentation(3),
-        )
+        assert cc.verify_mutual_inverse(G, cc.pi_presentation(3, variant), pair.phi, pair.psi)
 
 
-def test_verify_mutual_inverse_needs_the_group_presentation():
-    # phi is always checked against G's relators, so G's presentation is
-    # a required keyword
-    from cayleyclass.dicyclic_theory import morphism_pair
-
-    pair = morphism_pair(3, 1)
-    with pytest.raises(TypeError, match="group_presentation"):
-        cc.verify_mutual_inverse(cc.dicyclic(3), cc.pi_presentation(3, 1), pair.phi, pair.psi)
+def test_verify_mutual_inverse_needs_equal_orders():
+    # psi is an onto morphism and psi(phi(g)) = g for both generators of
+    # G, yet b^6 makes <P> of order 24, twice |G|: only the order decides
+    G = cc.dicyclic(3)
+    P = parse_presentation("<b,y | b^6, y^4, y^-1*b*y=b^-1>")
+    phi, psi = {"a": "b^2*y^2", "x": "y"}, {"b": "a^2", "y": "x"}
+    assert presentations.coset_table(P, expected_order=G.order).order == 24
+    images = {name: cc.parse_element(G, word) for name, word in psi.items()}
+    assert cc.check_homomorphism(P, G, images)
+    assert all(presentations._evaluate_with(G, words.parse_word_ast(phi[name]), images) == g
+               for name, g in G.generators)
+    assert not cc.verify_mutual_inverse(G, P, phi, psi)
 
 
 def test_verify_mutual_inverse_rejects_wrong_maps():
-    from cayleyclass.dicyclic_theory import classical_presentation
-
     G = cc.dicyclic(3)
     P = cc.pi_presentation(3, 1)
     # psi(u)=a is not even a homomorphism (u^4 relator fails)
-    assert not cc.verify_mutual_inverse(
-        G, P, {"a": "u^3*v", "x": "v"}, {"u": "a", "v": "x"},
-        group_presentation=classical_presentation(3),
-    )
+    assert not cc.verify_mutual_inverse(G, P, {"a": "u^3*v", "x": "v"}, {"u": "a", "v": "x"})
     # valid homomorphisms that are not mutually inverse: psi maps onto <x> only
-    assert not cc.verify_mutual_inverse(
-        G, P, {"a": "u^3*v", "x": "v"}, {"u": "x", "v": "x"},
-        group_presentation=classical_presentation(3),
-    )
+    assert not cc.verify_mutual_inverse(G, P, {"a": "u^3*v", "x": "v"}, {"u": "x", "v": "x"})
