@@ -4,16 +4,11 @@ homomorphism / mutual-inverse verification.
 The enumeration is the HLT (relator-tracing) strategy with immediate
 coincidence processing via union-find on cosets; scan order is
 deterministic (cosets ascending, relators in declaration order), so a
-given presentation always yields the same table.  An involution (a
-generator with a g^2 or g^-2 relator) has one column for g and g^-1.
-A relator is not scanned at a coset one step away from a smaller live
-coset when that step is a letter by which a one-letter rotation of the
-relator or its inverse is again the relator or its inverse (both
-letters of (s*t)^m over involutions, a and a^-1 in a^m): the smaller
-coset was scanned completely, so the relator already holds on a defined
-path and the scan would change nothing.  For the Coxeter presentation
-of S8 that leaves 193,968 of 846,720 scans, with the same cosets
-defined (55,119).  ``max_cosets`` counts every coset defined, including
+given presentation always yields the same table.  Each live coset is
+scanned against every relator, as in the reference loop of Holt, Eick
+and O'Brien (Handbook of Computational Group Theory, 2005, ch. 5).  An
+involution (a generator with a g^2 or g^-2 relator) has one column for
+g and g^-1.  ``max_cosets`` counts every coset defined, including
 merged ones.
 
 The table is held column by column, one list per column, and each
@@ -23,11 +18,11 @@ with no letter-to-column or inverse lookup.  A live coset's relators
 are scanned in one call, and its undefined entries are then looked for
 only in the columns that no relator starts with and that invert no
 relator's last letter: a completed scan at a coset that stays alive
-defines those two entries, and a skipped relator holds on a defined
-path, so the other columns are defined already (S8, a^512 and
-PSL(2,7) look in none).  The closed table keeps each column's live
-entries, renumbered, one column at a time, and a relator is traced
-one run of a letter at a time, each power by repeated squaring.
+defines those two entries, so the other columns are defined already
+(S8, a^512 and PSL(2,7) look in none).  The closed table keeps each
+column's live entries, renumbered, one column at a time, and a relator
+is traced one run of a letter at a time, each power by repeated
+squaring.
 Two layers sit on it: ``coset_table`` enumerates and checks the closed
 table (mutually inverse columns, every relator traced, every coset
 reached from coset 0, and each subgroup word, if any, fixing coset 0),
@@ -273,34 +268,6 @@ def _involution(letters: Sequence[int]) -> Optional[int]:
     return None
 
 
-def _symmetry_columns(cols: Sequence[int], inv: Sequence[int]) -> set[int]:
-    """Columns x such that the relator w (as columns) holds at a coset
-    whenever it holds at the coset one x-step away.
-
-    w = c_0..c_{L-1} holds at a coset iff its rotation c_1..c_{L-1}c_0
-    holds one c_0-step on, and iff c_{L-1}c_0..c_{L-2} holds one
-    inverse-c_{L-1}-step on; w holds wherever w^-1 does.  So c_0
-    qualifies when that rotation is w or w^-1, and so does the inverse
-    of c_{L-1} for the other rotation: both letters of (s*t)^m over
-    involution columns, a and a^-1 in a^m.
-    """
-    n = len(cols)
-    if cols.count(cols[0]) == n:  # every rotation of w is w
-        return {cols[0], inv[cols[0]]}
-    # otherwise a rotation can only be w^-1, which starts with inv(c_{L-1})
-    head = inv[cols[-1]]
-    if head != cols[1] and head != cols[-1]:
-        return set()
-    cols = list(cols)
-    inverse = [inv[c] for c in reversed(cols)]
-    found = set()
-    if cols[1:] + cols[:1] == inverse:
-        found.add(cols[0])
-    if cols[-1:] + cols[:-1] == inverse:
-        found.add(head)
-    return found
-
-
 def _power(cursor: list[int], m: int, power: Optional[list[int]] = None) -> list[int]:
     """The map power (the identity when None) followed by cursor m >= 1
     times, by squaring."""
@@ -348,26 +315,18 @@ def _enumerate(
     the union-find parents of every coset defined.
 
     Each subgroup word in ``subgroup_cols`` (as columns; none for the
-    trivial subgroup) is scanned once at coset 0 first.  Then the
-    relators in ``scan_cols`` (as columns) are scanned at each live
-    coset in ascending order, in their order, except those that the
-    coset's steps down to smaller cosets cover; the coset's undefined
+    trivial subgroup) is scanned once at coset 0 first.  Then every
+    relator in ``scan_cols`` (as columns) is scanned at each live coset
+    in ascending order, in their order, and the coset's undefined
     entries are defined after its scans.  Only the columns that no
     relator starts with and that invert no relator's last letter can
-    still be undefined there: every relator, scanned or covered, holds
-    at a coset that outlived its scans on a defined path, and that path
+    still be undefined there: a completed scan at a coset that outlived
+    its scans leaves the relator on a defined path, and that path
     defines the coset's entries for its first letter and for the inverse
     of its last.
     """
-    # covers[col]: the relators (indices into scan_cols) that hold at a
-    # coset as soon as they hold at the coset one col-step away
-    covers: dict[int, set[int]] = {}
-    for r, cols in enumerate(scan_cols):
-        for col in _symmetry_columns(cols, inv):
-            covers.setdefault(col, set()).add(r)
     enum = _Enumeration(inv, max_cosets)
     columns, p = enum.columns, enum.p
-    scan, define = enum.scan_coset, enum.define
     # each relator as the lists of its letters' columns and of their
     # inverses', and its last position, so that a scan step needs no
     # letter-to-column or inverse lookup
@@ -376,35 +335,15 @@ def _enumerate(
 
     relators = [scanned(cols) for cols in scan_cols]
     if subgroup_cols:
-        scan(0, [scanned(cols) for cols in subgroup_cols])
+        enum.scan_coset(0, [scanned(cols) for cols in subgroup_cols])
     ends = {cols[0] for cols in scan_cols} | {inv[cols[-1]] for cols in scan_cols}
     fill = [pair for col, pair in enumerate(enum.pairs) if col not in ends]
-    covering = [(columns[col], 1 << k, rs) for k, (col, rs) in enumerate(covers.items())]
-    # a coset's key has the bit of each covering column that steps down
-    # to a smaller coset; keys below 256 are cached ints, so the loop
-    # allocates nothing per coset
-    pending: dict[int, list] = {}  # key -> relators to scan
     alpha = 0
     while alpha < len(p):
-        if p[alpha] == alpha:
-            # a relator covered by a step to a smaller coset (live, as every
-            # entry of a live row is), which was scanned completely, holds
-            # at alpha on a defined path: skip it
-            key = 0
-            for column, bit, _ in covering:
-                delta = column[alpha]
-                if delta is not None and delta < alpha:
-                    key |= bit
-            todo = pending.get(key)
-            if todo is None:
-                skip = set().union(*(rs for _, bit, rs in covering if key & bit))
-                todo = pending[key] = [
-                    relator for r, relator in enumerate(relators) if r not in skip
-                ]
-            if scan(alpha, todo):
-                for column, back in fill:
-                    if column[alpha] is None:
-                        define(alpha, column, back)
+        if p[alpha] == alpha and enum.scan_coset(alpha, relators):
+            for column, back in fill:
+                if column[alpha] is None:
+                    enum.define(alpha, column, back)
         alpha += 1
     return columns, p
 
@@ -463,28 +402,24 @@ def coset_table(
     cosets and makes them a group, and ``group_order`` reads an index
     off the table over all generators but the last.
 
-    Each subgroup word is scanned once at coset 0, in order, before the
-    relators are scanned at each coset; the cover skip, the fill and the
+    Each subgroup word is scanned once at coset 0, in order, before
+    every relator is scanned at each live coset; the fill and the
     renumbering hold for any coset table.
 
     A generator with a relator that cyclically reduces to g^2 or g^-2
     gets one column for g and g^-1, and that relator is neither scanned
-    nor traced.  Scans that a relator's own symmetry already closes are
-    skipped (see the module docstring); they would define and deduce
-    nothing, so the table and the point where max_cosets trips are those
-    of scanning every relator at every coset.  Live cosets are numbered
-    in the order they were defined, so the numbers depend on the table's
-    columns: an involution's shared column numbers the cosets
-    differently from a two-column enumeration.  The closed columns are
-    checked to be defined at every live coset and mutually inverse,
-    which for an involution's shared column is g^2 = e, every other
-    relator is traced, as a power of its shortest root, one run of a
-    letter at a time, a breadth-first walk from coset 0 must reach every
-    coset, and each subgroup word must lead from coset 0 back to it; a
-    failed check raises RuntimeError.  Raises
-    CosetLimitExceeded once max_cosets cosets have been defined, live
-    or not (default 16x the expected order when given, else 65536) --
-    a retryable signal, not a failure.
+    nor traced.  Live cosets are numbered in the order they were
+    defined, so the numbers depend on the table's columns: an
+    involution's shared column numbers the cosets differently from a
+    two-column enumeration.  The closed columns are checked to be
+    defined at every live coset and mutually inverse, which for an
+    involution's shared column is g^2 = e, every other relator is
+    traced, as a power of its shortest root, one run of a letter at a
+    time, a breadth-first walk from coset 0 must reach every coset, and
+    each subgroup word must lead from coset 0 back to it; a failed check
+    raises RuntimeError.  Raises CosetLimitExceeded once max_cosets
+    cosets have been defined, live or not (default 16x the expected
+    order when given, else 65536) -- a retryable signal, not a failure.
     """
     max_cosets = _cap(max_cosets, expected_order)
     ngens = len(presentation.generator_names)
@@ -831,10 +766,15 @@ def verify_mutual_inverse(
        and phi(psi(p)) = p in <P>.
 
     Equal orders are a premise, so unequal ones, like a failed check,
-    give False.  The table is enumerated first, under the cap
+    give False.  A generator of G missing from phi, or of P from psi,
+    raises ValueError.  The table is enumerated next, under the cap
     ``group.order`` sets, so a P past it raises ``CosetLimitExceeded``.
     Each word of phi and psi is parsed once.
     """
+    for label, images, names in (("phi", phi, dict(group.generators)),
+                                 ("psi", psi, presentation.generator_names)):
+        if missing := [name for name in names if name not in images]:
+            raise ValueError(f"{label} missing generators: {missing}")
     order = coset_table(presentation, expected_order=group.order).order
     psi_assignment = {name: _evaluate_with(group, words.parse_word_ast(psi[name]),
                                            group.named_elements)

@@ -29,6 +29,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 IDENTITY_NAME = "e"
 SYLLABLE_SEPARATOR = "*"
+# the most letters a presentation word may expand to
+MAX_WORD_LETTERS = 1 << 20
 
 NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 INT = re.compile(r"\d+")
@@ -94,7 +96,8 @@ def _lex_error(text: str, pos: int, offset: int) -> ParseError:
 
 
 # AST nodes: ("name", text, pos) | ("cycles", text, pos) | ("word", factors)
-# where factors is a list of (node, exponent, pos).
+# where factors is a list of (node, exponent, pos), pos being where the
+# exponent's integer starts, or the atom's position when it has none.
 
 
 def parse_word_ast(text: str, offset: int = 0):
@@ -147,6 +150,7 @@ def _parse_factor(tokens: list[tuple[str, str, int]], k: int):
             where = tokens[k][2] if k < len(tokens) else tokens[-1][2] + 1
             raise ParseError("expected integer exponent", where)
         exponent = sign * int(tokens[k][1])
+        pos = tokens[k][2]
         k += 1
     return (atom, exponent, pos), k
 
@@ -200,6 +204,9 @@ def ast_to_letters(ast, generator_index: Mapping[str, int]) -> list[int]:
 
     Cycle tokens are rejected: presentation words are over declared
     generator names only.  The reserved name ``e`` is the empty word.
+    A word that would expand past ``MAX_WORD_LETTERS`` letters is
+    refused at the exponent that takes it there, before its letters are
+    built, nested powers included.
     """
     kind = ast[0]
     if kind != "word":
@@ -210,6 +217,8 @@ def ast_to_letters(ast, generator_index: Mapping[str, int]) -> list[int]:
         if exponent < 0:
             base = invert_letters(base)
             exponent = -exponent
+        if len(letters) + len(base) * exponent > MAX_WORD_LETTERS:
+            raise ParseError(f"word expands past {MAX_WORD_LETTERS} letters", pos)
         letters.extend(base * exponent)
     return letters
 

@@ -5,8 +5,8 @@ no scan at any live coset.
 column for itself and one for its inverse (column 2i and 2i+1).  With
 ``share_involutions`` it is the one-column loop: a generator with a
 relator that cyclically reduces to g^2 or g^-2 has one column for g and
-g^-1, and that relator is not scanned, so it defines the same cosets as
-``todd_coxeter``, which skips only scans that cannot change the table.
+g^-1, and that relator is not scanned, so it scans at the same cosets,
+and defines the same cosets, as ``todd_coxeter``.
 The closed table is a dict-renumbered list of rows.  Elements are named
 by breadth-first words over the generator columns, spelled with
 ``words.word_text``.  It shares no code with ``todd_coxeter``

@@ -430,6 +430,9 @@ MALFORMED = [
      "empty sequence entry (at position 2)"),
     (("check-presentation", "<1u | u>"), "invalid generator name '1u' (at position 1)"),
     (("check-presentation", "<u,u | u>"), "duplicate generator name 'u' (at position 3)"),
+    # refused before its letters are built
+    (("check-presentation", "<a|a^99999999999>"),
+     "word expands past 1048576 letters (at position 5)"),
 ]
 
 

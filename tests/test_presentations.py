@@ -194,8 +194,8 @@ def test_enumeration_matches_two_column_oracle(presentation):
 
 
 def assert_matches_one_column_oracle(presentation, max_cosets=65536):
-    # skipped scans define nothing, so the cosets, their numbers, the
-    # names and the coset cap are those of the loop that skips no scan
+    # the enumeration scans as the one-column loop does, so the cosets,
+    # their numbers, the names and the coset cap are the loop's
     try:
         names, action = oracle_enumerate(presentation, max_cosets, share_involutions=True)
     except CosetLimitExceeded:
@@ -269,24 +269,23 @@ def counted_oracle_scans(monkeypatch):
     return scans
 
 
-def test_symmetric_relators_skip_most_scans(monkeypatch):
+@pytest.mark.parametrize("presentation", oracle_cases(), ids=lambda p: p.descriptor)
+def test_enumeration_scans_where_the_one_column_oracle_scans(monkeypatch, presentation):
     scans = counted_scans(monkeypatch)
     oracle_scans = counted_oracle_scans(monkeypatch)
-    P = parse_presentation(coxeter_sn(7))
-    assert todd_coxeter(P).order == 5040
-    oracle_enumerate(P, share_involutions=True)
-    # 17,088 of the one-column loop's 75,600 scans are left
-    assert 4 * len(scans) < len(oracle_scans)
+    todd_coxeter(presentation)
+    oracle_enumerate(presentation, share_involutions=True)
+    assert scans == oracle_scans
 
 
 @pytest.mark.parametrize("text, defined, scanned", [
-    (coxeter_sn(6), 825, 1589),
-    (coxeter_sn(7), 6411, 17088),
-    (coxeter_sn(8), 55119, 193968),
-    ("<a,x | a^512, x^2=a^256, x^-1*a*x=a^-1>", 1024, 2051),
+    (coxeter_sn(6), 825, 7200),
+    (coxeter_sn(7), 6411, 75600),
+    (coxeter_sn(8), 55119, 846720),
+    ("<a,x | a^512, x^2=a^256, x^-1*a*x=a^-1>", 1024, 3072),
     # b's column is filled after the scans: one coset each
-    ("<a,b | a^6, b^2, a*b*a>", 7, 4),
-    ("<a,b | a^4, b^2, a*b*a>", 5, 5),
+    ("<a,b | a^6, b^2, a*b*a>", 7, 6),
+    ("<a,b | a^4, b^2, a*b*a>", 5, 8),
 ])
 def test_enumeration_counts(monkeypatch, text, defined, scanned):
     # the cosets defined, and the relators scanned, each counted as
@@ -294,40 +293,6 @@ def test_enumeration_counts(monkeypatch, text, defined, scanned):
     scans = counted_scans(monkeypatch)
     assert presentations.coset_table(parse_presentation(text)).defined == defined
     assert len(scans) == scanned
-
-
-@pytest.mark.parametrize(
-    "cols, inv, expected",
-    [
-        ([0, 1] * 3, [0, 1], {0, 1}),  # (s*t)^3 over involution columns
-        ([0] * 512, [1, 0], {0, 1}),  # a^512: a and a^-1
-        ([0, 2, 0, 1] * 4, [0, 2, 1], {0}),  # (a^-1*b^-1*a*b)^4 with a^2
-        ([1, 3, 0, 2] * 4, [1, 0, 3, 2], set()),  # the same, a no involution
-        ([3, 0, 2, 0], [1, 0, 3, 2], set()),  # x^-1*a*x*a
-        ([0, 2] * 3, [1, 0, 3, 2], set()),  # (a*b)^3
-    ],
-)
-def test_symmetry_columns(cols, inv, expected):
-    assert presentations._symmetry_columns(cols, inv) == expected
-
-
-def test_symmetry_columns_match_rotations():
-    rng = random.Random(7)
-    found = 0
-    for _ in range(2000):
-        # columns 0 and 1 are an involution's and a generator's own, 2 its inverse
-        inv = [0, 2, 1]
-        root = [rng.randrange(3) for _ in range(rng.randint(1, 3))]
-        cols = root * rng.randint(1, 4)
-        inverse = [inv[c] for c in reversed(cols)]
-        expected = set()
-        if cols[1:] + cols[:1] in (cols, inverse):
-            expected.add(cols[0])
-        if cols[-1:] + cols[:-1] in (cols, inverse):
-            expected.add(inv[cols[-1]])
-        assert presentations._symmetry_columns(cols, inv) == expected, cols
-        found += bool(expected)
-    assert found > 200
 
 
 def test_relator_trace_matches_letter_by_letter():
@@ -854,3 +819,8 @@ def test_verify_mutual_inverse_rejects_wrong_maps():
     assert not cc.verify_mutual_inverse(G, P, {"a": "u^3*v", "x": "v"}, {"u": "a", "v": "x"})
     # valid homomorphisms that are not mutually inverse: psi maps onto <x> only
     assert not cc.verify_mutual_inverse(G, P, {"a": "u^3*v", "x": "v"}, {"u": "x", "v": "x"})
+    # a map that misses a generator is refused by name
+    with pytest.raises(ValueError, match=r"phi missing generators: \['x'\]"):
+        cc.verify_mutual_inverse(G, P, {"a": "v*u"}, {"u": "a^3*x", "v": "x"})
+    with pytest.raises(ValueError, match=r"psi missing generators: \['u'\]"):
+        cc.verify_mutual_inverse(G, P, {"a": "u^3*v", "x": "v"}, {"v": "x"})

@@ -94,6 +94,22 @@ def _letters(text, gens):
     return words.ast_to_letters(words.parse_word_ast(text), index)
 
 
+def test_word_past_the_letter_bound_is_refused_at_its_exponent(monkeypatch):
+    # the check comes before the letters are built, so a power of
+    # 1025 * 1024 letters allocates only its base
+    with pytest.raises(ParseError, match="past 1048576 letters") as err:
+        _letters("(u^1024)^1025", "u")
+    assert err.value.position == 9
+    monkeypatch.setattr(words, "MAX_WORD_LETTERS", 8)
+    assert len(_letters("u^8", "u")) == 8
+    assert len(_letters("(u*v^-1)^4", "uv")) == 8
+    for text, position in [("u^9", 2), ("u^-9", 3), ("(u^2)^5", 6), ("u^4*v^-5", 7),
+                           ("(u^3*v)^3*u", 8), ("((u*v)^2)^3", 10)]:
+        with pytest.raises(ParseError) as err:
+            _letters(text, "uv")
+        assert err.value.position == position, text
+
+
 def test_letters_expansion():
     assert _letters("u^2*v", "uv") == [0, 0, 2]
     assert _letters("u^-2", "uv") == [1, 1]
