@@ -158,8 +158,9 @@ def cmd_check_presentation(args) -> int:
 
 
 def cmd_check_morphisms(args) -> int:
-    # the enumeration scans a relator of length about n at each of 4n
-    # cosets, so the group-order guard bounds n before anything is built
+    # dicyclic(n) names its 4n elements when built and walks a spanning
+    # tree of 8n products for its inverses, so the group-order guard
+    # bounds n before anything is built
     max_order = _max_order()
     if 4 * args.n > max_order:
         raise ValueError(f"group order {4 * args.n} of dicyclic:{args.n} exceeds the order "
@@ -213,7 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify-theorem", help="verify the dicyclic classification")
-    p.add_argument("--n-range", required=True, help="range of n, e.g. 2..8")
+    p.add_argument("--n-range", required=True,
+                   help=f"range of n within {MIN_N}..{MAX_N}, e.g. 2..8; every n passes "
+                   "but n=2, whose two predicted classes are one")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out", help="write results to this file")
     p.add_argument("--jobs", type=int, default=1, help="accepted, must be >= 1; has no effect")

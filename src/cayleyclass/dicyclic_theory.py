@@ -19,9 +19,11 @@ from .classify import ClassificationReport, classify, classify_summary_equal
 from .groups import FiniteGroup, OrderMultiset, dicyclic, group_automorphisms, parse_sequence
 from .presentations import Presentation, parse_presentation, verify_mutual_inverse
 
-# the n that verify_theorem (and so `verify-theorem --n-range`) accepts
+# the n that verify_theorem (and so `verify-theorem --n-range`) accepts:
+# up to 128 the group order 4n stays within classify.DEFAULT_MAX_ORDER and
+# C(4n, 2) within classify.MAX_SETS
 MIN_N = 2
-MAX_N = 12
+MAX_N = 128
 
 
 def _require_n(n: int) -> None:
@@ -158,7 +160,8 @@ def check_morphism_variant(n: int, variant: int, group: Optional[FiniteGroup] = 
     """Verify that the variant's morphism pair is mutually inverse
     between ``group``, ``dicyclic(n)`` (built here when not given), and
     the variant's presentation, whose order, 4n when it passes, comes
-    from one checked coset table (``verify_mutual_inverse``)."""
+    from one checked coset table over <phi(a)>, of index 2, and
+    Reidemeister-Schreier on it (``verify_mutual_inverse``)."""
     pair = morphism_pair(n, variant)
     return verify_mutual_inverse(group or dicyclic(n), pi_presentation(n, variant),
                                  pair.phi, pair.psi)

@@ -29,7 +29,9 @@ reached from coset 0, and each subgroup word, if any, fixing coset 0),
 and ``todd_coxeter`` names the cosets of the trivial subgroup along that
 walk and builds a ``FiniteGroup``.  ``verify_mutual_inverse`` needs only
 the order: it proves a morphism pair in the concrete group and builds
-no group for the presentation.
+no group for the presentation, and reads the order off one table over
+<phi(g)>, g the group's first generator, as ``group_order`` does over
+<s_1> below.
 
 ``group_order``, which check-presentation prints, enumerates over
 H = <s_1, ..., s_{k-1}>, all generators but the last, where a proof of
@@ -106,7 +108,9 @@ def parse_presentation(text: str) -> Presentation:
 
     A relation is a word, or ``w1=w2`` which is stored as the relator
     w1*w2^-1.  Relators are normalized: exponents expanded, freely and
-    cyclically reduced.
+    cyclically reduced.  A relator that would expand past
+    ``words.MAX_WORD_LETTERS`` letters, either side alone or both
+    joined, is refused with a ParseError.
     """
     stripped = text.strip()
     if not stripped.startswith("<") or not stripped.endswith(">"):
@@ -148,6 +152,10 @@ def parse_presentation(text: str) -> Presentation:
         if len(sides) == 2:
             right_text, right_off = sides[1]
             rhs = words.ast_to_letters(words.parse_word_ast(right_text, right_off), gen_index)
+            # the relator w1*w2^-1, not each side, is bounded
+            if len(letters) + len(rhs) > words.MAX_WORD_LETTERS:
+                raise ParseError(f"relator expands past {words.MAX_WORD_LETTERS} letters",
+                                 offset + len(part) - len(part.lstrip()))
             letters = letters + words.invert_letters(rhs)
         relators.append(Word(tuple(words.cyclically_reduce(letters))))
     return Presentation(tuple(names), tuple(relators), text.strip())
@@ -544,9 +552,9 @@ def _lattice_index(rows: Iterable[Mapping[int, int]], rank: int) -> int:
     return index if rank == 0 else 0
 
 
-def _abelianized_order(closed: CosetTable, relators: Iterable[Word]) -> int:
-    """|H^ab| for H = <s_1>, the subgroup the table is over, by
-    Reidemeister-Schreier; |H| when H is cyclic.
+def _abelianized_order(closed: CosetTable, relators: Iterable[Word], word: Word) -> int:
+    """|H^ab| for H = <word>, the subgroup the table is over, by
+    Reidemeister-Schreier; |H|, since H is cyclic.
 
     H is generated by one Schreier generator per edge (c, g) of the
     table that is no step of its breadth-first walk; a walk step counts
@@ -556,8 +564,8 @@ def _abelianized_order(closed: CosetTable, relators: Iterable[Word]) -> int:
     traces are relations too, and an involution's two letters read one
     column.  So H^ab is Z^m over the lattice the traced relators span,
     and its order is the lattice's index.  Raises RuntimeError unless
-    the loop (0, s_1) generates H^ab, that is unless the index is 1 with
-    its unit row added.
+    the loop of ``word`` at coset 0 ends there and generates H^ab, that
+    is unless the index is 1 with the loop's row added.
     """
     table, last = closed.columns, closed.last
     count = itertools.count()
@@ -565,22 +573,28 @@ def _abelianized_order(closed: CosetTable, relators: Iterable[Word]) -> int:
     edge = [[None if last[d] == g else next(count) for d in column]
             for g, column in enumerate(table[::2])]
     rank = next(count)
-    rows = []
-    for word in relators:
-        for c in range(closed.order):
-            row: dict[int, int] = {}
-            for x in word.letters:
-                if x & 1:
-                    c = table[x][c]
-                    e, sign = edge[x >> 1][c], -1
-                else:
-                    e, sign = edge[x >> 1][c], 1
-                    c = table[x][c]
-                if e is not None:
-                    row[e] = row.get(e, 0) + sign
-            rows.append({e: v for e, v in row.items() if v})
-    if _lattice_index(rows + [{edge[0][0]: 1}], rank) != 1:
-        raise RuntimeError("the loop (0, s_1) does not generate the abelianized subgroup")
+
+    def trace(c: int, letters: Sequence[int]) -> tuple[dict[int, int], int]:
+        # the Schreier generators read along the path of letters from c,
+        # and the coset it ends at
+        row: dict[int, int] = {}
+        for x in letters:
+            if x & 1:
+                c = table[x][c]
+                e, sign = edge[x >> 1][c], -1
+            else:
+                e, sign = edge[x >> 1][c], 1
+                c = table[x][c]
+            if e is not None:
+                row[e] = row.get(e, 0) + sign
+        return {e: v for e, v in row.items() if v}, c
+
+    rows = [trace(c, relator.letters)[0] for relator in relators for c in range(closed.order)]
+    loop, end = trace(0, word.letters)
+    if end != 0:
+        raise RuntimeError("the subgroup word does not fix coset 0")
+    if _lattice_index(rows + [loop], rank) != 1:
+        raise RuntimeError("the subgroup word does not generate the abelianized subgroup")
     return _lattice_index(rows, rank)
 
 
@@ -637,7 +651,7 @@ def group_order(
             n = closed.order
             if k == 2:
                 if n <= bound and n**3 <= cap:
-                    return n * _abelianized_order(closed, presentation.relators)
+                    return n * _abelianized_order(closed, presentation.relators, subgroup[0])
             else:
                 # |S_n| / n, the largest b that can serve; 0 where no chain may be built
                 room = math.factorial(n - 1) if 1 < n and n**3 <= cap else 0
@@ -759,29 +773,41 @@ def verify_mutual_inverse(
     1. psi respects P's relators in G, so it is a morphism <P> -> G;
     2. psi(phi(g)) = g for each generator g of G, evaluated in G, so
        psi is onto;
-    3. |<P>| = |G|, the order of ``coset_table(presentation)``, so the
-       onto psi is a bijection;
+    3. |<P>| = |G|, so the onto psi is a bijection;
     4. its inverse sends each generator g = psi(phi(g)) to phi(g), so
        phi extends to that inverse morphism: phi respects G's relators
        and phi(psi(p)) = p in <P>.
 
+    |<P>| comes from ``coset_table`` over the cyclic subgroup <w>, with
+    w = phi(g) for G's first generator g (any word serves; for the
+    dicyclic variants <w> has index 2): |<P>| = [<P>:<w>] * |<w>|, and
+    |<w>| = |<w>^ab|, which Reidemeister-Schreier reads off the same
+    table (``_abelianized_order``).  An infinite <w> gives 0.
+
     Equal orders are a premise, so unequal ones, like a failed check,
     give False.  A generator of G missing from phi, or of P from psi,
-    raises ValueError.  The table is enumerated next, under the cap
-    ``group.order`` sets, so a P past it raises ``CosetLimitExceeded``.
-    Each word of phi and psi is parsed once.
+    raises ValueError.  The table is enumerated last, only for maps that
+    pass the checks in G, where psi maps <w> onto <g>: a w that is
+    trivial in <P> for a nontrivial g, whose table would be as large as
+    the trivial subgroup's, fails before.  It is enumerated under the
+    cap ``group.order`` sets, so a P past it raises
+    ``CosetLimitExceeded``.  Each word of phi and psi is parsed once.
     """
     for label, images, names in (("phi", phi, dict(group.generators)),
                                  ("psi", psi, presentation.generator_names)):
         if missing := [name for name in names if name not in images]:
             raise ValueError(f"{label} missing generators: {missing}")
-    order = coset_table(presentation, expected_order=group.order).order
     psi_assignment = {name: _evaluate_with(group, words.parse_word_ast(psi[name]),
                                            group.named_elements)
                       for name in presentation.generator_names}
     if not check_homomorphism(presentation, group, psi_assignment):
         return False
-    for name, g in group.generators:
-        if _evaluate_with(group, words.parse_word_ast(phi[name]), psi_assignment) != g:
+    phi_asts = [words.parse_word_ast(phi[name]) for name, _ in group.generators]
+    for ast, (_, g) in zip(phi_asts, group.generators):
+        if _evaluate_with(group, ast, psi_assignment) != g:
             return False
-    return order == group.order
+    gen_index = {name: i for i, name in enumerate(presentation.generator_names)}
+    # a G with no generators is trivial, and so is <w>
+    w = Word(tuple(words.ast_to_letters(phi_asts[0], gen_index)) if phi_asts else ())
+    closed = coset_table(presentation, expected_order=group.order, subgroup=[w])
+    return closed.order * _abelianized_order(closed, presentation.relators, w) == group.order

@@ -18,7 +18,9 @@ scans with them:
 
 So an opening ``(`` starts a cycle token exactly when the next non-space
 character is a digit, otherwise it groups a subword.  Spaces between
-tokens are skipped.  The name ``e`` is reserved for the identity.
+tokens are skipped.  The name ``e`` is reserved for the identity.  An
+exponent with more significant digits than ``MAX_WORD_LETTERS`` has
+exceeds that bound, and is refused before ``int()`` reads it.
 """
 
 from __future__ import annotations
@@ -149,8 +151,13 @@ def _parse_factor(tokens: list[tuple[str, str, int]], k: int):
         if k >= len(tokens) or tokens[k][0] != "INT":
             where = tokens[k][2] if k < len(tokens) else tokens[-1][2] + 1
             raise ParseError("expected integer exponent", where)
-        exponent = sign * int(tokens[k][1])
-        pos = tokens[k][2]
+        _, digits, pos = tokens[k]
+        # more significant digits than the bound has make an exponent past
+        # it, refused before int() reads them
+        digits = digits.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_WORD_LETTERS)):
+            raise ParseError(f"word expands past {MAX_WORD_LETTERS} letters", pos)
+        exponent = sign * int(digits)
         k += 1
     return (atom, exponent, pos), k
 

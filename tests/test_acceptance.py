@@ -99,8 +99,8 @@ def test_criterion_3_parity_criterion_equivalence():
 
 
 def test_criterion_4_morphism_verification():
-    # the presentation's coset table has 4n cosets and verify_mutual_inverse
-    # passes for variant 1 at n in {2..6} and variants 0, n at n in {3,5}.
+    # the presentation has order 4n and verify_mutual_inverse passes for
+    # variant 1 at n in {2..6} and variants 0, n at n in {3,5}.
     checks = [(n, 1) for n in range(2, 7)]
     checks += [(n, v) for n in (3, 5) for v in (0, n)]
     failures = [f"n={n} variant={v}" for n, v in checks

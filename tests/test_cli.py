@@ -161,7 +161,7 @@ def test_verify_theorem_json(capsys):
 
 
 def test_verify_theorem_range_guard(capsys):
-    for bad in ("1..2", "5..3", "2..13", "x..3"):
+    for bad in ("1..2", "5..3", "2..129", "x..3"):
         code, _, err = run(capsys, "verify-theorem", "--n-range", bad)
         assert code == 2, bad
 
@@ -433,6 +433,8 @@ MALFORMED = [
     # refused before its letters are built
     (("check-presentation", "<a|a^99999999999>"),
      "word expands past 1048576 letters (at position 5)"),
+    (("check-presentation", "<a|a^1048576=a^-1048576>"),
+     "relator expands past 1048576 letters (at position 3)"),
 ]
 
 
@@ -440,6 +442,12 @@ MALFORMED = [
 def test_malformed_input_is_refused_with_its_position(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_exponent_past_the_int_limit_is_refused_with_its_position(capsys):
+    # 5,000 digits, past the 4,300 that int() reads
+    code, out, err = run(capsys, "check-presentation", "<a|a^" + "9" * 5000 + ">")
+    assert (code, out, err) == (2, "", "error: word expands past 1048576 letters (at position 5)\n")
 
 
 def test_main_calls_share_one_parser(capsys, monkeypatch):

@@ -216,13 +216,17 @@ def test_verify_theorem_parses_each_word_once(monkeypatch):
 @pytest.mark.parametrize("n", [3, 4])
 def test_morphism_checks_enumerate_one_table_per_variant_and_realize_none(monkeypatch, capsys, n):
     # verify_theorem and check-morphisms prove each pair in G from one
-    # coset table of the variant's presentation; no group is built for it
+    # coset table of the variant's presentation, over <phi(a)>, which
+    # has index 2; no group is built for it
     tables = []
     coset_table = presentations.coset_table
 
     def counting(presentation, *args, **kwargs):
-        tables.append(presentation.text())
-        return coset_table(presentation, *args, **kwargs)
+        closed = coset_table(presentation, *args, **kwargs)
+        names = presentation.generator_names
+        subgroup = [word.text(names) for word in kwargs.get("subgroup", ())]
+        tables.append((presentation.text(), subgroup, closed.order))
+        return closed
 
     def refuse(*args, **kwargs):
         raise AssertionError("a group was realized from a presentation")
@@ -231,15 +235,37 @@ def test_morphism_checks_enumerate_one_table_per_variant_and_realize_none(monkey
     monkeypatch.setattr(presentations, "todd_coxeter", refuse)
     monkeypatch.setattr(presentations, "FiniteGroup", refuse)
     variants = theory.applicable_variants(n)
-    texts = [theory.pi_presentation(n, v).text() for v in variants]
+    expected = []
+    for variant in variants:
+        presentation = theory.pi_presentation(n, variant)
+        phi_a = presentations.Word(tuple(words.ast_to_letters(
+            words.parse_word_ast(theory.morphism_pair(n, variant).phi["a"]),
+            {name: i for i, name in enumerate(presentation.generator_names)})))
+        expected.append((presentation.text(), [phi_a.text(presentation.generator_names)], 2))
     assert theory.verify_theorem(n).morphisms_checked == dict.fromkeys(variants, True)
-    assert tables == texts
-    for variant, text in zip(variants, texts):
+    assert tables == expected
+    for variant, table in zip(variants, expected):
         tables.clear()
         label = theory.variant_label(variant)
         assert cli.main(["check-morphisms", "--n", str(n), "--variant", label]) == 0
         assert capsys.readouterr().out == f"n={n} variant={label}: PASS\n"
-        assert tables == [text]
+        assert tables == [table]
+
+
+@pytest.mark.parametrize("n", range(2, 65))
+def test_order_over_phi_a_is_the_trivial_table_order(n):
+    # [<P>:<phi(a)>] * |<phi(a)>^ab| against the order of the trivial
+    # subgroup's table, for every variant
+    for variant in theory.applicable_variants(n):
+        presentation = theory.pi_presentation(n, variant)
+        gen_index = {name: i for i, name in enumerate(presentation.generator_names)}
+        phi_a = presentations.Word(tuple(words.ast_to_letters(
+            words.parse_word_ast(theory.morphism_pair(n, variant).phi["a"]), gen_index)))
+        closed = presentations.coset_table(presentation, expected_order=4 * n, subgroup=[phi_a])
+        order = closed.order * presentations._abelianized_order(
+            closed, presentation.relators, phi_a)
+        assert closed.order == 2, (n, variant)
+        assert order == presentations.coset_table(presentation).order == 4 * n, (n, variant)
 
 
 @pytest.mark.parametrize("n,variant", [(n, v) for n in range(2, 7)
@@ -270,8 +296,16 @@ def test_verify_theorem_guards():
     with pytest.raises(ValueError):
         theory.verify_theorem(1)
     with pytest.raises(ValueError):
-        theory.verify_theorem(13)  # MAX_N = 12, the range the CLI accepts
+        theory.verify_theorem(129)  # MAX_N = 128, the range the CLI accepts
     assert theory.verify_theorem(9).passed
+
+
+@pytest.mark.parametrize("n", [13, 31, 64, 127, 128])
+def test_verify_theorem_passes_up_to_max_n(n):
+    result = theory.verify_theorem(n)
+    assert result.passed, result.to_json_dict()
+    assert len(result.report.classes) == (2 if n % 2 == 0 else 4)
+    assert result.morphisms_checked == dict.fromkeys(theory.applicable_variants(n), True)
 
 
 def test_verify_theorem_json_shape():

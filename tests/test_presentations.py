@@ -63,6 +63,16 @@ def test_parse_errors():
         parse_presentation("<u,v | u^2, , v^2>")
 
 
+def test_relator_past_the_letter_bound_is_refused_at_its_relation():
+    # each side holds 2^20 letters, the relator w1*w2^-1 twice that
+    half = words.MAX_WORD_LETTERS
+    with pytest.raises(ParseError, match="relator expands past 1048576 letters") as err:
+        parse_presentation(f"<a | a^2,  a^{half}=a^-{half}>")
+    assert err.value.position == 11
+    P = parse_presentation(f"<a | a^{half // 2}=a^-{half // 2}>")
+    assert P.relators[0].letters == (0,) * half
+
+
 def test_identity_in_relations():
     P = parse_presentation("<g | g^3=e>")
     assert P.relators[0].letters == (0, 0, 0)
@@ -685,10 +695,11 @@ def test_reidemeister_schreier_needs_the_square_relators():
     # a larger group, which the loop (0, a) no longer generates
     P = parse_presentation("<a,b | a^4, b^2, (a*b)^2>")
     closed = presentations.coset_table(P, subgroup=[presentations.Word((0,))])
-    assert presentations._abelianized_order(closed, P.relators) == 4
+    assert presentations._abelianized_order(closed, P.relators, presentations.Word((0,))) == 4
     assert presentations.group_order(P) == 8
     with pytest.raises(RuntimeError, match="does not generate"):
-        presentations._abelianized_order(closed, [r for r in P.relators if r.letters != (2, 2)])
+        presentations._abelianized_order(closed, [r for r in P.relators if r.letters != (2, 2)],
+                                         presentations.Word((0,)))
 
 
 def minors_gcd(rows, rank):
@@ -810,6 +821,28 @@ def test_verify_mutual_inverse_needs_equal_orders():
     assert all(presentations._evaluate_with(G, words.parse_word_ast(phi[name]), images) == g
                for name, g in G.generators)
     assert not cc.verify_mutual_inverse(G, P, phi, psi)
+
+
+def test_verify_mutual_inverse_enumerates_only_maps_that_pass_in_g(monkeypatch):
+    # <P> is infinite, so its table over <u^3*v> passes any cap; maps
+    # that fail in G are refused before it is enumerated
+    G = cc.dicyclic(3)
+    P = parse_presentation("<u,v | u^2=v^2>")
+    calls = []
+    coset_table = presentations.coset_table
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["subgroup"])
+        return coset_table(*args, **kwargs)
+
+    monkeypatch.setattr(presentations, "coset_table", counting)
+    phi, psi = {"a": "u^3*v", "x": "v"}, {"u": "a*x", "v": "x"}
+    assert not cc.verify_mutual_inverse(G, P, {"a": "e", "x": "v"}, psi)
+    assert not cc.verify_mutual_inverse(G, P, phi, {"u": "x", "v": "x"})
+    assert calls == []
+    with pytest.raises(CosetLimitExceeded):
+        cc.verify_mutual_inverse(G, P, phi, psi)
+    assert calls == [[presentations.Word((0, 0, 0, 2))]]
 
 
 def test_verify_mutual_inverse_rejects_wrong_maps():

@@ -110,6 +110,17 @@ def test_word_past_the_letter_bound_is_refused_at_its_exponent(monkeypatch):
         assert err.value.position == position, text
 
 
+def test_exponent_past_the_letter_bound_is_refused_before_it_is_read():
+    # 5,000 digits pass Python's int() limit of 4,300; leading zeros
+    # count for nothing
+    for text, position in [("u^" + "9" * 5000, 2), ("u*v^-" + "1" * 8, 5)]:
+        with pytest.raises(ParseError, match="past 1048576 letters") as err:
+            words.parse_word_ast(text)
+        assert err.value.position == position
+    assert _letters("u^" + "0" * 5000 + "3", "u") == [0, 0, 0]
+    assert _letters("u^1048576", "u") == [0] * 1048576
+
+
 def test_letters_expansion():
     assert _letters("u^2*v", "uv") == [0, 0, 2]
     assert _letters("u^-2", "uv") == [1, 1]
