@@ -56,6 +56,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _variant(text: str):
+    """argparse type for --variant: "n", or an integer, which the
+    library checks against n."""
+    try:
+        return text if text == "n" else int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 0, 1 or n, got {text!r}")
+
+
 def _check_jobs(args) -> None:
     if args.jobs < 1:  # --jobs has no effect; it is kept so existing invocations work
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
@@ -68,7 +77,7 @@ def _report_table(data: dict) -> str:
         f"  minimal: {str(data['minimal_only']).lower()}",
     ]
     for i, c in enumerate(data["classes"], start=1):
-        multiset = "{{" + ",".join(str(v) for v in c["order_multiset"]) + "}}"
+        multiset = groups.OrderMultiset(tuple(c["order_multiset"]))
         rep = ",".join(c["representative"])
         lines.append(f"class {i}: multiset {multiset}  size {c['size']}  representative {rep}")
     lines.append(f"total: {data['total']}")
@@ -139,11 +148,12 @@ def cmd_export_dot(args) -> int:
 
 def cmd_check_presentation(args) -> int:
     presentation = presentations.parse_presentation(args.presentation)
+    cap = args.max_cosets
+    if cap is None and args.expect is not None:
+        cap = presentations.EXPECTED_ORDER_FACTOR * args.expect
     try:
         # the order needs a checked table only, not names or a group
-        order = presentations.group_order(
-            presentation, max_cosets=args.max_cosets, expected_order=args.expect
-        )
+        order = presentations.group_order(presentation, cap)
     except presentations.CosetLimitExceeded as exc:
         print(f"EXCEEDED: {exc}")
         return 1
@@ -165,7 +175,7 @@ def cmd_check_morphisms(args) -> int:
     if 4 * args.n > max_order:
         raise ValueError(f"group order {4 * args.n} of dicyclic:{args.n} exceeds the order "
                          f"guard ({max_order})")
-    variant = args.n if args.variant == "n" else int(args.variant)
+    variant = args.n if args.variant == "n" else args.variant
     # parity or range violations raise ValueError and exit 2
     ok = dicyclic_theory.check_morphism_variant(args.n, variant)
     label = dicyclic_theory.variant_label(variant)
@@ -245,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-morphisms", help="verify a dicyclic morphism pair")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--variant", required=True, help="0, 1 or n")
+    p.add_argument("--variant", type=_variant, required=True, help="0, 1 or n")
     p.set_defaults(func=cmd_check_morphisms)
 
     p = sub.add_parser("info", help="order and element-order histogram")

@@ -247,10 +247,10 @@ class OrderMultiset:
 
 def _exponent_names(unit: str, count: int, suffix: str = "") -> list[str]:
     """unit^i*suffix for i in range(count); unit^0 is e, or suffix alone."""
-    heads = [unit if i == 1 else f"{unit}^{i}" for i in range(1, count)]
+    heads = [words.power_text(unit, i) for i in range(1, count)]
     if not suffix:
         return [words.IDENTITY_NAME] + heads
-    return [suffix] + [f"{head}*{suffix}" for head in heads]
+    return [suffix] + [head + words.SYLLABLE_SEPARATOR + suffix for head in heads]
 
 
 def dicyclic(n: int) -> FiniteGroup:

@@ -8,8 +8,11 @@ given presentation always yields the same table.  Each live coset is
 scanned against every relator, as in the reference loop of Holt, Eick
 and O'Brien (Handbook of Computational Group Theory, 2005, ch. 5).  An
 involution (a generator with a g^2 or g^-2 relator) has one column for
-g and g^-1.  ``max_cosets`` counts every coset defined, including
-merged ones.
+g and g^-1.  ``max_cosets`` is the one bound on an enumeration: it
+counts every coset defined, including merged ones, and None means
+65536.  A caller that knows the order to expect derives a cap from it,
+``EXPECTED_ORDER_FACTOR`` times that order: check-presentation for
+``--expect`` and ``verify_mutual_inverse`` for the concrete group.
 
 The table is held column by column, one list per column, and each
 relator is scanned through prebuilt lists of its letters' columns and
@@ -26,12 +29,14 @@ squaring.
 Two layers sit on it: ``coset_table`` enumerates and checks the closed
 table (mutually inverse columns, every relator traced, every coset
 reached from coset 0, and each subgroup word, if any, fixing coset 0),
-and ``todd_coxeter`` names the cosets of the trivial subgroup along that
-walk and builds a ``FiniteGroup``.  ``verify_mutual_inverse`` needs only
-the order: it proves a morphism pair in the concrete group and builds
-no group for the presentation, and reads the order off one table over
-<phi(g)>, g the group's first generator, as ``group_order`` does over
-<s_1> below.
+and ``todd_coxeter`` builds a ``FiniteGroup`` on the cosets of the
+trivial subgroup, each named ``words.word_text`` of its path from
+coset 0 along the table's breadth-first walk, so element names are
+spelled by ``words`` alone.
+``verify_mutual_inverse`` needs only the order: it proves a morphism
+pair in the concrete group and builds no group for the presentation,
+and reads the order off one table over <phi(g)>, g the group's first
+generator, as ``group_order`` does over <s_1> below.
 
 ``group_order``, which check-presentation prints, enumerates over
 H = <s_1, ..., s_{k-1}>, all generators but the last, where a proof of
@@ -45,8 +50,9 @@ is the index of the lattice its relations span.  For more, b is
 ``group_order(P')``, and Schreier-Sims on the generators' permutations
 of the n cosets reaching n*b proves |G| = n*b (C. C. Sims, 1970); it
 is run only when n <= b and n^3 is within the cap, and P' is
-enumerated only under the cap for an order (n-1)!, the most that can
-serve, since the cosets' permutations make at most n! elements.  For
+enumerated under at most ``EXPECTED_ORDER_FACTOR`` * (n-1)! cosets,
+(n-1)! being the most that can serve, since the cosets' permutations
+make at most n! elements.  For
 the Coxeter presentation of S8 that makes 7 tables (S_m over S_{m-1}
 for m = 8, ..., 4, then S3 over <s1> and over the trivial subgroup),
 which define 39 cosets in all against 55,119 over the trivial
@@ -366,16 +372,14 @@ class CosetTable:
 
     ``columns[x][c]`` is coset c times letter x, where letter 2g is
     generator g and 2g+1 its inverse; an involution's two letters share
-    one list.  ``reached`` lists the cosets in the order the walk
-    reached them, and ``last[c]`` is the generator of the step that
-    first reached c (-1 at coset 0).  ``defined`` counts the cosets the
-    enumeration defined, live or merged.  ``order`` counts the live
-    cosets: the group order over the trivial subgroup, the subgroup's
-    index over another.
+    one list.  ``last[c]`` is the generator of the step by which the
+    walk first reached c (-1 at coset 0).  ``defined`` counts the
+    cosets the enumeration defined, live or merged.  ``order`` counts
+    the live cosets: the group order over the trivial subgroup, the
+    subgroup's index over another.
     """
 
     columns: list[list[int]]
-    reached: list[int]
     last: list[int]
     defined: int
 
@@ -384,15 +388,11 @@ class CosetTable:
         return len(self.last)
 
 
-def _cap(max_cosets: Optional[int], expected_order: Optional[int]) -> int:
-    """The cap in force: max_cosets, else 16x the expected order when
-    given, else 65536."""
-    if expected_order is not None and expected_order < 1:
-        raise ValueError(f"expected_order must be >= 1, got {expected_order}")
+def _cap(max_cosets: Optional[int]) -> int:
+    """The one cap on an enumeration: max_cosets, or 65536 for None;
+    a cap below 1 raises ValueError."""
     if max_cosets is None:
-        max_cosets = (
-            EXPECTED_ORDER_FACTOR * expected_order if expected_order else DEFAULT_MAX_COSETS
-        )
+        return DEFAULT_MAX_COSETS
     if max_cosets < 1:
         raise ValueError(f"max_cosets must be >= 1, got {max_cosets}")
     return max_cosets
@@ -401,7 +401,6 @@ def _cap(max_cosets: Optional[int], expected_order: Optional[int]) -> int:
 def coset_table(
     presentation: Presentation,
     max_cosets: Optional[int] = None,
-    expected_order: Optional[int] = None,
     subgroup: Sequence[Word] = (),
 ) -> CosetTable:
     """Enumerate the cosets of the subgroup generated by the words of
@@ -426,10 +425,10 @@ def coset_table(
     time, a breadth-first walk from coset 0 must reach every coset, and
     each subgroup word must lead from coset 0 back to it; a failed check
     raises RuntimeError.  Raises CosetLimitExceeded once max_cosets
-    cosets have been defined, live or not (default 16x the expected
-    order when given, else 65536) -- a retryable signal, not a failure.
+    cosets have been defined, live or not (default 65536) -- a
+    retryable signal, not a failure.
     """
-    max_cosets = _cap(max_cosets, expected_order)
+    max_cosets = _cap(max_cosets)
     ngens = len(presentation.generator_names)
     relators = [r.letters for r in presentation.relators if r.letters]
     squares = [_involution(letters) for letters in relators]
@@ -502,7 +501,7 @@ def coset_table(
     for word in subgroup:
         if functools.reduce(lambda c, x: table[x][c], word.letters, 0) != 0:
             raise RuntimeError("subgroup word does not fix coset 0")
-    return CosetTable(table, reached, last, defined)
+    return CosetTable(table, last, defined)
 
 
 def _leading(presentation: Presentation) -> Presentation:
@@ -598,11 +597,7 @@ def _abelianized_order(closed: CosetTable, relators: Iterable[Word], word: Word)
     return _lattice_index(rows, rank)
 
 
-def group_order(
-    presentation: Presentation,
-    max_cosets: Optional[int] = None,
-    expected_order: Optional[int] = None,
-) -> int:
+def group_order(presentation: Presentation, max_cosets: Optional[int] = None) -> int:
     """The order of the group G a presentation defines, from a checked
     coset table over H = <s_1, ..., s_{k-1}>, all generators but the
     last, where a proof of |H| serves, else over the trivial subgroup.
@@ -625,10 +620,10 @@ def group_order(
     order of the permutation group, which is at most both n! and
     |G| = n*|H| <= n*b, so reaching n*b proves |G| = n*b, and can happen
     only when b <= (n-1)!.  b is ``group_order(P')`` under
-    min(max_cosets, 16 (n-1)!), the cap ``coset_table`` gives an
-    expected order of (n-1)!, the largest |P'| that can serve, so an
-    infinite P' wastes little.  Schreier-Sims runs only when
-    1 < n <= b <= (n-1)! and n^3 <= max_cosets, and P' is enumerated
+    min(max_cosets, EXPECTED_ORDER_FACTOR * (n-1)!), a cap derived from
+    (n-1)!, the largest |P'| that can serve, so an infinite P' wastes
+    little.  Schreier-Sims runs only when 1 < n <= b <= (n-1)! and
+    n^3 <= max_cosets, and P' is enumerated
     only when these can hold: each Schreier generator of a level is
     sifted along Schreier paths of up to n steps, each moving n points,
     for up to n points of the level, so the cap bounds the chain however
@@ -636,18 +631,19 @@ def group_order(
 
     In every other case (one generator, a guard that fails, a chain
     short of n*b, or an enumeration of H or P' past its cap)
-    ``coset_table`` over the trivial subgroup decides.  The cap applies
-    to each enumeration on its own, and at most 2k are run; a failed
-    check raises RuntimeError and never falls back.
+    ``coset_table`` over the trivial subgroup decides.  ``max_cosets``
+    goes to each ``coset_table`` call on G as given (None for 65536)
+    and applies to each enumeration on its own, and at most 2k are run;
+    a failed check raises RuntimeError and never falls back.
     """
-    cap, k, bound = _cap(max_cosets, expected_order), len(presentation.generator_names), 0
+    cap, k, bound = _cap(max_cosets), len(presentation.generator_names), 0
     leading = _leading(presentation)
     if k == 2:  # P' is cyclic of the order of the gcd, 0 when infinite
         bound = math.gcd(*(sum(1 - 2 * (x & 1) for x in r.letters) for r in leading.relators))
     try:
         if k > 2 or bound:
             subgroup = [Word((2 * g,)) for g in range(k - 1)]
-            closed = coset_table(presentation, max_cosets, expected_order, subgroup)
+            closed = coset_table(presentation, max_cosets, subgroup)
             n = closed.order
             if k == 2:
                 if n <= bound and n**3 <= cap:
@@ -662,65 +658,44 @@ def group_order(
                     return n * bound
     except CosetLimitExceeded:
         pass  # past the cap the route proves nothing
-    return coset_table(presentation, max_cosets, expected_order).order
+    return coset_table(presentation, max_cosets).order
 
 
-def todd_coxeter(
-    presentation: Presentation,
-    max_cosets: Optional[int] = None,
-    expected_order: Optional[int] = None,
-) -> FiniteGroup:
+def todd_coxeter(presentation: Presentation, max_cosets: Optional[int] = None) -> FiniteGroup:
     """Realize a finite presentation as a concrete group.
 
     Elements are the live cosets of the trivial subgroup, numbered as
-    ``coset_table`` numbers them (which also raises what it raises); the
-    identity is always element 0.  Element names are shortest positive
-    words from the identity coset along the table's breadth-first walk,
-    so generator images are available by name.  Names and the action of
-    each generator on them do not depend on whether an involution has a
-    shared column, while element indices do.
+    ``coset_table`` numbers them (which also raises what it raises, under
+    the same cap); the identity is always element 0.  Each element is
+    named ``words.word_text`` of the letters of its path from the
+    identity coset along the table's breadth-first walk, a shortest
+    positive word, so generator images are available by name.  Names
+    and the action of each generator on them do not depend on whether an
+    involution has a shared column, while element indices do.
     """
-    closed = coset_table(presentation, max_cosets, expected_order)
-    table, last, order = closed.columns, closed.last, closed.order
-    # a name extends its parent's, spelled as words.word_text spells the
-    # whole word: the last power's exponent grows by one, or a new power
-    # follows; cut[c] is where c's last power starts
-    gen_names = presentation.generator_names
-    names = [words.IDENTITY_NAME] * order
-    exps = [0] * order
-    cut = [0] * order
-    for d in closed.reached[1:]:
-        g = last[d]
-        c = table[2 * g + 1][d]  # the coset that d was reached from
-        if g == last[c]:
-            head, e = names[c][: cut[c]], exps[c] + 1
-        else:
-            head, e = (names[c] + words.SYLLABLE_SEPARATOR if c else ""), 1
-        cut[d], exps[d] = len(head), e
-        names[d] = head + words.power_text(gen_names[g], e)
+    closed = coset_table(presentation, max_cosets)
+    table, last = closed.columns, closed.last
+
+    def path(c: int) -> list[int]:
+        # the letters of the walk from coset 0 to c, read back along last
+        letters = []
+        while c:
+            x = 2 * last[c]
+            letters.append(x)
+            c = table[x + 1][c]
+        letters.reverse()
+        return letters
 
     def mul(a: int, b: int) -> int:
-        # b's word, read backwards through the inverse columns, applied to a
-        path = []
-        while b:
-            x = 2 * last[b]
-            path.append(table[x])
-            b = table[x + 1][b]
-        for column in reversed(path):
-            a = column[a]
+        # b's word applied to a
+        for x in path(b):
+            a = table[x][a]
         return a
 
+    gen_names = presentation.generator_names
+    names = [words.word_text(path(c), gen_names) for c in range(closed.order)]
     generators = [(name, table[2 * g][0]) for g, name in enumerate(gen_names)]
-    seen: dict[str, int] = {}
-    for name, g in generators:
-        seen.setdefault(name, g)
-    return FiniteGroup(
-        order,
-        mul,
-        names,
-        f"coset:{presentation.text()}",
-        list(seen.items()),
-    )
+    return FiniteGroup(closed.order, mul, names, f"coset:{presentation.text()}", generators)
 
 
 # ---------------------------------------------------------------------------
@@ -789,9 +764,9 @@ def verify_mutual_inverse(
     raises ValueError.  The table is enumerated last, only for maps that
     pass the checks in G, where psi maps <w> onto <g>: a w that is
     trivial in <P> for a nontrivial g, whose table would be as large as
-    the trivial subgroup's, fails before.  It is enumerated under the
-    cap ``group.order`` sets, so a P past it raises
-    ``CosetLimitExceeded``.  Each word of phi and psi is parsed once.
+    the trivial subgroup's, fails before.  It is enumerated under a cap
+    of ``EXPECTED_ORDER_FACTOR * group.order`` cosets, so a P past it
+    raises ``CosetLimitExceeded``.  Each word of phi and psi is parsed once.
     """
     for label, images, names in (("phi", phi, dict(group.generators)),
                                  ("psi", psi, presentation.generator_names)):
@@ -809,5 +784,5 @@ def verify_mutual_inverse(
     gen_index = {name: i for i, name in enumerate(presentation.generator_names)}
     # a G with no generators is trivial, and so is <w>
     w = Word(tuple(words.ast_to_letters(phi_asts[0], gen_index)) if phi_asts else ())
-    closed = coset_table(presentation, expected_order=group.order, subgroup=[w])
+    closed = coset_table(presentation, EXPECTED_ORDER_FACTOR * group.order, subgroup=[w])
     return closed.order * _abelianized_order(closed, presentation.relators, w) == group.order

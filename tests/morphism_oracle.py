@@ -20,7 +20,7 @@ def oracle_mutual_inverse(group, presentation, phi, psi, group_presentation, rea
     """True iff phi: G -> <P> and psi: <P> -> G are morphisms and
     inverse on generators; ``group_presentation`` is G's presentation on
     its generator names, ``realized`` P's group when already built."""
-    ph = realized or todd_coxeter(presentation, expected_order=group.order)
+    ph = realized or todd_coxeter(presentation, max_cosets=16 * group.order)
     if list(group_presentation.generator_names) != [name for name, _ in group.generators]:
         raise ValueError("group presentation generators do not match the group's")
     psi_images = {name: _evaluate(group, psi[name], group.named_elements)

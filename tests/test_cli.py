@@ -258,6 +258,16 @@ def test_check_presentation_counts_below_one_are_usage_errors(capsys):
             assert exc.value.code == 2 and f"argument {option}:" in err, (option, bad)
 
 
+def test_check_presentation_expect_sets_the_default_cap(capsys):
+    # --expect 4 caps the enumeration at 16 x 4 cosets unless --max-cosets
+    # is given
+    code, out, _ = run(capsys, "check-presentation", "<u,v|>", "--expect", "4")
+    assert (code, out) == (1, "EXCEEDED: coset enumeration exceeded 64 cosets\n")
+    code, out, _ = run(capsys, "check-presentation", "<u,v|>", "--expect", "4",
+                       "--max-cosets", "10")
+    assert (code, out) == (1, "EXCEEDED: coset enumeration exceeded 10 cosets\n")
+
+
 def test_check_presentation_help_explains_max_cosets(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check-presentation", "--help"])
@@ -321,6 +331,19 @@ def test_check_morphisms_pass(capsys):
 def test_check_morphisms_parity_violation(capsys):
     code, _, err = run(capsys, "check-morphisms", "--n", "4", "--variant", "0")
     assert code == 2 and "odd" in err
+
+
+def test_check_morphisms_variant_is_n_or_an_integer(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check-morphisms", "--n", "3", "--variant", "x"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.endswith("error: argument --variant: expected 0, 1 or n, got 'x'\n")
+    # an integer equal to n means variant n; any other is the library's to refuse
+    code, out, _ = run(capsys, "check-morphisms", "--n", "3", "--variant", "3")
+    assert (code, out) == (0, "n=3 variant=n: PASS\n")
+    code, out, err = run(capsys, "check-morphisms", "--n", "3", "--variant", "5")
+    assert code == 2 and out == "" and "variant must be 0, 1 or n=3" in err
 
 
 def test_check_morphisms_guard_fires_before_the_group_is_built(capsys, monkeypatch):

@@ -261,7 +261,7 @@ def test_order_over_phi_a_is_the_trivial_table_order(n):
         gen_index = {name: i for i, name in enumerate(presentation.generator_names)}
         phi_a = presentations.Word(tuple(words.ast_to_letters(
             words.parse_word_ast(theory.morphism_pair(n, variant).phi["a"]), gen_index)))
-        closed = presentations.coset_table(presentation, expected_order=4 * n, subgroup=[phi_a])
+        closed = presentations.coset_table(presentation, 16 * 4 * n, subgroup=[phi_a])
         order = closed.order * presentations._abelianized_order(
             closed, presentation.relators, phi_a)
         assert closed.order == 2, (n, variant)
@@ -275,7 +275,7 @@ def test_verify_mutual_inverse_agrees_with_the_oracle(n, variant):
     # with every phi into pairs of the realized group's element names
     group, presentation = cc.dicyclic(n), theory.pi_presentation(n, variant)
     classical = theory.classical_presentation(n)
-    realized = cc.todd_coxeter(presentation, expected_order=4 * n)
+    realized = cc.todd_coxeter(presentation, max_cosets=16 * 4 * n)
     pair = theory.morphism_pair(n, variant)
     p_names, g_names = presentation.generator_names, [name for name, _ in group.generators]
     cases = [(pair.phi, pair.psi)]

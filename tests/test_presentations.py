@@ -127,7 +127,7 @@ def test_pi_presentation_parity_guards():
 
 def test_enumeration_orders():
     assert todd_coxeter(parse_presentation("<g | g^5>")).order == 5
-    assert todd_coxeter(cc.pi_presentation(3, 1), expected_order=12).order == 12
+    assert todd_coxeter(cc.pi_presentation(3, 1), max_cosets=16 * 12).order == 12
     assert todd_coxeter(parse_presentation("<b,y | b^3, y^4, y^-1*b*y=b^-1>")).order == 12
     assert todd_coxeter(parse_presentation("<u,v | u^2, v^2, (u*v)^3>")).order == 6
 
@@ -143,8 +143,6 @@ def test_enumeration_exceeded_is_retryable():
     free = parse_presentation("<u,v |>")
     with pytest.raises(CosetLimitExceeded):
         todd_coxeter(free, max_cosets=100)
-    with pytest.raises(CosetLimitExceeded):
-        todd_coxeter(free, expected_order=4)  # cap = 16 * expected
 
 
 def test_enumerated_group_passes_axioms():
@@ -424,14 +422,6 @@ def test_subgroup_word_that_moves_coset_0_is_refused(monkeypatch):
         cli.main(["check-presentation", P.descriptor])
 
 
-def test_expected_order_below_one_is_refused():
-    P = parse_presentation("<g | g^5>")
-    for bad in (0, -2):
-        with pytest.raises(ValueError, match="expected_order"):
-            todd_coxeter(P, expected_order=bad)
-    assert todd_coxeter(P, expected_order=1, max_cosets=10).order == 5
-
-
 # ---------------------------------------------------------------------------
 # the order over all generators but the last
 
@@ -444,9 +434,9 @@ def traced_tables(monkeypatch):
     calls = []
     coset_table = presentations.coset_table
 
-    def traced(presentation, max_cosets=None, expected_order=None, subgroup=()):
+    def traced(presentation, max_cosets=None, subgroup=()):
         calls.append((len(presentation.generator_names), len(subgroup), max_cosets))
-        return coset_table(presentation, max_cosets, expected_order, subgroup)
+        return coset_table(presentation, max_cosets, subgroup)
 
     monkeypatch.setattr(presentations, "coset_table", traced)
     return calls
@@ -815,7 +805,7 @@ def test_verify_mutual_inverse_needs_equal_orders():
     G = cc.dicyclic(3)
     P = parse_presentation("<b,y | b^6, y^4, y^-1*b*y=b^-1>")
     phi, psi = {"a": "b^2*y^2", "x": "y"}, {"b": "a^2", "y": "x"}
-    assert presentations.coset_table(P, expected_order=G.order).order == 24
+    assert presentations.coset_table(P, 16 * G.order).order == 24
     images = {name: cc.parse_element(G, word) for name, word in psi.items()}
     assert cc.check_homomorphism(P, G, images)
     assert all(presentations._evaluate_with(G, words.parse_word_ast(phi[name]), images) == g
