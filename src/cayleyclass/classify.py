@@ -177,12 +177,16 @@ def classify(
     mode is "directed" (edge-labeled digraph isomorphism) or
     "undirected" (direction-forgetting view).  automorphisms is Aut(G)
     as ``group_automorphisms(group)`` returns it, for a caller that holds
-    it already; by default it is computed here.
+    it already; by default it is computed here.  A given root must act on
+    the group's elements by automorphisms of the group, else ValueError;
+    that check cannot prove the root is all of Aut(G).
     """
     if mode not in ("directed", "undirected"):
         raise ValueError(f"mode must be 'directed' or 'undirected', got {mode!r}")
     start = time.perf_counter()
     _check_guards(group, length, max_order)
+    if automorphisms is not None:
+        _check_automorphisms(group, automorphisms)
     # Aut(G) materialises the table too
     root = automorphisms if automorphisms is not None else group_automorphisms(group)
     # records: [representative, order multiset, size, Cayley graph]
@@ -234,6 +238,27 @@ def classify(
         total=sum(c.size for c in classes),
         wall_time_seconds=time.perf_counter() - start,
     )
+
+
+def _check_automorphisms(group: FiniteGroup, root: StabilizerNode) -> None:
+    """Raise ValueError unless root acts on the elements of group by
+    automorphisms of group: each generator map m of root must be a
+    permutation with m[s*v] = m[s]*m[v] for every generator s of group
+    and every v, which then holds for every s the generators reach
+    (|generators| * |G| lookups a map).  The maps may still generate a
+    proper subgroup of Aut(G)."""
+    if len(root.least) != group.order:
+        raise ValueError(f"the automorphisms act on {len(root.least)} points, "
+                         f"not the {group.order} elements of {group.descriptor}")
+    elements = list(group.elements())
+    rows = [(s, group.row(s)) for _, s in group.generators]
+    for m in root.generators:
+        # row by row: m[s*v] over v against m[s]*m[v] over v
+        if sorted(m) != elements or any(
+                list(map(m.__getitem__, row)) != list(map(group.row(m[s]).__getitem__, m))
+                for s, row in rows):
+            raise ValueError(f"a map of the automorphisms is not an automorphism of "
+                             f"{group.descriptor}")
 
 
 def _qualifying_leaves(group: FiniteGroup, root: StabilizerNode, length: int,

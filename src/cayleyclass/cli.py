@@ -5,6 +5,12 @@ check-morphisms, info.  JSON is the machine format; the human-readable
 table is derived from it.  Exit codes: 0 success, 1 verification
 failure, 2 usage error.  All outputs are deterministic: identical
 invocations produce byte-identical JSON/DOT, regardless of --jobs.
+
+Importing this module, and building its parser, loads only the
+classifier core (``words``, ``groups``, ``cayley``, ``iso``,
+``classify``); classify, export-dot and info run on it alone.
+verify-theorem and check-morphisms load ``dicyclic_theory``, and with it
+``presentations``; check-presentation loads ``presentations``.
 """
 
 from __future__ import annotations
@@ -16,12 +22,19 @@ import os
 import sys
 from typing import Optional
 
-from . import cayley, dicyclic_theory, groups, presentations
+from . import cayley, groups
 from .classify import DEFAULT_MAX_ORDER, classify as run_classify
-from .dicyclic_theory import MAX_N, MIN_N
 from .words import ParseError
 
 MAX_ORDER_ENV = "CAYLEY_CLASSIFY_MAX_ORDER"
+
+# Copies of the bounds of dicyclic_theory (MIN_N, MAX_N) and presentations
+# (EXPECTED_ORDER_FACTOR, DEFAULT_MAX_COSETS) that the help texts quote,
+# so that building the parser loads neither module; tests/test_cli.py
+# pins each copy to its original.
+MIN_N, MAX_N = 2, 128
+EXPECTED_ORDER_FACTOR = 16
+DEFAULT_MAX_COSETS = 65536
 
 
 def _write_out(path: Optional[str], text: str) -> None:
@@ -96,8 +109,7 @@ def cmd_classify(args) -> int:
         minimal_only=args.minimal,
         max_order=max_order,
     )
-    data = report.to_json_dict()
-    text = report.to_json() if args.format == "json" else _report_table(data)
+    text = report.to_json() if args.format == "json" else _report_table(report.to_json_dict())
     summary = f"{len(report.classes)} classes"
     if args.out is None and args.format == "json":
         _write_out(None, text)
@@ -109,6 +121,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify_theorem(args) -> int:
+    from . import dicyclic_theory
+
     _check_jobs(args)
     # "A..B", or "A" alone for A..A; "A.." and "..B" are refused
     low, dots, high = args.n_range.partition("..")
@@ -147,6 +161,8 @@ def cmd_export_dot(args) -> int:
 
 
 def cmd_check_presentation(args) -> int:
+    from . import presentations
+
     presentation = presentations.parse_presentation(args.presentation)
     cap = args.max_cosets
     if cap is None and args.expect is not None:
@@ -168,6 +184,8 @@ def cmd_check_presentation(args) -> int:
 
 
 def cmd_check_morphisms(args) -> int:
+    from . import dicyclic_theory
+
     # dicyclic(n) names its 4n elements when built and walks a spanning
     # tree of 8n products for its inverses, so the group-order guard
     # bounds n before anything is built
@@ -247,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         help="cap on the cosets defined, live or not (default: "
-        f"{presentations.EXPECTED_ORDER_FACTOR} x --expect when given, "
-        f"else {presentations.DEFAULT_MAX_COSETS:,})",
+        f"{EXPECTED_ORDER_FACTOR} x --expect when given, "
+        f"else {DEFAULT_MAX_COSETS:,})",
     )
     p.add_argument("--expect", type=_positive_int, default=None, help="expected group order")
     p.set_defaults(func=cmd_check_presentation)
@@ -271,12 +289,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except presentations.CosetLimitExceeded as exc:
-        print(f"EXCEEDED: {exc}", file=sys.stderr)
-        return 1
     except (ParseError, ValueError, groups.ClosureLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # CosetLimitExceeded comes only from a command that loaded presentations
+        presentations = sys.modules.get(f"{__package__}.presentations")
+        if presentations is None or not isinstance(exc, presentations.CosetLimitExceeded):
+            raise
+        print(f"EXCEEDED: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -324,6 +324,19 @@ def test_classify_rejects_bad_mode_and_jobs():
         classify(cc.cyclic(6), 2, "sideways")
 
 
+def test_classify_refuses_automorphisms_of_another_group():
+    # Aut(C12) on the 12 elements of Dic3 is no set of automorphisms of
+    # Dic3: trusted, it gave 11 classes where 4 is right
+    group = cc.dicyclic(3)
+    for other in (cc.cyclic(12), cc.dicyclic(4)):
+        with pytest.raises(ValueError, match="automorphism"):
+            classify(group, 2, "directed", minimal_only=True,
+                     automorphisms=cc.group_automorphisms(other))
+    report = classify(group, 2, "directed", minimal_only=True,
+                      automorphisms=cc.group_automorphisms(group))
+    assert len(report.classes) == 4
+
+
 def test_set_budget_guard_refuses_before_any_work():
     # C(512, 3) = 22,238,720 and C(512, 4) sets exceed MAX_SETS; C(512, 2) does not
     G = cc.dicyclic(128)

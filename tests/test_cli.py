@@ -362,6 +362,24 @@ def test_check_morphisms_guard_fires_before_the_group_is_built(capsys, monkeypat
     assert code == 0 and out == "n=12 variant=1: PASS\n"
 
 
+def test_a_coset_limit_in_a_theorem_command_exits_1(capsys, monkeypatch):
+    # main reports CosetLimitExceeded of a command that loaded presentations
+    # itself; any other exception passes through
+    def exceeded(*args):
+        raise presentations.CosetLimitExceeded(7)
+
+    monkeypatch.setattr(dicyclic_theory, "check_morphism_variant", exceeded)
+    assert run(capsys, "check-morphisms", "--n", "3", "--variant", "1") == (
+        1, "", "EXCEEDED: coset enumeration exceeded 7 cosets\n")
+
+    def broken(*args):
+        raise RuntimeError("not a limit")
+
+    monkeypatch.setattr(dicyclic_theory, "check_morphism_variant", broken)
+    with pytest.raises(RuntimeError, match="not a limit"):
+        main(["check-morphisms", "--n", "3", "--variant", "1"])
+
+
 # ---------------------------------------------------------------------------
 # info
 
@@ -505,6 +523,99 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "order 5" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# what a process loads: the classifier core, and presentations and
+# dicyclic_theory only once a command or caller uses them
+
+CORE_MODULES = ["cayleyclass", "cayleyclass.cayley", "cayleyclass.classify", "cayleyclass.cli",
+                "cayleyclass.groups", "cayleyclass.iso", "cayleyclass.words"]
+
+# every name `from cayleyclass import *` bound when the package loaded
+# presentations and dicyclic_theory eagerly
+EAGER_EXPORTS = [
+    "CayleyGraph", "ClassificationReport", "ClosureLimitError", "CosetLimitExceeded",
+    "FiniteGroup", "GeneratingSequence", "IsoWitness", "MorphismPair", "OrderMultiset",
+    "ParseError", "Presentation", "SequenceClass", "TheoremPrediction", "TheoremVerification",
+    "Word", "automorphisms", "brute_force_iso", "build", "cayley", "check_homomorphism",
+    "classify", "classify_summary_equal", "closure", "cyclic", "dicyclic", "dicyclic_theory",
+    "dihedral", "direct_product", "directed_iso", "element_order",
+    "enumerate_generating_sequences", "from_descriptor", "from_permutations",
+    "generates_pair_ax", "generates_pair_xx", "group_automorphisms", "groups", "is_connected",
+    "is_generating", "is_minimal_generating", "iso", "morphism_pair", "order_constraint_ax",
+    "order_multiset", "parse_element", "parse_presentation", "parse_sequence",
+    "pi_presentation", "predicted_classification", "presentations", "same_class_xx", "to_dot",
+    "todd_coxeter", "undirected_iso", "undirected_view", "verify_mutual_inverse",
+    "verify_theorem", "words",
+]
+
+
+def fresh_python(code):
+    """Run code in a new interpreter; its stdout parsed as JSON."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_a_classify_process_loads_only_the_core():
+    code, modules = fresh_python(
+        "import contextlib, io, json, sys\n"
+        "import cayleyclass.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cayleyclass.cli.main(['classify', '--group', 'dicyclic:3', '--length', '2',"
+        " '--minimal', '--format', 'json'])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('cayleyclass'))]))\n"
+    )
+    assert (code, modules) == (0, CORE_MODULES)
+
+
+def test_the_package_names_cover_every_eager_export():
+    names, modules, star, late = fresh_python(
+        "import json, sys\n"
+        "import cayleyclass\n"
+        "names = [n for n in dir(cayleyclass) if not n.startswith('_')]\n"
+        "modules = sorted(m for m in sys.modules if m.startswith('cayleyclass'))\n"
+        "star = {}\n"
+        "exec('from cayleyclass import *', star)\n"
+        "late = sorted(m for m in sys.modules if m.startswith('cayleyclass'))\n"
+        "print(json.dumps([names, modules, sorted(star), late]))\n"
+    )
+    assert set(EAGER_EXPORTS) <= set(names)
+    assert modules == [m for m in CORE_MODULES if m != "cayleyclass.cli"]
+    assert set(EAGER_EXPORTS) <= set(star)
+    assert {"cayleyclass.presentations", "cayleyclass.dicyclic_theory"} <= set(late)
+
+
+def test_the_lazy_names_are_the_modules_own():
+    import cayleyclass as cc
+
+    assert sorted(cc.__all__) == sorted(EAGER_EXPORTS)
+    assert cc.verify_theorem is dicyclic_theory.verify_theorem
+    assert cc.CosetLimitExceeded is presentations.CosetLimitExceeded
+    assert cc.presentations is presentations and cc.dicyclic_theory is dicyclic_theory
+    # the function, not the submodule of the same name
+    assert cc.classify is sys.modules["cayleyclass.classify"].classify
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cc.no_such_name
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["verify-theorem", "--n-range", "3..3"], "n=3: 4 classes PASS\n"),
+    (["check-presentation", "<g | g^5>", "--expect", "5"], "order 5\nPASS\n"),
+    (["check-morphisms", "--n", "3", "--variant", "1"], "n=3 variant=1: PASS\n"),
+])
+def test_theorem_and_presentation_commands_run_from_a_fresh_process(argv, out):
+    proc = subprocess.run([sys.executable, "-m", "cayleyclass", *argv],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+
+
+def test_the_help_quotes_the_library_bounds():
+    # the parser quotes copies, so that building it loads neither module
+    assert (cli.MIN_N, cli.MAX_N) == (dicyclic_theory.MIN_N, dicyclic_theory.MAX_N)
+    assert cli.EXPECTED_ORDER_FACTOR == presentations.EXPECTED_ORDER_FACTOR
+    assert cli.DEFAULT_MAX_COSETS == presentations.DEFAULT_MAX_COSETS
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

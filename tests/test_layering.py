@@ -11,11 +11,23 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cayleyclass"
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 
 
-def package_imports(name):
-    """Modules of the package that the module imports anywhere in its body."""
+def module_level_nodes(tree):
+    """The nodes ast.walk yields, but for those inside a function body:
+    what runs when the module is imported."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(child for child in ast.iter_child_nodes(node)
+                     if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+
+def package_imports(name, module_level=False):
+    """Modules of the package that the module imports anywhere in its
+    body, or with module_level only outside its functions."""
     tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
     found = set()
-    for node in ast.walk(tree):
+    for node in (module_level_nodes if module_level else ast.walk)(tree):
         if isinstance(node, ast.ImportFrom):
             if node.level == 0:
                 parts = (node.module or "").split(".")
@@ -63,6 +75,17 @@ def test_package_import_graph_has_no_cycle():
 
 def test_groups_imports_only_words():
     assert package_imports("groups") == {"words"}
+
+
+def test_the_classifier_core_loads_no_presentation_or_theorem_module():
+    # import cayleyclass and import cayleyclass.cli load the core alone, so
+    # a classify run never compiles presentations or dicyclic_theory; the
+    # commands that use them import them in their bodies
+    core = ("__init__", "words", "groups", "cayley", "iso", "classify", "cli")
+    for name in core:
+        assert not package_imports(name, module_level=True) & {"presentations",
+                                                               "dicyclic_theory"}, name
+    assert {"presentations", "dicyclic_theory"} <= package_imports("cli")
 
 
 def test_theory_places_representatives_without_graphs():
