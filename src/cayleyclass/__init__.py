@@ -37,7 +37,7 @@ from .groups import (
     parse_element,
     parse_sequence,
 )
-from .iso import IsoWitness, automorphisms, brute_force_iso, directed_iso, undirected_iso
+from .iso import IsoWitness, directed_iso, undirected_iso
 from .words import ParseError
 
 __version__ = "0.1.0"
@@ -83,7 +83,7 @@ __all__ = [
     "from_permutations", "group_automorphisms", "is_generating", "is_minimal_generating",
     "order_multiset", "parse_element", "parse_sequence",
     # iso
-    "IsoWitness", "automorphisms", "brute_force_iso", "directed_iso", "undirected_iso",
+    "IsoWitness", "directed_iso", "undirected_iso",
     # words
     "ParseError",
     # presentations and dicyclic_theory, loaded on first use

@@ -95,25 +95,6 @@ def undirected_view(graph: CayleyGraph) -> tuple[tuple[int, int, int], ...]:
                          for k, row in enumerate(graph.succ) for v, w in enumerate(row)}))
 
 
-def label_cycles(graph: CayleyGraph, label_index: int) -> list[list[int]]:
-    """Directed cycles of one label's permutation, lowest vertex first."""
-    row = graph.succ[label_index]
-    seen = [False] * graph.vertex_count
-    cycles = []
-    for start in range(graph.vertex_count):
-        if seen[start]:
-            continue
-        cycle = [start]
-        seen[start] = True
-        cursor = row[start]
-        while cursor != start:
-            cycle.append(cursor)
-            seen[cursor] = True
-            cursor = row[cursor]
-        cycles.append(cycle)
-    return cycles
-
-
 def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 

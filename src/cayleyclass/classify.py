@@ -38,10 +38,11 @@ The walk starts at the first k-set, (0, ..., k-1).  Each node of the
 tree holds its group as a stabilizer chain along the generating tuple
 ``base``: at most r <= log2|G| levels, each an orbit of at most |G|
 points with its Schreier vector.  ``groups.group_automorphisms`` returns
-the root, Aut(G).  A child is built by Schreier-Sims with its known
-order, |H| / |orbit|, sifting each Schreier generator through the chain
-built so far by its images of base, so a node stores O(r*|G|) points
-however large its group (GL(5, 2) for (C2)^5, say).  MAX_SETS bounds the
+the root, Aut(G), which is kept on the group with the children built
+under it.  A child is built by Schreier-Sims with its known order,
+|H| / |orbit|, sifting each Schreier generator through the chain built
+so far by its images of base, so a node stores O(r*|G|) points however
+large its group (GL(5, 2) for (C2)^5, say).  MAX_SETS bounds the
 C(order, k) sets that the walk may visit.
 
 In undirected mode a label s and its inverse give the same edges, and
@@ -170,25 +171,22 @@ def classify(
     minimal_only: bool = False,
     *,
     max_order: int = DEFAULT_MAX_ORDER,
-    automorphisms: Optional[StabilizerNode] = None,
 ) -> ClassificationReport:
     """Partition generating sequences into equivalence classes.
 
     mode is "directed" (edge-labeled digraph isomorphism) or
-    "undirected" (direction-forgetting view).  automorphisms is Aut(G)
-    as ``group_automorphisms(group)`` returns it, for a caller that holds
-    it already; by default it is computed here.  A given root must act on
-    the group's elements by automorphisms of the group, else ValueError;
-    that check cannot prove the root is all of Aut(G).
+    "undirected" (direction-forgetting view).  The classes are walked
+    down ``group_automorphisms(group)``, Aut(G), which is built on the
+    group's first classification and kept on the group, so later
+    classifications of the same group object, and any caller that asks
+    for Aut(G) after, share that one root.
     """
     if mode not in ("directed", "undirected"):
         raise ValueError(f"mode must be 'directed' or 'undirected', got {mode!r}")
     start = time.perf_counter()
     _check_guards(group, length, max_order)
-    if automorphisms is not None:
-        _check_automorphisms(group, automorphisms)
     # Aut(G) materialises the table too
-    root = automorphisms if automorphisms is not None else group_automorphisms(group)
+    root = group_automorphisms(group)
     # records: [representative, order multiset, size, Cayley graph]
     records: list[list] = []
     per_set = math.factorial(length)
@@ -238,27 +236,6 @@ def classify(
         total=sum(c.size for c in classes),
         wall_time_seconds=time.perf_counter() - start,
     )
-
-
-def _check_automorphisms(group: FiniteGroup, root: StabilizerNode) -> None:
-    """Raise ValueError unless root acts on the elements of group by
-    automorphisms of group: each generator map m of root must be a
-    permutation with m[s*v] = m[s]*m[v] for every generator s of group
-    and every v, which then holds for every s the generators reach
-    (|generators| * |G| lookups a map).  The maps may still generate a
-    proper subgroup of Aut(G)."""
-    if len(root.least) != group.order:
-        raise ValueError(f"the automorphisms act on {len(root.least)} points, "
-                         f"not the {group.order} elements of {group.descriptor}")
-    elements = list(group.elements())
-    rows = [(s, group.row(s)) for _, s in group.generators]
-    for m in root.generators:
-        # row by row: m[s*v] over v against m[s]*m[v] over v
-        if sorted(m) != elements or any(
-                list(map(m.__getitem__, row)) != list(map(group.row(m[s]).__getitem__, m))
-                for s, row in rows):
-            raise ValueError(f"a map of the automorphisms is not an automorphism of "
-                             f"{group.descriptor}")
 
 
 def _qualifying_leaves(group: FiniteGroup, root: StabilizerNode, length: int,

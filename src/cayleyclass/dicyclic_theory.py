@@ -31,11 +31,6 @@ def _require_n(n: int) -> None:
         raise ValueError(f"requires n >= 2, got {n}")
 
 
-def classical_presentation(n: int) -> Presentation:
-    _require_n(n)
-    return parse_presentation(f"<a,x | a^{2 * n}, x^2=a^{n}, x^-1*a*x=a^-1>")
-
-
 def generates_pair_xx(n: int, k: int, m: int) -> bool:
     """Does (a^k*x, a^m*x) generate the order-4n dicyclic group?"""
     _require_n(n)
@@ -214,12 +209,13 @@ def verify_theorem(n: int) -> TheoremVerification:
         raise ValueError(f"n must be in {MIN_N}..{MAX_N}, got {n}")
     group = dicyclic(n)
     prediction = predicted_classification(n)
-    root = group_automorphisms(group)
-    report = classify(group, 2, "directed", minimal_only=True, automorphisms=root)
+    report = classify(group, 2, "directed", minimal_only=True)
     profile_ok = classify_summary_equal(report, prediction.multisets)
 
     # a class is an Aut(G)-orbit of sets, led by its least set, which is
-    # the least image of each of its sets
+    # the least image of each of its sets; the root is the one classify
+    # built and kept on the group
+    root = group_automorphisms(group)
     index = {c.representative.elements: i for i, c in enumerate(report.classes)}
     rep_classes = [index.get(root.least_image(sorted(parse_sequence(group, text).elements))[0], -1)
                    for text in prediction.representatives]

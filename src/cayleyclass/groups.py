@@ -16,7 +16,8 @@ The module also holds what follows Cayley edges and automorphisms:
 ``forced_map``, ``group_automorphisms`` and ``StabilizerNode``, the one
 type that holds a group of automorphisms: a node of the tree of
 pointwise stabilizers of Aut(G) down prefixes of elements.
-``group_automorphisms`` returns its root, Aut(G), which is never listed.
+``group_automorphisms`` returns its root, Aut(G), which is never listed;
+the root is built once per group and kept on it.
 Each node holds its group as a stabilizer chain along the same
 generating tuple, built by Schreier-Sims with known order from
 automorphisms given as data (base images and the held maps they
@@ -33,7 +34,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -43,8 +43,6 @@ from .words import ParseError
 
 DEFAULT_CLOSURE_CAP = 10000
 TABLE_LIMIT = 4096
-_ASSOC_EXHAUSTIVE_LIMIT = 200
-_ASSOC_SAMPLES = 100_000
 
 
 class ClosureLimitError(RuntimeError):
@@ -60,8 +58,9 @@ class FiniteGroup:
     walked breadth-first from e as edges (p, k, q) with q = p*g_k.  The
     multiplication table (up to TABLE_LIMIT elements), the rows s*v past
     it, the inverses and the element orders are derived along it and kept
-    on the group.  So a group is not immutable: these caches fill on
-    first use, and nothing else changes after construction.
+    on the group, and so is Aut(G) (``group_automorphisms``).  So a group
+    is not immutable: these caches fill on first use, and nothing else
+    changes after construction.
     """
 
     def __init__(
@@ -94,6 +93,7 @@ class FiniteGroup:
         self._table: Optional[list[tuple[int, ...]]] = None
         self._inv_table: Optional[tuple[int, ...]] = None
         self._orders: Optional[tuple[int, ...]] = None
+        self._automorphisms: Optional[StabilizerNode] = None
 
     def __repr__(self):
         return f"<FiniteGroup {self.descriptor} order {self.order}>"
@@ -118,12 +118,6 @@ class FiniteGroup:
                 inverse[q] = self.mul(back[k], inverse[p])
             self._inv_table = tuple(inverse)
         return self._inv_table[a]
-
-    def pow(self, g: int, k: int) -> int:
-        return words.power(g, k, self.mul, self.identity, self.inv)
-
-    def name(self, g: int) -> str:
-        return self.names[g]
 
     def resolve_name(self, text: str) -> Optional[int]:
         got = self.named_elements.get(text)
@@ -181,33 +175,6 @@ class FiniteGroup:
         for p, k, q in tree:
             row[q] = steps[k][row[p]]
         return tuple(row)
-
-    def validate(self) -> None:
-        """Check the group axioms; raises ValueError on any violation.
-
-        Associativity is exhaustive up to order 200 and sampled with
-        100k random triples, from a fixed seed, above that.
-        """
-        n = self.order
-        for g in range(n):
-            if self.mul(0, g) != g or self.mul(g, 0) != g:
-                raise ValueError(f"identity is not neutral for element {g}")
-            h = self.inv(g)
-            if self.mul(g, h) != 0 or self.mul(h, g) != 0:
-                raise ValueError(f"inv({g}) is not a two-sided inverse")
-        if len(set(self.names)) != n:
-            raise ValueError("element names are not pairwise distinct")
-        if n <= _ASSOC_EXHAUSTIVE_LIMIT:
-            triples = itertools.product(range(n), repeat=3)
-        else:
-            rng = random.Random(0)
-            triples = (
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                for _ in range(_ASSOC_SAMPLES)
-            )
-        for a, b, c in triples:
-            if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                raise ValueError(f"multiplication is not associative at {(a, b, c)}")
 
 
 @dataclass(frozen=True)
@@ -608,10 +575,6 @@ def parse_sequence(group: FiniteGroup, text: str) -> GeneratingSequence:
     return GeneratingSequence(tuple(elements), group.descriptor)
 
 
-def sequence_text(group: FiniteGroup, elements: Iterable[int]) -> str:
-    return ",".join(group.names[g] for g in elements)
-
-
 def element_order(group: FiniteGroup, g: int) -> int:
     """Least k >= 1 with g^k = e."""
     return element_orders(group)[g]
@@ -760,7 +723,9 @@ def element_orders(group: FiniteGroup) -> tuple[int, ...]:
 
 def group_automorphisms(group: FiniteGroup) -> StabilizerNode:
     """Aut(G), the root of the stabilizer tree, by a stabilizer chain
-    along base.
+    along base.  The root is built on the first call and kept on the
+    group, so every later call, from ``classify`` or any other caller,
+    returns that same root with the children built under it so far.
 
     base = (b_0, ..., b_{r-1}) is the greedy generating tuple, so b_j lies
     outside <b_0, ..., b_{j-1}>.  An automorphism is fixed by its images
@@ -781,6 +746,8 @@ def group_automorphisms(group: FiniteGroup) -> StabilizerNode:
     is skipped.  Each generator enlarges the group held, so at most
     log2|Aut(G)| are held, and no set or walk of |Aut(G)| size is made.
     """
+    if group._automorphisms is not None:
+        return group._automorphisms
     group.ensure_table()
     count = group.order
     orders = element_orders(group)
@@ -834,7 +801,8 @@ def group_automorphisms(group: FiniteGroup) -> StabilizerNode:
     # complete refers to itself through its closure, which holds the group:
     # drop that cycle, so the group is freed by reference counting
     del complete
-    return auts._walk_orbits(count)
+    group._automorphisms = auts._walk_orbits(count)
+    return group._automorphisms
 
 
 class StabilizerNode:

@@ -8,7 +8,7 @@ connected Cayley graphs are vertex-transitive with trivial stabilizer
 isomorphism composes with an automorphism of the target into one fixing
 the basepoint, and a basepoint-fixing isomorphism is forced edge by
 edge (``groups.forced_map``).  That normalization is the correctness
-crux; the brute-force oracle below does not rely on it.
+crux.
 
 The undirected matcher takes the same ``CayleyGraph``s and reads both
 rows of a label, ``succ`` (v -> s*v) and ``pred`` (v -> s^-1*v).  With
@@ -28,8 +28,6 @@ from typing import Optional
 
 from .cayley import CayleyGraph, is_connected
 from .groups import forced_map
-
-BRUTE_FORCE_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -84,15 +82,13 @@ def _require_connected(graph: CayleyGraph, caller: str) -> None:
         raise ValueError(f"{caller} requires a connected graph: {graph.provenance}")
 
 
-def _label_bijections(g1: CayleyGraph, g2: CayleyGraph, order_compatible: bool):
-    """Label bijections in lexicographic order, optionally restricted to
-    order-compatible ones (element orders are an isomorphism invariant)."""
+def _label_bijections(g1: CayleyGraph, g2: CayleyGraph):
+    """The order-compatible label bijections in lexicographic order
+    (element orders are an isomorphism invariant)."""
     k = len(g1.labels)
     for perm in itertools.permutations(range(k)):
-        if order_compatible:
-            if any(g1.label_orders[i] != g2.label_orders[perm[i]] for i in range(k)):
-                continue
-        yield perm
+        if all(g1.label_orders[i] == g2.label_orders[perm[i]] for i in range(k)):
+            yield perm
 
 
 def directed_iso(g1: CayleyGraph, g2: CayleyGraph) -> Optional[IsoWitness]:
@@ -104,47 +100,11 @@ def directed_iso(g1: CayleyGraph, g2: CayleyGraph) -> Optional[IsoWitness]:
     _require_connected(g2, "directed_iso")
     if g1.vertex_count != g2.vertex_count or len(g1.labels) != len(g2.labels):
         return None
-    for sigma in _label_bijections(g1, g2, order_compatible=True):
+    for sigma in _label_bijections(g1, g2):
         f = forced_map(g1.vertex_count, g1.succ, g2.succ, sigma, g1.basepoint, g2.basepoint)
         if f is not None:
             return _checked(g1, g2, IsoWitness(f, tuple(sigma)), "directed_iso")
     return None
-
-
-def brute_force_iso(
-    g1: CayleyGraph, g2: CayleyGraph, limit: int = BRUTE_FORCE_LIMIT
-) -> Optional[IsoWitness]:
-    """Exhaustive oracle: tries every label bijection and every basepoint
-    image, with no order pruning and no appeal to vertex transitivity.
-    Guarded to at most 16 vertices unless the limit is raised explicitly."""
-    if max(g1.vertex_count, g2.vertex_count) > limit:
-        raise ValueError(
-            f"brute_force_iso refuses graphs larger than {limit} vertices"
-        )
-    if g1.vertex_count != g2.vertex_count or len(g1.labels) != len(g2.labels):
-        return None
-    _require_connected(g1, "brute_force_iso")
-    _require_connected(g2, "brute_force_iso")
-    for sigma in _label_bijections(g1, g2, order_compatible=False):
-        for start in range(g2.vertex_count):
-            f = forced_map(g1.vertex_count, g1.succ, g2.succ, sigma, g1.basepoint, start)
-            if f is not None:
-                return _checked(g1, g2, IsoWitness(f, tuple(sigma)), "brute_force_iso")
-    return None
-
-
-def automorphisms(graph: CayleyGraph) -> list[IsoWitness]:
-    """All label-preserving automorphisms; equals the group order for a
-    connected Cayley graph (one per basepoint image, by regularity)."""
-    _require_connected(graph, "automorphisms")
-    identity_sigma = tuple(range(len(graph.labels)))
-    found = []
-    for start in range(graph.vertex_count):
-        f = forced_map(graph.vertex_count, graph.succ, graph.succ, identity_sigma,
-                       graph.basepoint, start)
-        if f is not None:
-            found.append(_checked(graph, graph, IsoWitness(f, identity_sigma), "automorphisms"))
-    return found
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +132,7 @@ def undirected_iso(g1: CayleyGraph, g2: CayleyGraph) -> Optional[IsoWitness]:
     if g1.vertex_count != g2.vertex_count or len(g1.labels) != len(g2.labels):
         return None
     n = g1.vertex_count
-    for sigma in _label_bijections(g1, g2, order_compatible=True):
+    for sigma in _label_bijections(g1, g2):
         rows = [(g1.succ[k], g1.pred[k], g2.succ[k2], g2.pred[k2]) for k, k2 in enumerate(sigma)]
         f = [-1] * n
         used = [False] * n

@@ -1,6 +1,8 @@
 import itertools
+import random
 
 import cayleyclass as cc
+from cayleyclass import words
 
 PRODUCT_DESCRIPTORS = (
     "product:cyclic:2,cyclic:2",
@@ -24,6 +26,13 @@ def coxeter_sn(n, square="{}^2"):
     rels += [f"({gens[i]}*{gens[i + 1]})^3" for i in range(len(gens) - 1)]
     rels += [f"({gens[i]}*{gens[j]})^2" for i in range(len(gens)) for j in range(i + 2, len(gens))]
     return f"<{','.join(gens)} | {', '.join(rels)}>"
+
+
+def classical_presentation(n):
+    """The classical presentation of the dicyclic group of order 4n."""
+    if n < 2:
+        raise ValueError(f"requires n >= 2, got {n}")
+    return cc.parse_presentation(f"<a,x | a^{2 * n}, x^2=a^{n}, x^-1*a*x=a^-1>")
 
 
 def builtin_groups(max_order, min_order=1):
@@ -68,3 +77,40 @@ def all_automorphisms(group):
         if all([m[v] for v in table[p]] == [table[m[p]][w] for w in m] for p in elements):
             found.append(tuple(m))
     return sorted(found)
+
+
+ASSOC_EXHAUSTIVE_LIMIT = 200
+ASSOC_SAMPLES = 100_000
+
+
+def validate(group):
+    """Check the group axioms; raises ValueError on any violation.
+
+    Associativity is exhaustive up to order 200 and sampled with
+    100k random triples, from a fixed seed, above that.
+    """
+    n = group.order
+    for g in range(n):
+        if group.mul(0, g) != g or group.mul(g, 0) != g:
+            raise ValueError(f"identity is not neutral for element {g}")
+        h = group.inv(g)
+        if group.mul(g, h) != 0 or group.mul(h, g) != 0:
+            raise ValueError(f"inv({g}) is not a two-sided inverse")
+    if len(set(group.names)) != n:
+        raise ValueError("element names are not pairwise distinct")
+    if n <= ASSOC_EXHAUSTIVE_LIMIT:
+        triples = itertools.product(range(n), repeat=3)
+    else:
+        rng = random.Random(0)
+        triples = (
+            (rng.randrange(n), rng.randrange(n), rng.randrange(n))
+            for _ in range(ASSOC_SAMPLES)
+        )
+    for a, b, c in triples:
+        if group.mul(group.mul(a, b), c) != group.mul(a, group.mul(b, c)):
+            raise ValueError(f"multiplication is not associative at {(a, b, c)}")
+
+
+def power(group, g, k):
+    """g^k in the group, k of either sign."""
+    return words.power(g, k, group.mul, group.identity, group.inv)

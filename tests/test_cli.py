@@ -438,6 +438,17 @@ def test_info_and_export_dot_refuse_a_family_past_the_closure_cap(capsys, monkey
         assert "group order 1000000 of dicyclic:250000 exceeds the order guard (10000)" in err, argv
 
 
+@pytest.mark.parametrize("descriptor", ["perm:8:(1,2);(1,2,3,4,5,6,7,8)",
+                                        "product:perm:8:(1,2);(1,2,3,4,5,6,7,8),cyclic:2"])
+def test_info_and_export_dot_refuse_a_perm_group_past_the_closure_cap(capsys, descriptor):
+    # from_descriptor turns the closure error of a guarded perm group,
+    # alone or as a factor, into a ValueError that main reports
+    for argv in (["info"], ["export-dot", "--seq", "(1,2)"]):
+        code, out, err = run(capsys, *argv, "--group", descriptor)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and "exceeds the order guard (10000)" in err, argv
+
+
 S4 = "perm:4:(1,2);(1,2,3,4)"
 
 # malformed descriptors, sequences and presentations, each with the one
@@ -533,12 +544,13 @@ CORE_MODULES = ["cayleyclass", "cayleyclass.cayley", "cayleyclass.classify", "ca
                 "cayleyclass.groups", "cayleyclass.iso", "cayleyclass.words"]
 
 # every name `from cayleyclass import *` bound when the package loaded
-# presentations and dicyclic_theory eagerly
+# presentations and dicyclic_theory eagerly, but the graph automorphisms
+# and the brute-force matcher, which only tests call
 EAGER_EXPORTS = [
     "CayleyGraph", "ClassificationReport", "ClosureLimitError", "CosetLimitExceeded",
     "FiniteGroup", "GeneratingSequence", "IsoWitness", "MorphismPair", "OrderMultiset",
     "ParseError", "Presentation", "SequenceClass", "TheoremPrediction", "TheoremVerification",
-    "Word", "automorphisms", "brute_force_iso", "build", "cayley", "check_homomorphism",
+    "Word", "build", "cayley", "check_homomorphism",
     "classify", "classify_summary_equal", "closure", "cyclic", "dicyclic", "dicyclic_theory",
     "dihedral", "direct_product", "directed_iso", "element_order",
     "enumerate_generating_sequences", "from_descriptor", "from_permutations",

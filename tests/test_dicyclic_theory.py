@@ -6,6 +6,7 @@ import pytest
 import cayleyclass as cc
 from cayleyclass import cli, dicyclic_theory as theory, groups, presentations, words
 from cayleyclass.groups import OrderMultiset
+from conftest import classical_presentation
 from morphism_oracle import oracle_mutual_inverse
 from pairwise_oracle import pairwise_representative_classes
 
@@ -157,15 +158,16 @@ def test_representative_classes_match_pairwise_placement():
 
 def test_verify_theorem_builds_the_group_and_aut_once_per_n(monkeypatch):
     # classify and the placement of the predicted representatives share
-    # one root, and every morphism variant is checked against the group
-    # verify_theorem built; a second group_automorphisms or dicyclic
-    # would be counted here
-    calls, built = [], []
+    # the one root kept on the group, and every morphism variant is
+    # checked against the group verify_theorem built; a second root or
+    # dicyclic would be counted here
+    calls, roots, built = [], [], []
     group_automorphisms, dicyclic = cc.group_automorphisms, theory.dicyclic
 
     def counted(group):
         calls.append(group.descriptor)
-        return group_automorphisms(group)
+        roots.append(group_automorphisms(group))
+        return roots[-1]
 
     def counted_build(n):
         built.append(n)
@@ -176,9 +178,11 @@ def test_verify_theorem_builds_the_group_and_aut_once_per_n(monkeypatch):
     monkeypatch.setattr(theory, "dicyclic", counted_build)
     for n in range(theory.MIN_N, theory.MAX_N + 1):
         calls.clear()
+        roots.clear()
         built.clear()
         theory.verify_theorem(n)
-        assert (calls, built) == ([f"dicyclic:{n}"], [n]), n
+        assert set(calls) == {f"dicyclic:{n}"} and built == [n], n
+        assert len({id(root) for root in roots}) == 1, n
 
 
 def test_verify_theorem_parses_each_word_once(monkeypatch):
@@ -274,7 +278,7 @@ def test_verify_mutual_inverse_agrees_with_the_oracle(n, variant):
     # the variant's pair, its phi with every psi into G x G, and its psi
     # with every phi into pairs of the realized group's element names
     group, presentation = cc.dicyclic(n), theory.pi_presentation(n, variant)
-    classical = theory.classical_presentation(n)
+    classical = classical_presentation(n)
     realized = cc.todd_coxeter(presentation, max_cosets=16 * 4 * n)
     pair = theory.morphism_pair(n, variant)
     p_names, g_names = presentation.generator_names, [name for name, _ in group.generators]
@@ -317,7 +321,7 @@ def test_verify_theorem_json_shape():
 
 def test_classical_presentation_guard():
     with pytest.raises(ValueError):
-        theory.classical_presentation(1)
+        classical_presentation(1)
     for fn in (theory.generates_pair_xx, theory.generates_pair_ax):
         with pytest.raises(ValueError):
             fn(1, 0, 0)

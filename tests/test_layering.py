@@ -7,6 +7,8 @@ at load time still shows up here.
 import ast
 from pathlib import Path
 
+from test_bench_spans import load_layers
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cayleyclass"
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 
@@ -129,9 +131,11 @@ def test_only_words_reads_its_private_names():
 
 
 def test_only_groups_reads_the_private_fields_of_a_group():
-    # the table, the inverses, the spanning tree and the element orders are
-    # derived inside groups; other modules ask the group (row, inv, mul)
-    fields = {"_table", "_inv_table", "_mul_fn", "_steps", "_tree", "_orders"}
+    # the table, the inverses, the spanning tree, the element orders and
+    # Aut(G) are derived inside groups; other modules ask the group (row,
+    # inv, mul) or group_automorphisms
+    fields = {"_table", "_inv_table", "_mul_fn", "_steps", "_tree", "_orders",
+              "_automorphisms"}
     for path in sorted(PACKAGE.parent.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         names = {getattr(node, "attr", None) for node in ast.walk(tree)}
@@ -181,3 +185,45 @@ def test_only_the_group_class_reads_its_table():
     assert inside and reads
     outside = [node.lineno for node in reads if id(node) not in inside]
     assert not outside, outside
+
+
+# public definitions that nothing in src/ calls, each with why it stays:
+# the closed forms of dicyclic_theory state the paper's lemmas, which the
+# tests confront with the classifier
+UNCALLED = {
+    "generates_pair_xx": "when (a^k*x, a^m*x) generates: gcd(n, k - m) = 1",
+    "generates_pair_ax": "when (a^k, a^m*x) generates: gcd(n, k) = 1",
+    "same_class_xx": "when two generating pairs (a^k*x, a^m*x) share a class",
+    "order_constraint_ax": "the order of a^k in a generating pair (a^k, a^m*x)",
+}
+
+
+def test_every_public_definition_has_a_caller():
+    # every public module-level function and class is referenced, by name,
+    # in src/ outside its own definition, or traced by the benchmark's
+    # bench/spans.py LAYERS, or listed in UNCALLED: src/ holds no code
+    # that only tests call.  The package's re-exports are no reference.
+    traced = {(module, attribute) for module, attribute, _, _ in load_layers()}
+    trees = {name: ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+             for name in MODULES}
+    references: dict[str, list[int]] = {}  # name -> ids of the nodes naming it
+    for name, tree in trees.items():
+        if name == "__init__":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                references.setdefault(node.id, []).append(id(node))
+            elif isinstance(node, ast.Attribute):
+                references.setdefault(node.attr, []).append(id(node))
+    defined, uncalled = set(), []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defined.add(node.name)
+                inside = {id(n) for n in ast.walk(node)}
+                if (not any(ref not in inside for ref in references.get(node.name, ()))
+                        and (name, node.name) not in traced and node.name not in UNCALLED):
+                    uncalled.append(f"{name}.{node.name}")
+    assert not uncalled, uncalled
+    assert set(UNCALLED) <= defined

@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 import cayleyclass as cc
 from cayleyclass import cli, presentations, words
-from cayleyclass.dicyclic_theory import applicable_variants, classical_presentation
+from cayleyclass.dicyclic_theory import applicable_variants
 from cayleyclass.groups import StabilizerNode
 from cayleyclass.presentations import CosetLimitExceeded, parse_presentation, todd_coxeter
 from cayleyclass.words import ParseError
-from conftest import coxeter_sn
+from conftest import classical_presentation, coxeter_sn, validate
 import coset_oracle
 from coset_oracle import oracle_enumerate
 
@@ -150,14 +150,12 @@ def test_enumerated_group_passes_axioms():
                  "<b,y | b^3, y^4, y^-1*b*y=b^-1>",
                  "<g | g^6, g^4>"):
         group = todd_coxeter(parse_presentation(text))
-        group.validate()
+        validate(group)
         for g in group.elements():
             assert cc.parse_element(group, group.names[g]) == g
 
 
 def test_classical_presentations_match_concrete_orders():
-    from cayleyclass.dicyclic_theory import classical_presentation
-
     for n in range(2, 9):
         assert todd_coxeter(classical_presentation(n)).order == 4 * n
     for n in range(3, 9):

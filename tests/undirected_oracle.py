@@ -15,9 +15,9 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
+from brute_force_oracle import BRUTE_FORCE_LIMIT
 from cayleyclass.cayley import CayleyGraph
 from cayleyclass.iso import (
-    BRUTE_FORCE_LIMIT,
     IsoWitness,
     _label_bijections,
     _require_connected,
@@ -40,7 +40,7 @@ def undirected_iso(g1: CayleyGraph, g2: CayleyGraph) -> Optional[IsoWitness]:
     if g1.vertex_count != g2.vertex_count or len(g1.labels) != len(g2.labels):
         return None
     n = g1.vertex_count
-    for sigma in _label_bijections(g1, g2, order_compatible=True):
+    for sigma in _label_bijections(g1, g2):
         f = [-1] * n
         used = [False] * n
         f[g1.basepoint] = g2.basepoint
@@ -153,7 +153,7 @@ def exhaustive_undirected_iso(
                 if w not in reached:
                     reached[w] = (v, k)
                     order.append(w)
-    for sigma in _label_bijections(g1, g2, order_compatible=False):
+    for sigma in itertools.permutations(range(len(g1.labels))):
         pairs = [(g1.succ[k], g1.pred[k], g2.succ[k2], g2.pred[k2]) for k, k2 in enumerate(sigma)]
         f, finv = [-1] * n, [-1] * n
 
