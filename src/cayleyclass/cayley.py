@@ -15,9 +15,10 @@ group's table when it has one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from functools import cached_property
+from typing import Iterable
 
-from .groups import FiniteGroup, GeneratingSequence, element_order
+from .groups import FiniteGroup, element_order
 
 _EDGE_STYLES = ("solid", "dashed", "dotted", "bold")
 
@@ -34,16 +35,18 @@ class CayleyGraph:
     basepoint: int
     provenance: str
 
+    @cached_property
+    def connected(self) -> bool:
+        """``is_connected(self)``, walked on first use and kept."""
+        return is_connected(self)
 
-def build(group: FiniteGroup, sequence: Union[GeneratingSequence, Iterable[int]]) -> CayleyGraph:
+
+def build(group: FiniteGroup, sequence: Iterable[int]) -> CayleyGraph:
     """Cayley graph of the group with respect to the sequence.
 
     Duplicate sequence entries collapse to a single label.
     """
-    if isinstance(sequence, GeneratingSequence):
-        elements = sequence.elements
-    else:
-        elements = tuple(sequence)
+    elements = tuple(sequence)
     labels: list[int] = []
     for s in elements:
         if not 0 <= s < group.order:

@@ -20,11 +20,14 @@ sequences for each Aut(G)-orbit among the k! orderings of its set, and
 the orderings that share the least image of the set number |set
 stabilizer|.
 
-The generation test comes first, since it is the cheaper one, and it is
-shared down the tree.  The walk is depth-first, and each node on the
-current path holds <prefix>, the subgroup its elements generate (in
-minimal mode also the subgroup of each prefix without one of its
-elements), so at most k*k subgroups of at most |G| elements are held.
+The generation test comes first, at the leaves too, and it is shared
+down the tree.  At a leaf it is the costlier test, and the least-image
+test after it rejects most of the leaves that generate: on S6 at length
+3, minimal, 108,445 leaf closures prove generation and 3,209 sets lead a
+class.  The walk is depth-first, and each node on the current path
+holds <prefix>, the subgroup its elements generate (in minimal mode also
+the subgroup of each prefix without one of its elements), so at most
+k*k subgroups of at most |G| elements are held.
 A leaf (prefix, x) fails at once when x lies in <prefix>; otherwise
 <prefix> is extended by x coset by coset (``groups.extend_subgroup``,
 Dimino's method), each new coset a generator's row applied to an earlier

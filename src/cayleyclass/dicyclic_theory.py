@@ -95,7 +95,6 @@ def predicted_classification(n: int) -> TheoremPrediction:
 class MorphismPair:
     """Generator assignments phi: classical -> pi and psi: pi -> classical."""
 
-    variant: int
     phi: dict[str, str]
     psi: dict[str, str]
 
@@ -106,13 +105,13 @@ def _variants(n: int) -> dict[int, tuple[str, MorphismPair]]:
     for every n, variants 0 and n for odd n only."""
     _require_n(n)
     variants = {1: (f"<u,v | u^2=v^2, u^4, u^2*(u^3*v)^{n}>",
-                    MorphismPair(1, {"a": "u^3*v", "x": "v"}, {"u": "a*x", "v": "x"}))}
+                    MorphismPair({"a": "u^3*v", "x": "v"}, {"u": "a*x", "v": "x"}))}
     if n % 2 == 1:
         q = (n + 1) // 2
         variants[0] = (f"<u,v | u^2=v^2, u^4, u^2*(u*v)^{n}>",
-                       MorphismPair(0, {"a": "v*u", "x": "v"}, {"u": f"a^{n - 1}*x", "v": "x"}))
+                       MorphismPair({"a": "v*u", "x": "v"}, {"u": f"a^{n - 1}*x", "v": "x"}))
         variants[n] = (f"<b,y | b^{n}, y^4, y^-1*b*y=b^-1>",
-                       MorphismPair(n, {"a": f"b^{q}*y^2", "x": "y"}, {"b": "a^2", "y": "x"}))
+                       MorphismPair({"a": f"b^{q}*y^2", "x": "y"}, {"b": "a^2", "y": "x"}))
     return variants
 
 

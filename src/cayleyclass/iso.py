@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .cayley import CayleyGraph, is_connected
+from .cayley import CayleyGraph
 from .groups import forced_map
 
 
@@ -36,15 +36,6 @@ class IsoWitness:
 
     vertex_map: tuple[int, ...]
     label_map: tuple[int, ...]
-
-    def to_json(self, source: CayleyGraph, target: CayleyGraph) -> dict:
-        return {
-            "vertex_map": list(self.vertex_map),
-            "label_map": [
-                [source.label_names[k], target.label_names[self.label_map[k]]]
-                for k in range(len(self.label_map))
-            ],
-        }
 
 
 def _bijective(g1: CayleyGraph, g2: CayleyGraph, witness: IsoWitness) -> bool:
@@ -78,7 +69,7 @@ def _checked(g1: CayleyGraph, g2: CayleyGraph, witness: IsoWitness, caller: str)
 
 
 def _require_connected(graph: CayleyGraph, caller: str) -> None:
-    if not is_connected(graph):
+    if not graph.connected:
         raise ValueError(f"{caller} requires a connected graph: {graph.provenance}")
 
 

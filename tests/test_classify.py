@@ -4,6 +4,7 @@ import importlib
 import itertools
 import json
 import math
+import sys
 import time
 import weakref
 
@@ -17,7 +18,7 @@ from cayleyclass.classify import (
     classify_summary_equal,
     enumerate_generating_sequences,
 )
-from cayleyclass import groups
+from cayleyclass import cayley, groups
 from cayleyclass.groups import OrderMultiset
 from conftest import all_automorphisms, builtin_groups
 from pairwise_oracle import pairwise_classify
@@ -252,6 +253,31 @@ def test_generation_tests_stay_within_the_tree_leaves(monkeypatch):
             # a leaf costs at most one test, and 1 + k for minimality
             bound = (1 + length) * leaves if minimal_only else leaves
             assert 0 < len(calls) <= bound, (group.descriptor, minimal_only, len(calls), leaves)
+
+
+def test_each_graph_is_walked_for_connectivity_at_most_once(monkeypatch):
+    # classify builds a graph per kept undirected leaf and compares it
+    # with earlier ones; the graph keeps its connectivity once walked
+    walks, builds = [], []
+    walk, build = cayley.is_connected, cayley.build
+
+    def counted_walk(graph):
+        walks.append(graph)
+        return walk(graph)
+
+    def counted_build(group, sequence):
+        builds.append(sequence)
+        return build(group, sequence)
+
+    # every binding of the walk inside the package counts
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cayleyclass.") and vars(module).get("is_connected") is walk:
+            monkeypatch.setattr(module, "is_connected", counted_walk)
+    monkeypatch.setattr(cayley, "build", counted_build)
+    classify(cc.dihedral(10), 3, "undirected", minimal_only=False)
+    assert len(builds) == 21
+    assert 0 < len(walks) <= len(builds)
+    assert len({id(graph) for graph in walks}) == len(walks)
 
 
 def tree_leaves(root, degree, length):

@@ -157,6 +157,12 @@ def test_disconnected_inputs_rejected():
         iso.undirected_iso(disconnected, connected)
     with pytest.raises(ValueError):
         automorphisms(disconnected)
+    # either argument, and again once the graph keeps its connectivity
+    for matcher in (iso.directed_iso, iso.undirected_iso):
+        for g1, g2 in [(connected, disconnected), (disconnected, connected)]:
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    matcher(g1, g2)
 
 
 def test_brute_force_guard():
@@ -274,14 +280,13 @@ def test_undirected_search_work_is_bounded(monkeypatch, descriptor, length, boun
     assert calls > 0
 
 
-def test_witness_json():
+def test_witness_fields():
     G = cc.dicyclic(3)
     g1, g2 = graph_of(G, "a,x"), graph_of(G, "a^5,a^2*x")
     w = iso.directed_iso(g1, g2)
-    data = w.to_json(g1, g2)
-    assert sorted(data) == ["label_map", "vertex_map"]
-    assert data["label_map"] == [["a", "a^5"], ["x", "a^2*x"]]
-    assert sorted(data["vertex_map"]) == list(range(12))
+    assert w is not None
+    assert w.label_map == (0, 1)
+    assert sorted(w.vertex_map) == list(range(12))
 
 
 def test_witness_check_survives_python_O():

@@ -198,11 +198,28 @@ UNCALLED = {
 }
 
 
+def local_names(tree):
+    """Ids of the Name nodes that name a binding of the function they are
+    in (a parameter, or a name it or a function inside it assigns), not
+    a module-level definition."""
+    local = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            bound = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            bound |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+            names = [n for n in ast.walk(node) if isinstance(n, ast.Name)]
+            bound |= {n.id for n in names if isinstance(n.ctx, ast.Store)}
+            local.update(id(n) for n in names if n.id in bound)
+    return local
+
+
 def test_every_public_definition_has_a_caller():
     # every public module-level function and class is referenced, by name,
     # in src/ outside its own definition, or traced by the benchmark's
     # bench/spans.py LAYERS, or listed in UNCALLED: src/ holds no code
-    # that only tests call.  The package's re-exports are no reference.
+    # that only tests call.  The package's re-exports are no reference,
+    # and neither is a parameter or local variable of the same name.
     traced = {(module, attribute) for module, attribute, _, _ in load_layers()}
     trees = {name: ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
              for name in MODULES}
@@ -210,8 +227,9 @@ def test_every_public_definition_has_a_caller():
     for name, tree in trees.items():
         if name == "__init__":
             continue
+        local = local_names(tree)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and id(node) not in local:
                 references.setdefault(node.id, []).append(id(node))
             elif isinstance(node, ast.Attribute):
                 references.setdefault(node.attr, []).append(id(node))
